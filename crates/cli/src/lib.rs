@@ -1588,6 +1588,38 @@ mod tests {
     }
 
     #[test]
+    fn certify_expired_deadline_exits_4_with_unknown_sites() {
+        // Every all-gates site here takes far fewer BDD steps than the
+        // deadline cadence, so this checks the poll before each site.
+        let path =
+            std::env::temp_dir().join(format!("scfi_cli_aes_control_{}.dsl", std::process::id()));
+        let fsm = scfi_opentitan::by_name("aes_control")
+            .expect("suite FSM")
+            .fsm;
+        std::fs::write(&path, fsm.to_dsl()).expect("writable temp dir");
+        let p = path.to_str().expect("utf8");
+        let args: Vec<String> = [
+            "certify",
+            p,
+            "--level",
+            "3",
+            "--all-gates",
+            "--timeout-secs",
+            "0",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let mut out = String::new();
+        let e = run(&args, &mut out).expect_err("a zero deadline decides no site");
+        assert_eq!(e.code, 4, "{}", e.message);
+        assert!(e.message.contains("undecided"), "{}", e.message);
+        assert!(out.contains("counterexamples: 0"), "{out}");
+        assert!(out.contains("UNKNOWN"), "{out}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
     fn analyze_generous_budget_changes_nothing() {
         let path = write_demo();
         let p = path.to_str().expect("utf8");

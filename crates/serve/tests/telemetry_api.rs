@@ -3,7 +3,8 @@
 //! well-formedness, counter monotonicity across scrapes, agreement with
 //! `/v1/healthz`, TTL retirement of finished jobs, and wave-boundary
 //! responsive cancellation of a *running certify* job (the cancel token
-//! is polled inside the BDD step loop, not just between jobs).
+//! is polled inside the BDD step loop and before every certified site,
+//! not just between jobs).
 
 mod common;
 
@@ -24,6 +25,13 @@ const FAST_JOB: &str = r#"{"kind": "analyze",
 /// that is the point.
 const SLOW_CERTIFY: &str = r#"{"kind": "certify", "suite": "i2c_fsm", "level": 3,
     "joint": true, "all_gates": true, "stuck_at": true, "pin_faults": true}"#;
+
+/// A per-site certify job of a few seconds: the same cell space at
+/// N = 4, 6,736 sites certified one by one. Nearly every site takes
+/// fewer BDD steps than the in-operation poll cadence, so only the poll
+/// before each site sees a cancel before the whole report is done.
+const SLOW_PER_SITE_CERTIFY: &str = r#"{"kind": "certify", "suite": "i2c_fsm", "level": 4,
+    "all_gates": true, "stuck_at": true, "pin_faults": true}"#;
 
 fn boot(options: ServerOptions) -> Server {
     Server::bind("127.0.0.1:0", options).expect("bind an ephemeral port")
@@ -241,12 +249,25 @@ fn finished_jobs_are_retired_after_their_ttl() {
 /// joint certification would otherwise run.
 #[test]
 fn cancel_running_certify_is_responsive() {
+    assert_cancel_lands(SLOW_CERTIFY, Duration::from_secs(30));
+}
+
+/// DELETE on a running *per-site* certify job lands at the next site,
+/// not after the seconds the rest of the report would take.
+#[test]
+fn cancel_running_per_site_certify_lands_at_the_next_site() {
+    assert_cancel_lands(SLOW_PER_SITE_CERTIFY, Duration::from_secs(1));
+}
+
+/// Runs `job` on a one-worker server, DELETEs it 300 ms after it starts
+/// running, and asserts it reaches `cancelled` within `within`.
+fn assert_cancel_lands(job: &str, within: Duration) {
     let server = boot(ServerOptions {
         workers: 1,
         ..ServerOptions::default()
     });
     let addr = server.local_addr();
-    let id = submit(addr, SLOW_CERTIFY);
+    let id = submit(addr, job);
     await_status(addr, id, "running", Duration::from_secs(120));
     // Let the certifier get deep into BDD work before pulling the plug.
     std::thread::sleep(Duration::from_millis(300));
@@ -259,7 +280,7 @@ fn cancel_running_certify_is_responsive() {
         "cancelled"
     );
     assert!(
-        cancelled_at.elapsed() < Duration::from_secs(30),
+        cancelled_at.elapsed() < within,
         "cancel took {:?} — the BDD loop is not polling the token",
         cancelled_at.elapsed()
     );

@@ -23,11 +23,60 @@
 //! Nodes are arena-allocated and never freed; the engine's workloads
 //! (netlists with tens of symbolic variables) stay far below any size
 //! where garbage collection would pay for itself.
+//!
+//! # Tables
+//!
+//! Every table here — the unique table, the `ite` memo and the per-call
+//! memos of quantification, renaming and witness/model counting — is a
+//! `std` [`HashMap`] over `FxHasher`, a multiply-rotate word hash in
+//! the style of rustc's Fx hash (Brace, Rudell & Bryant, DAC 1990, put
+//! cheap hashing of exactly these tables at the core of a fast package).
+//! Every key is a node id or variable index this manager allocated,
+//! never client bytes, so SipHash's resistance to chosen-key flooding
+//! would buy nothing. The tables stay lossless: which nodes exist, the
+//! order their ids are allocated in, the step counts and the `ite`
+//! hit/miss counts depend only on the operations requested, never on
+//! the hasher, so budgets and the verdicts they degrade are unaffected
+//! by it.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A multiply-rotate word hasher in the style of rustc's Fx hash: each
+/// word is folded in with one rotate, xor and multiply. Fast for the
+/// small integer keys of the BDD tables; not flooding-resistant, which
+/// those manager-allocated keys do not need.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.add(u64::from(word));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Why a budgeted BDD operation stopped early.
 ///
@@ -133,19 +182,24 @@ struct Node {
 /// ```
 pub struct Bdd {
     nodes: Vec<Node>,
-    unique: HashMap<(u32, u32, u32), u32>,
-    ite_memo: HashMap<(u32, u32, u32), u32>,
+    unique: FxHashMap<(u32, u32, u32), u32>,
+    ite_memo: FxHashMap<(u32, u32, u32), u32>,
     /// Node-arena cap; allocations past it raise [`BddOverflow::Nodes`].
     max_nodes: Option<usize>,
     /// Operation-step cap (recursive `ite`/`exists`/`rename` invocations
     /// since the last [`Bdd::reset_steps`]).
     max_steps: Option<u64>,
-    /// Wall-clock deadline, checked every 4096 steps.
+    /// Wall-clock deadline, checked every 4096 lifetime steps.
     deadline: Option<Instant>,
     /// External cancellation probe, polled at the same cadence as the
     /// deadline; a `true` return raises [`BddOverflow::Cancelled`].
     cancel: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
+    /// Steps since the last [`Bdd::reset_steps`] (the step-limit counter).
     steps: u64,
+    /// Steps since construction, never reset: the deadline and
+    /// cancellation cadence runs on it, so units of work shorter than the
+    /// check interval still poll.
+    lifetime_steps: u64,
     /// Memoized-`ite` lookups that hit (cumulative; see
     /// [`Bdd::ite_cache_hits`]).
     ite_hits: u64,
@@ -182,13 +236,14 @@ impl Bdd {
                     hi: 1,
                 },
             ],
-            unique: HashMap::new(),
-            ite_memo: HashMap::new(),
+            unique: FxHashMap::default(),
+            ite_memo: FxHashMap::default(),
             max_nodes: None,
             max_steps: None,
             deadline: None,
             cancel: None,
             steps: 0,
+            lifetime_steps: 0,
             ite_hits: 0,
             ite_misses: 0,
         }
@@ -217,7 +272,8 @@ impl Bdd {
     }
 
     /// Sets an absolute wall-clock deadline, checked every few thousand
-    /// operation steps; `try_*` operations past it raise
+    /// operation steps over the manager's lifetime (and before each
+    /// certified unit of work); `try_*` operations past it raise
     /// [`BddOverflow::Deadline`].
     pub fn set_deadline(&mut self, deadline: Instant) {
         self.deadline = Some(deadline);
@@ -253,32 +309,43 @@ impl Bdd {
         self.steps
     }
 
-    /// Zeroes the operation-step counter (the deadline and node budget are
-    /// unaffected). Called by the certifier before each site so the step
+    /// Zeroes the operation-step counter. The node budget, the deadline
+    /// and the polling cadence (which runs on a lifetime counter) are
+    /// unaffected. Called by the certifier before each site so the step
     /// limit bounds one site's work, not the whole report's.
     pub fn reset_steps(&mut self) {
         self.steps = 0;
     }
 
     /// Counts one operation step against the step limit and (periodically)
-    /// the deadline.
+    /// the deadline and cancellation probe.
     fn step(&mut self) -> Result<(), BddOverflow> {
         self.steps += 1;
+        self.lifetime_steps += 1;
         if let Some(limit) = self.max_steps {
             if self.steps > limit {
                 return Err(BddOverflow::Steps { limit });
             }
         }
-        if self.steps.is_multiple_of(DEADLINE_CHECK_INTERVAL) {
-            if let Some(deadline) = self.deadline {
-                if Instant::now() >= deadline {
-                    return Err(BddOverflow::Deadline);
-                }
+        if self.lifetime_steps.is_multiple_of(DEADLINE_CHECK_INTERVAL) {
+            self.poll()?;
+        }
+        Ok(())
+    }
+
+    /// Checks the deadline and the cancellation probe now, outside the
+    /// step cadence. The certifier polls once before each unit of work,
+    /// so an expired deadline or a cancel request stops every later site
+    /// however few steps each one takes.
+    pub(crate) fn poll(&self) -> Result<(), BddOverflow> {
+        if let Some(deadline) = self.deadline {
+            if Instant::now() >= deadline {
+                return Err(BddOverflow::Deadline);
             }
-            if let Some(probe) = &self.cancel {
-                if probe() {
-                    return Err(BddOverflow::Cancelled);
-                }
+        }
+        if let Some(probe) = &self.cancel {
+            if probe() {
+                return Err(BddOverflow::Cancelled);
             }
         }
         Ok(())
@@ -539,7 +606,7 @@ impl Bdd {
     /// [`BddOverflow`].
     pub fn try_exists(&mut self, f: BddRef, vars: &[u32]) -> Result<BddRef, BddOverflow> {
         debug_assert!(vars.windows(2).all(|w| w[0] < w[1]), "vars must be sorted");
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         let last = match vars.last() {
             Some(&v) => v,
             None => return Ok(f),
@@ -552,7 +619,7 @@ impl Bdd {
         f: u32,
         vars: &[u32],
         last: u32,
-        memo: &mut HashMap<u32, u32>,
+        memo: &mut FxHashMap<u32, u32>,
     ) -> Result<u32, BddOverflow> {
         if f <= 1 {
             return Ok(f);
@@ -603,7 +670,7 @@ impl Bdd {
         f: BddRef,
         map: &impl Fn(u32) -> u32,
     ) -> Result<BddRef, BddOverflow> {
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         Ok(BddRef(self.rename_raw(f.0, map, &mut memo)?))
     }
 
@@ -611,7 +678,7 @@ impl Bdd {
         &mut self,
         f: u32,
         map: &impl Fn(u32) -> u32,
-        memo: &mut HashMap<u32, u32>,
+        memo: &mut FxHashMap<u32, u32>,
     ) -> Result<u32, BddOverflow> {
         if f <= 1 {
             return Ok(f);
@@ -667,7 +734,7 @@ impl Bdd {
         if f == BddRef::FALSE {
             return None;
         }
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         let mut path = Vec::new();
         let mut n = f.0;
         while n > 1 {
@@ -686,7 +753,7 @@ impl Bdd {
 
     /// Fewest variables constrained on any path from `f` to `TRUE`
     /// (`u32::MAX` for the unsatisfiable terminal).
-    fn min_care(&self, f: u32, memo: &mut HashMap<u32, u32>) -> u32 {
+    fn min_care(&self, f: u32, memo: &mut FxHashMap<u32, u32>) -> u32 {
         if f == 0 {
             return u32::MAX;
         }
@@ -713,7 +780,7 @@ impl Bdd {
     /// Debug-asserts that `f` only tests variables from `vars`.
     pub fn sat_count(&self, f: BddRef, vars: &[u32]) -> f64 {
         debug_assert!(vars.windows(2).all(|w| w[0] < w[1]), "vars must be sorted");
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         // Level of a variable within `vars`; vars not in the universe are
         // rejected below.
         let level = |v: u32| vars.binary_search(&v);
@@ -727,7 +794,7 @@ impl Bdd {
         from_level: usize,
         total: usize,
         level: &impl Fn(u32) -> Result<usize, usize>,
-        memo: &mut HashMap<u32, f64>,
+        memo: &mut FxHashMap<u32, f64>,
     ) -> f64 {
         if f == 0 {
             return 0.0;
@@ -753,7 +820,7 @@ impl Bdd {
 
     /// Number of distinct nodes reachable from `f` (its DAG size).
     pub fn size(&self, f: BddRef) -> usize {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::<_, BuildHasherDefault<FxHasher>>::default();
         let mut stack = vec![f.0];
         while let Some(n) = stack.pop() {
             if n <= 1 || !seen.insert(n) {

@@ -699,10 +699,10 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
     /// Certifies one fault site.
     ///
     /// Under a [`CertifyBudget`], the per-site step counter is reset
-    /// first, and a mid-site budget overflow degrades to
-    /// [`Verdict::Unknown`] carrying the overflow reason — the site is
-    /// reported undecided, never proven. Unbudgeted certifiers cannot
-    /// overflow.
+    /// first, the deadline and cancel probe are polled before the site
+    /// starts, and a budget overflow degrades to [`Verdict::Unknown`]
+    /// carrying the overflow reason — the site is reported undecided,
+    /// never proven. Unbudgeted certifiers cannot overflow.
     pub fn certify(&mut self, fault: Fault) -> Verdict {
         self.bdd.reset_steps();
         let site_start = self.telemetry.enabled().then(Instant::now);
@@ -727,6 +727,7 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
     }
 
     fn certify_inner(&mut self, fault: Fault) -> Result<Verdict, BddOverflow> {
+        self.bdd.poll()?;
         let faulty = self
             .evaluator
             .try_eval_fault_from(&mut self.bdd, &self.base, fault)?;
@@ -1078,6 +1079,40 @@ mod tests {
         let report = certifier.certify_all(&faults);
         assert_eq!(report.unknown(), report.sites.len(), "{report}");
         assert!(!report.all_proven());
+    }
+
+    #[test]
+    fn a_raised_cancel_probe_stops_every_site_at_its_first_poll() {
+        let h = harden(&fsm(), &ScfiConfig::new(3)).unwrap();
+        let faults = enumerate_faults(h.module(), &register_fault_config(h.module()));
+        let control = RunControl::unlimited();
+        let telemetry = Telemetry::recording();
+        let mut certifier = Certifier::with_instruments(
+            &h,
+            CertifyBudget::unlimited(),
+            telemetry.clone(),
+            Some(control.clone()),
+        )
+        .expect("setup runs before the cancel");
+        control.cancel();
+        // Every site is far shorter than the step cadence, so only the
+        // poll before each site can see the probe.
+        let report = certifier.certify_all(&faults);
+        let cancelled = Verdict::Unknown {
+            reason: BddOverflow::Cancelled.to_string(),
+        };
+        assert!(
+            report.sites.iter().all(|s| s.verdict == cancelled),
+            "{report}"
+        );
+        let steps = telemetry
+            .histogram("scfi_certify_steps_per_site")
+            .snapshot();
+        assert_eq!(
+            (steps.count, steps.sum),
+            (faults.len() as u64, 0),
+            "each site stops before its first step"
+        );
     }
 
     #[test]

@@ -230,6 +230,7 @@ impl<M: CertifyModel> Certifier<'_, M> {
         faults: &[Fault],
         max_active: usize,
     ) -> Result<JointVerdict, BddOverflow> {
+        self.bdd.poll()?;
         let vm = self.evaluator.varmap();
         let sel_base = vm.var_count();
         let n_regs = self.model.module().registers().len();
@@ -339,6 +340,7 @@ impl<M: CertifyModel> Certifier<'_, M> {
         k: usize,
         j: usize,
     ) -> Result<KStepVerdict, BddOverflow> {
+        self.bdd.poll()?;
         let vm = self.evaluator.varmap();
         let fresh_base = vm.var_count();
         let n_regs = self.model.module().registers().len();

@@ -7,9 +7,10 @@
 //! * **Counters** — monotone event totals (`fetch_add` relaxed).
 //! * **Gauges** — last-written values with a `fetch_max` high-water
 //!   helper (BDD node-table peak, registry size).
-//! * **Histograms** — fixed power-of-two buckets with approximate
-//!   quantile estimation; used for latencies (nanoseconds) and sizes
-//!   (gate counts).
+//! * **Histograms** — fixed power-of-two buckets plus the exact minimum
+//!   and maximum, with approximate quantile estimation clamped to the
+//!   observed range; used for latencies (nanoseconds) and sizes (gate
+//!   counts).
 //! * **Spans** — named wall-clock intervals collected for
 //!   chrome://tracing export.
 //!
@@ -43,11 +44,14 @@ const BUCKETS: usize = 65;
 /// a long soak cannot grow memory without bound.
 const MAX_SPANS: usize = 65_536;
 
-/// One histogram's storage: power-of-two buckets plus sum and count.
+/// One histogram's storage: power-of-two buckets plus sum, count and
+/// the exact extremes.
 struct HistogramCell {
     buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
     count: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
 }
 
 impl HistogramCell {
@@ -56,6 +60,8 @@ impl HistogramCell {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
             count: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
         }
     }
 
@@ -64,6 +70,8 @@ impl HistogramCell {
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
+        self.min.fetch_min(value, Ordering::Relaxed);
+        self.max.fetch_max(value, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -71,6 +79,8 @@ impl HistogramCell {
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
             sum: self.sum.load(Ordering::Relaxed),
             count: self.count.load(Ordering::Relaxed),
+            min: self.min.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
         }
     }
 }
@@ -97,16 +107,29 @@ pub struct HistogramSnapshot {
     pub sum: u64,
     /// Number of observations.
     pub count: u64,
+    /// Smallest observation (`u64::MAX` when empty).
+    min: u64,
+    /// Largest observation (`0` when empty).
+    max: u64,
 }
 
 impl HistogramSnapshot {
     /// Approximate `q`-quantile (`0.0 ..= 1.0`) by linear interpolation
-    /// inside the containing power-of-two bucket. Returns `0` when
-    /// nothing was observed.
+    /// inside the containing power-of-two bucket, clamped to the smallest
+    /// and largest observation, so it never reports a value outside the
+    /// observed range (a single sample is its own every quantile).
+    /// Returns `0` when nothing was observed.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
+        // `max`/`min` rather than `clamp`: a torn relaxed read may see
+        // `min > max`, which must degrade, not panic.
+        self.bucket_quantile(q).max(self.min).min(self.max)
+    }
+
+    /// The unclamped bucket interpolation behind [`quantile`](Self::quantile).
+    fn bucket_quantile(&self, q: f64) -> u64 {
         let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut cumulative = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
@@ -120,7 +143,7 @@ impl HistogramSnapshot {
                 let lower = 1u64 << (i - 1);
                 let position = (target - cumulative) as f64 / n as f64;
                 let width = lower as f64;
-                return lower + (width * position) as u64;
+                return lower.saturating_add((width * position) as u64);
             }
             cumulative += n;
         }
@@ -527,6 +550,8 @@ impl Histogram {
                 buckets: [0; BUCKETS],
                 sum: 0,
                 count: 0,
+                min: u64::MAX,
+                max: 0,
             },
             |c| c.snapshot(),
         )
@@ -611,6 +636,45 @@ mod tests {
         // Zero is its own bucket.
         h.observe(0);
         assert_eq!(h.snapshot().quantile(0.01), 0);
+    }
+
+    #[test]
+    fn a_single_sample_is_its_own_every_quantile() {
+        // 800_313 sits in the [2^19, 2^20) bucket, whose interpolation
+        // would report the exclusive upper bound 1_048_576.
+        for v in [0u64, 1, 3, 800_313, u64::MAX] {
+            let t = Telemetry::recording();
+            let h = t.histogram("scfi_one_ns");
+            h.observe(v);
+            let snap = h.snapshot();
+            for q in [0.0, 0.01, 0.5, 0.9, 0.99, 1.0] {
+                assert_eq!(snap.quantile(q), v, "q = {q} of the single sample {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn quantiles_stay_in_range_and_never_decrease() {
+        let t = Telemetry::recording();
+        let h = t.histogram("scfi_spread_ns");
+        let samples = [5u64, 6, 7, 900, 1_000, 1_023, 70_000, 1 << 40];
+        for v in samples {
+            h.observe(v);
+        }
+        let snap = h.snapshot();
+        let mut last = 0;
+        for step in 0..=1_000 {
+            let q = f64::from(step) / 1_000.0;
+            let v = snap.quantile(q);
+            assert!(
+                (5..=1 << 40).contains(&v),
+                "q = {q}: {v} outside the observed range"
+            );
+            assert!(v >= last, "q = {q}: {v} fell below {last}");
+            last = v;
+        }
+        assert_eq!(snap.quantile(1.0), 1 << 40);
+        assert_eq!(snap.quantile(0.0), 5);
     }
 
     #[test]
