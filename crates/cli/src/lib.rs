@@ -34,6 +34,7 @@ use scfi_faultsim::{
     RunControl, ScfiTarget, StopReason,
 };
 use scfi_fsm::{lower_unprotected, parse_fsm, Fsm};
+use scfi_serve::WALK_SEED;
 use scfi_stdcell::Library;
 use scfi_symbolic::{
     describe_fault, CertificationReport, Certifier, CertifyBudget, CertifyModel, JointReport,
@@ -435,12 +436,11 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
     }
 
     let target = match protocol {
-        // Walk seed fixed so repeated invocations analyze the same
-        // protocol scenario set.
-        Some(depth) if fuzz_inputs => {
-            ScfiTarget::with_fuzzed_protocol(&hardened, depth, 0x5CF1_3007)
-        }
-        Some(depth) => ScfiTarget::with_protocol(&hardened, depth, 0x5CF1_3007),
+        // Walk seed fixed, and shared with `scfi serve`, so repeated
+        // invocations and served jobs analyze the same protocol scenario
+        // set.
+        Some(depth) if fuzz_inputs => ScfiTarget::with_fuzzed_protocol(&hardened, depth, WALK_SEED),
+        Some(depth) => ScfiTarget::with_protocol(&hardened, depth, WALK_SEED),
         None => ScfiTarget::new(&hardened),
     };
     if let Some(depth) = protocol {
@@ -1124,6 +1124,32 @@ mod tests {
         assert!(out.contains("SCFI:"));
         assert!(out.contains("pattern match"));
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn harden_report_names_the_adapted_mds_width() {
+        // §7 adaptation fits aes_control at N = 3 into one 24-bit matrix;
+        // without it the paper's 32-bit matrix is used.
+        let path =
+            std::env::temp_dir().join(format!("scfi_cli_aes_adaptive_{}.dsl", std::process::id()));
+        let fsm = scfi_opentitan::by_name("aes_control")
+            .expect("suite FSM")
+            .fsm;
+        std::fs::write(&path, fsm.to_dsl()).expect("writable temp dir");
+        let p = path.to_str().expect("utf8");
+        let adaptive = run_ok(&[
+            "harden",
+            p,
+            "--level",
+            "3",
+            "--adaptive",
+            "--emit",
+            "report",
+        ]);
+        let fixed = run_ok(&["harden", p, "--level", "3", "--emit", "report"]);
+        let _ = std::fs::remove_file(path);
+        assert!(adaptive.contains("(24-bit MDS, 3 err bits)"), "{adaptive}");
+        assert!(fixed.contains("(32-bit MDS, 3 err bits)"), "{fixed}");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt;
 use scfi_encode::{CodeSpec, Codebook};
 use scfi_fsm::{Cfg, Fsm, StateId};
 use scfi_gf2::BitVec;
-use scfi_mds::{MdsMatrix, MdsSpec, OutputSource};
+use scfi_mds::{MdsMatrix, MdsSpec, OutputSource, XorProgram};
 use scfi_netlist::{Module, ModuleBuilder, ModuleStats, NetId};
 
 use crate::{MixLayout, ScfiConfig, ScfiError};
@@ -62,6 +62,10 @@ pub struct HardenReport {
     pub instances: usize,
     /// Error bits per instance.
     pub error_bits: usize,
+    /// Width in bits of the MDS matrix each instance uses: 32 for the
+    /// paper's matrix, 16 or 24 when the configuration or §7 size
+    /// adaptation picks a smaller one.
+    pub mds_width: usize,
     /// XOR gates in the diffusion layer (after lowering, before netlist
     /// constant folding).
     pub diffusion_xors: usize,
@@ -73,13 +77,14 @@ impl fmt::Display for HardenReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "SCFI: {} states, {} edges -> se={} xe={} mod={} bits, k={} x (32-bit MDS, {} err bits)",
+            "SCFI: {} states, {} edges -> se={} xe={} mod={} bits, k={} x ({}-bit MDS, {} err bits)",
             self.n_states,
             self.n_edges,
             self.state_width,
             self.control_width,
             self.mod_width,
             self.instances,
+            self.mds_width,
             self.error_bits
         )?;
         write!(f, "{}", self.stats)
@@ -175,17 +180,19 @@ pub fn harden(fsm: &Fsm, config: &ScfiConfig) -> Result<HardenedFsm, ScfiError> 
         modifiers.push(modifier);
     }
 
+    // One lowering of the matrix feeds both the netlist and the report.
+    let prog = mds.xor_program(config.lowering_strategy());
     let (module, regions) = emit(
         fsm,
         &cfg,
         config,
-        &mds,
+        &prog,
         &state_code,
         &cond_code,
         &layout,
         &modifiers,
     )?;
-    let diffusion_xors = mds.xor_program(config.lowering_strategy()).xor_count() * layout.k();
+    let diffusion_xors = prog.xor_count() * layout.k();
     let report = HardenReport {
         n_states: fsm.state_count(),
         n_edges: cfg.edges().len(),
@@ -194,6 +201,7 @@ pub fn harden(fsm: &Fsm, config: &ScfiConfig) -> Result<HardenedFsm, ScfiError> 
         mod_width: layout.mod_width(),
         instances: layout.k(),
         error_bits: layout.error_bits(),
+        mds_width: mds.width(),
         diffusion_xors,
         stats: ModuleStats::of(&module),
     };
@@ -231,7 +239,7 @@ fn emit(
     fsm: &Fsm,
     cfg: &Cfg,
     config: &ScfiConfig,
-    mds: &MdsMatrix,
+    prog: &XorProgram,
     state_code: &Codebook,
     cond_code: &Codebook,
     layout: &MixLayout,
@@ -288,12 +296,11 @@ fn emit(
 
     // 3.–5. Mix, diffusion, unmix per MDS instance.
     let diffusion_start = b.len() as u32;
-    let prog = mds.xor_program(config.lowering_strategy());
     let zero = b.constant(false);
     let mut sn_bits: Vec<NetId> = vec![zero; sw];
     let mut error_nets: Vec<NetId> = Vec::with_capacity(layout.total_error_bits());
     for inst in layout.instances() {
-        let mut signals: Vec<NetId> = vec![zero; mds.width()];
+        let mut signals: Vec<NetId> = vec![zero; prog.n_inputs()];
         for &(pos, g) in &inst.state_in {
             signals[pos] = state_q[g];
         }

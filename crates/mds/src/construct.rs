@@ -15,9 +15,11 @@ use crate::{BlockMatrix, Lowering, XorProgram};
 /// We expose exactly that choice point.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum MdsSpec {
-    /// A lightweight 4×4 MDS matrix over the paper's ring
-    /// `F₂[α]/(X⁸ + X² + 1)`, found by a deterministic minimal-XOR search
-    /// over structured candidates and *verified* MDS via block minors.
+    /// The lightweight 4×4 MDS matrix `circulant(1, 1, α, α³)` over the
+    /// paper's ring `F₂[α]/(X⁸ + X² + 1)`. It is the pinned result of a
+    /// deterministic minimal-XOR search over structured candidates: a test
+    /// re-derives it, and every process *verifies* it MDS via block minors
+    /// at first use.
     ///
     /// This substitutes for `M^{8,3}_{4,6}` (Duval–Leurent 2018), whose
     /// exact entries the SCFI paper does not reproduce; the security
@@ -32,18 +34,26 @@ pub enum MdsSpec {
     /// A 2×2 (16-bit) lightweight MDS matrix, branch number 3 — the
     /// smaller matrix §7 of the paper proposes for small `{S_C, X, Mod}`
     /// triples ("adapt the MDS matrix size … to further improve the
-    /// area-time product"), trading diffusion for area.
+    /// area-time product"), trading diffusion for area. It is
+    /// `circulant(1, α)` over the paper's ring, the pinned result of the
+    /// same search as [`MdsSpec::ScfiLightweight`], re-derived by a test
+    /// and verified MDS at first use.
     Lightweight16,
     /// A 3×3 (24-bit) lightweight MDS matrix, branch number 4 — the
-    /// intermediate point of the §7 size adaptation.
+    /// intermediate point of the §7 size adaptation. It is
+    /// `circulant(1, 1, α)` over the paper's ring, the pinned result of the
+    /// same search, re-derived by a test and verified MDS at first use.
     Lightweight24,
 }
 
 impl MdsSpec {
     /// Builds (and caches) the verified matrix for this spec.
     ///
-    /// The first call per spec performs the construction/search and the
-    /// block-minor MDS verification; later calls return a cached clone.
+    /// Every matrix is a constant: the lightweight ones are the pinned
+    /// results of a minimal-XOR search that runs only in this crate's
+    /// tests. The first call per spec builds the matrix from its entries
+    /// and runs the block-minor MDS verification (well under a
+    /// millisecond); later calls return a cached clone.
     pub fn build(self) -> MdsMatrix {
         static SCFI: OnceLock<MdsMatrix> = OnceLock::new();
         static AES: OnceLock<MdsMatrix> = OnceLock::new();
@@ -184,80 +194,48 @@ fn build_aes() -> MdsMatrix {
     m
 }
 
-/// Builds a `k × k` lightweight matrix over the paper's ring by
-/// deterministic search: rank candidate entry tuples by expanded XOR
-/// density, return the first circulant (then Hadamard, for k = 4)
-/// candidate that passes the exact MDS check.
+/// The paper's ring modulus `X⁸ + X² + 1` for the lightweight matrices.
+const LIGHTWEIGHT_MODULUS: u64 = 0x105;
+
+/// First row of the pinned `k × k` lightweight circulant, as coefficient
+/// masks of polynomials in α (`0b10` is α, `0b1000` is α³).
+///
+/// Each row is the first MDS candidate of a deterministic minimal-XOR
+/// search, fixed once at design time as §5.1 fixes its matrix. The search
+/// runs only in this module's tests, which re-derive this table.
+fn lightweight_row(k: usize) -> &'static [u64] {
+    match k {
+        2 => &[0b1, 0b10],              // circulant(1, α)
+        3 => &[0b1, 0b1, 0b10],         // circulant(1, 1, α)
+        4 => &[0b1, 0b1, 0b10, 0b1000], // circulant(1, 1, α, α³)
+        _ => unreachable!("no lightweight matrix is pinned for k = {k}"),
+    }
+}
+
+/// Builds the pinned `k × k` lightweight circulant over the paper's ring
+/// and verifies it is MDS.
 fn build_lightweight(k: usize) -> MdsMatrix {
-    let alpha = Gf2Poly::from_coeffs(0x105).companion_matrix(); // X^8 + X^2 + 1
+    let alpha = Gf2Poly::from_coeffs(LIGHTWEIGHT_MODULUS).companion_matrix();
+    let entries: Vec<Gf2Poly> = lightweight_row(k)
+        .iter()
+        .map(|&c| Gf2Poly::from_coeffs(c))
+        .collect();
+    let m = MdsMatrix::new(
+        lightweight_name("circulant", &entries),
+        circulant(&alpha, &entries),
+    );
+    assert!(
+        m.block.is_mds(),
+        "pinned {k}x{k} matrix failed the MDS check"
+    );
+    m
+}
 
-    // Low-XOR-cost polynomial entries in α, cheapest first. Cost of p(α) as
-    // a linear map is roughly count_ones(p(α)) − 8 XORs.
-    let pool: Vec<Gf2Poly> = vec![
-        Gf2Poly::ONE,
-        Gf2Poly::X,
-        Gf2Poly::from_coeffs(0b100),  // α²
-        Gf2Poly::from_coeffs(0b11),   // 1 + α
-        Gf2Poly::from_coeffs(0b101),  // 1 + α²
-        Gf2Poly::from_coeffs(0b110),  // α + α²
-        Gf2Poly::from_coeffs(0b1000), // α³
-        Gf2Poly::from_coeffs(0b1001), // 1 + α³
-    ];
-
-    // All entry tuples of length k over the pool.
-    let mut tuples: Vec<Vec<Gf2Poly>> = vec![Vec::new()];
-    for _ in 0..k {
-        tuples = tuples
-            .into_iter()
-            .flat_map(|t| {
-                pool.iter().map(move |&p| {
-                    let mut t = t.clone();
-                    t.push(p);
-                    t
-                })
-            })
-            .collect();
-    }
-    let mut candidates: Vec<(usize, &'static str, Vec<Gf2Poly>)> = Vec::new();
-    for entries in tuples {
-        let cost: usize = entries
-            .iter()
-            .map(|p| p.eval_matrix(&alpha).count_ones())
-            .sum();
-        candidates.push((cost, "circulant", entries.clone()));
-        if k == 4 {
-            candidates.push((cost, "hadamard", entries));
-        }
-    }
-    // Deterministic order: by cost, then shape, then entry tuple.
-    candidates.sort_by_key(|(cost, shape, e)| {
-        (
-            *cost,
-            *shape,
-            e.iter().map(|p| p.coeffs()).collect::<Vec<_>>(),
-        )
-    });
-
-    for (_, shape, entries) in candidates {
-        let block = match shape {
-            "circulant" => circulant(&alpha, &entries),
-            _ => hadamard(&alpha, &entries),
-        };
-        if block.is_mds() {
-            let name = format!(
-                "lightweight-{}x{}-{shape}({})",
-                k,
-                k,
-                entries
-                    .iter()
-                    .map(|p| format!("{p}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            return MdsMatrix::new(name, block);
-        }
-    }
-    unreachable!("no MDS matrix found in candidate pool — pool is known to contain MDS matrices")
+/// `lightweight-KxK-SHAPE(e₀, …)`: the name of a lightweight matrix.
+fn lightweight_name(shape: &str, entries: &[Gf2Poly]) -> String {
+    let k = entries.len();
+    let entries: Vec<String> = entries.iter().map(Gf2Poly::to_string).collect();
+    format!("lightweight-{k}x{k}-{shape}({})", entries.join(", "))
 }
 
 /// Circulant block matrix: row `i`, column `j` holds
@@ -269,23 +247,6 @@ fn circulant(alpha: &BitMatrix, entries: &[Gf2Poly]) -> BlockMatrix {
     for r in 0..k {
         for c in 0..k {
             blocks.push(maps[(c + k - r) % k].clone());
-        }
-    }
-    BlockMatrix::from_blocks(k, 8, blocks)
-}
-
-/// Hadamard block matrix (`k` a power of two): `M[i][j] = entries[i XOR j]`.
-fn hadamard(alpha: &BitMatrix, entries: &[Gf2Poly]) -> BlockMatrix {
-    let k = entries.len();
-    assert!(
-        k.is_power_of_two(),
-        "Hadamard layout needs a power-of-two k"
-    );
-    let maps: Vec<BitMatrix> = entries.iter().map(|p| p.eval_matrix(alpha)).collect();
-    let mut blocks = Vec::with_capacity(k * k);
-    for r in 0..k {
-        for c in 0..k {
-            blocks.push(maps[r ^ c].clone());
         }
     }
     BlockMatrix::from_blocks(k, 8, blocks)
@@ -424,6 +385,119 @@ mod tests {
                 spec.branch_number(),
                 "{spec}"
             );
+        }
+    }
+
+    /// The minimal-XOR search that chose the pinned table: rank candidate
+    /// entry tuples by expanded XOR density and return the shape and
+    /// entries of the first circulant (then Hadamard, for k = 4)
+    /// candidate that passes the exact MDS check.
+    fn search_lightweight(k: usize) -> (&'static str, Vec<Gf2Poly>, MdsMatrix) {
+        let alpha = Gf2Poly::from_coeffs(LIGHTWEIGHT_MODULUS).companion_matrix();
+
+        // Low-XOR-cost polynomial entries in α, cheapest first. Cost of
+        // p(α) as a linear map is roughly count_ones(p(α)) − 8 XORs.
+        let pool: Vec<Gf2Poly> = vec![
+            Gf2Poly::ONE,
+            Gf2Poly::X,
+            Gf2Poly::from_coeffs(0b100),  // α²
+            Gf2Poly::from_coeffs(0b11),   // 1 + α
+            Gf2Poly::from_coeffs(0b101),  // 1 + α²
+            Gf2Poly::from_coeffs(0b110),  // α + α²
+            Gf2Poly::from_coeffs(0b1000), // α³
+            Gf2Poly::from_coeffs(0b1001), // 1 + α³
+        ];
+
+        // All entry tuples of length k over the pool.
+        let mut tuples: Vec<Vec<Gf2Poly>> = vec![Vec::new()];
+        for _ in 0..k {
+            tuples = tuples
+                .into_iter()
+                .flat_map(|t| {
+                    pool.iter().map(move |&p| {
+                        let mut t = t.clone();
+                        t.push(p);
+                        t
+                    })
+                })
+                .collect();
+        }
+        let mut candidates: Vec<(usize, &'static str, Vec<Gf2Poly>)> = Vec::new();
+        for entries in tuples {
+            let cost: usize = entries
+                .iter()
+                .map(|p| p.eval_matrix(&alpha).count_ones())
+                .sum();
+            candidates.push((cost, "circulant", entries.clone()));
+            if k == 4 {
+                candidates.push((cost, "hadamard", entries));
+            }
+        }
+        // Deterministic order: by cost, then shape, then entry tuple.
+        candidates.sort_by_key(|(cost, shape, e)| {
+            (
+                *cost,
+                *shape,
+                e.iter().map(|p| p.coeffs()).collect::<Vec<_>>(),
+            )
+        });
+
+        for (_, shape, entries) in candidates {
+            let block = match shape {
+                "circulant" => circulant(&alpha, &entries),
+                _ => hadamard(&alpha, &entries),
+            };
+            if block.is_mds() {
+                let m = MdsMatrix::new(lightweight_name(shape, &entries), block);
+                return (shape, entries, m);
+            }
+        }
+        unreachable!(
+            "no MDS matrix found in candidate pool — pool is known to contain MDS matrices"
+        )
+    }
+
+    /// Hadamard block matrix (`k` a power of two): `M[i][j] = entries[i XOR j]`.
+    fn hadamard(alpha: &BitMatrix, entries: &[Gf2Poly]) -> BlockMatrix {
+        let k = entries.len();
+        assert!(
+            k.is_power_of_two(),
+            "Hadamard layout needs a power-of-two k"
+        );
+        let maps: Vec<BitMatrix> = entries.iter().map(|p| p.eval_matrix(alpha)).collect();
+        let mut blocks = Vec::with_capacity(k * k);
+        for r in 0..k {
+            for c in 0..k {
+                blocks.push(maps[r ^ c].clone());
+            }
+        }
+        BlockMatrix::from_blocks(k, 8, blocks)
+    }
+
+    #[test]
+    fn pinned_table_equals_the_search() {
+        for (k, spec, name) in [
+            (2, MdsSpec::Lightweight16, "lightweight-2x2-circulant(1, X)"),
+            (
+                3,
+                MdsSpec::Lightweight24,
+                "lightweight-3x3-circulant(1, 1, X)",
+            ),
+            (
+                4,
+                MdsSpec::ScfiLightweight,
+                "lightweight-4x4-circulant(1, 1, X, X^3)",
+            ),
+        ] {
+            let (shape, entries, searched) = search_lightweight(k);
+            let pinned = spec.build();
+            assert_eq!(shape, "circulant", "k = {k}");
+            let coeffs: Vec<u64> = entries.iter().map(|p| p.coeffs()).collect();
+            assert_eq!(coeffs, lightweight_row(k), "k = {k}");
+            assert_eq!(searched.name(), name);
+            assert_eq!(pinned.name(), name);
+            assert_eq!(searched.matrix(), pinned.matrix(), "k = {k}");
+            assert!(pinned.block().is_mds(), "k = {k}");
         }
     }
 }

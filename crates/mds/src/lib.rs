@@ -16,9 +16,10 @@
 //!   program, either naively (balanced trees per output) or with Paar-style
 //!   greedy common-subexpression elimination,
 //! * [`MdsMatrix`] / [`MdsSpec`] — concrete verified constructions: a
-//!   lightweight matrix searched over the paper's ring `F₂[α]`,
-//!   `α: X⁸ + X² + 1` (substituting for Duval–Leurent's `M^{8,3}_{4,6}`,
-//!   whose exact entries the SCFI paper does not reproduce), and the AES
+//!   lightweight matrix over the paper's ring `F₂[α]`, `α: X⁸ + X² + 1`,
+//!   pinned from a minimal-XOR search that the tests re-run
+//!   (substituting for Duval–Leurent's `M^{8,3}_{4,6}`, whose exact
+//!   entries the SCFI paper does not reproduce), and the AES
 //!   MixColumns matrix over `GF(2⁸)/0x11B` as a provably-MDS reference.
 //!
 //! # Example
