@@ -1,12 +1,11 @@
 //! Campaign-backend throughput matrix: injections/second for every
-//! [`CampaignBackend`](scfi_faultsim::CampaignBackend) — scalar, packed at
-//! W ∈ {1, 2, 4} (64/128/256 lanes) and the fixed 512-lane SIMD wave —
-//! over the scale-sweep grid (N ∈ {2, 3, 4} × {small, medium, large}
-//! Table-1 FSMs, exhaustive gate-output flips + register flips, one
-//! thread), plus a scenario-dense depth-1 protocol point that stresses
-//! per-wave scenario resolution (many distinct scenarios, few faults
-//! each — the workload where the wave executor's scenario lookup used to
-//! scan linearly).
+//! [`CampaignBackend`](scfi_faultsim::CampaignBackend) — scalar and packed
+//! at W ∈ {1, 2, 4} (64/128/256 lanes) — over the scale-sweep grid
+//! (N ∈ {2, 3, 4} × {small, medium, large} Table-1 FSMs, exhaustive
+//! gate-output flips + register flips, one thread), plus a
+//! scenario-dense depth-1 protocol point that stresses per-wave scenario
+//! resolution (many distinct scenarios, few faults each — the workload
+//! where the wave executor's scenario lookup used to scan linearly).
 //!
 //! The committed baseline lives in `BENCH_backends.json` at the workspace
 //! root; regenerate it with `cargo bench --bench backends -- --save`.
@@ -39,12 +38,11 @@ const FSMS: [&str; 3] = ["aes_control", "adc_ctrl_fsm", "i2c_fsm"];
 const LEVELS: [usize; 3] = [2, 3, 4];
 
 /// The measured backend column: display name, backend, packed lane words.
-const COLUMNS: [(&str, Backend, usize); 5] = [
+const COLUMNS: [(&str, Backend, usize); 4] = [
     ("scalar", Backend::Scalar, 4),
     ("packed-64", Backend::Packed, 1),
     ("packed-128", Backend::Packed, 2),
     ("packed-256", Backend::Packed, 4),
-    ("simd-512", Backend::Simd, 4),
 ];
 
 fn hardened(name: &str, n: usize) -> HardenedFsm {

@@ -3,7 +3,7 @@
 //! each armed on its **own** sampled transient window
 //! (`with_fault_windows`), over adversarially **fuzzed** multi-cycle
 //! protocol walks — on every campaign backend (scalar, packed at
-//! W ∈ {1, 2, 4}, the 512-lane SIMD wave).
+//! W ∈ {1, 2, 4}).
 //!
 //! This is the workload the per-fault `FaultSchedule` refactor must keep
 //! fast: every lane of a wave can arm and re-arm at a different cycle,
@@ -40,12 +40,11 @@ const RUNS: usize = 6000;
 const DEPTH: usize = 4;
 
 /// The measured backend column: display name, backend, packed lane words.
-const COLUMNS: [(&str, Backend, usize); 5] = [
+const COLUMNS: [(&str, Backend, usize); 4] = [
     ("scalar", Backend::Scalar, 4),
     ("packed-64", Backend::Packed, 1),
     ("packed-128", Backend::Packed, 2),
     ("packed-256", Backend::Packed, 4),
-    ("simd-512", Backend::Simd, 4),
 ];
 
 fn hardened(name: &str, n: usize) -> HardenedFsm {

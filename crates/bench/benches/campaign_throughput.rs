@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, Criterion};
 use scfi_core::{harden, HardenedFsm, ScfiConfig};
 use scfi_faultsim::{
-    run_exhaustive, run_exhaustive_scalar, Backend, CampaignConfig, CampaignReport, ScfiTarget,
+    run_exhaustive, run_exhaustive_scalar, CampaignConfig, CampaignReport, ScfiTarget,
 };
 
 /// The packed wave widths under measurement, as lane words.
@@ -64,17 +64,6 @@ fn print_throughput() {
             packed_rate / scalar_rate
         );
     }
-    let simd_config = config.clone().backend(Backend::Simd);
-    let (simd_report, simd_t) = time(&|| run_exhaustive(&target, &simd_config));
-    assert_eq!(
-        simd_report, scalar_report,
-        "engines disagree: the simd report must be byte-identical"
-    );
-    let simd_rate = rate(&simd_report, simd_t);
-    println!(
-        "simd   512-lane:  {simd_rate:>12.0} injections/s  ({simd_t:.2?})  {:>6.1}x scalar",
-        simd_rate / scalar_rate
-    );
     println!();
 }
 
@@ -92,10 +81,6 @@ fn bench_engines(c: &mut Criterion) {
             b.iter(|| run_exhaustive(&target, &config))
         });
     }
-    let simd_config = config.clone().backend(Backend::Simd);
-    group.bench_function("simd_exhaustive_512lanes", |b| {
-        b.iter(|| run_exhaustive(&target, &simd_config))
-    });
     group.finish();
 }
 

@@ -11,6 +11,7 @@
 //! scfi analyze <fsm.dsl|-> [--level N] [--region all|diffusion|selector]
 //!              [--pin-faults] [--stuck-at] [--rank] [--multi M --runs K]
 //!              [--protocol K] [--fuzz-inputs] [--fault-windows]
+//!              [--backend scalar|packed]
 //!              [--lanes 64|128|256] [--format text|csv|json]
 //!              [--timeout-secs T] [--max-injections K]
 //!              [--stats [text|json]] [--trace-out FILE]
@@ -30,7 +31,7 @@ use std::time::Duration;
 
 use scfi_core::{harden, redundancy, PadPolicy, ScfiConfig};
 use scfi_faultsim::{
-    try_run_exhaustive, try_run_multi_fault, CampaignConfig, CampaignError, FaultEffect,
+    try_run_exhaustive, try_run_multi_fault, Backend, CampaignConfig, CampaignError, FaultEffect,
     RunControl, ScfiTarget, StopReason,
 };
 use scfi_fsm::{lower_unprotected, parse_fsm, Fsm};
@@ -76,7 +77,7 @@ pub const USAGE: &str = "usage:
   scfi analyze <fsm.dsl|-> [--level N] [--region all|diffusion|selector]
                [--pin-faults] [--stuck-at] [--rank] [--multi M --runs K]
                [--protocol K] [--fuzz-inputs] [--fault-windows]
-               [--backend scalar|packed|simd]
+               [--backend scalar|packed]
                [--lanes 64|128|256] [--format text|csv|json]
                [--timeout-secs T] [--max-injections K]
                [--stats [text|json]] [--trace-out FILE]
@@ -103,11 +104,10 @@ OpenTitan-like benchmark FSMs; `scfi suite <name>` prints one as DSL.
 step glitched transiently, instead of the single-transition experiment.
 `--backend` picks the campaign engine (default `packed`): `scalar` is
 the one-injection-at-a-time reference, `packed` the bit-parallel wave
-engine, `simd` the fixed 512-lane vectorization-shaped wave engine.
-`--lanes` picks the packed backend's wave width (default 256; accepted:
-64, 128, 256). The report is identical for every backend, width and
-thread count, only throughput changes. `--format csv|json` streams the
-per-site vulnerability map instead of the text summary.
+engine. `--lanes` picks the packed backend's wave width (default 256;
+accepted: 64, 128, 256). The report is identical for every backend,
+width and thread count, only throughput changes. `--format csv|json`
+streams the per-site vulnerability map instead of the text summary.
 
 `--fuzz-inputs` (requires `--protocol`) biases the protocol walks
 adversarially: each cycle's condition word is sampled toward valid
@@ -185,7 +185,7 @@ impl<'a> Flags<'a> {
         }
     }
 
-    /// The first unused non-flag argument (the input path).
+    /// The first unused non-flag argument.
     fn positional(&mut self) -> Option<&'a str> {
         for (i, a) in self.args.iter().enumerate() {
             if !self.used[i] && !a.starts_with("--") {
@@ -249,6 +249,17 @@ impl<'a> Flags<'a> {
         }
         Ok(())
     }
+
+    /// The FSM input path: the one argument left once every flag has
+    /// been consumed. Taking it last keeps a flag's value (the `3` of
+    /// `--level 3`) from being read as the path.
+    fn input(&mut self) -> Result<&'a str, CliError> {
+        let path = self
+            .positional()
+            .ok_or_else(|| usage_err("missing FSM input file"))?;
+        self.finish()?;
+        Ok(path)
+    }
 }
 
 fn load_fsm(path: &str) -> Result<Fsm, CliError> {
@@ -305,12 +316,11 @@ fn parse_config(flags: &mut Flags<'_>) -> Result<ScfiConfig, CliError> {
     Ok(config)
 }
 
-fn harden_from(flags: &mut Flags<'_>) -> Result<(Fsm, scfi_core::HardenedFsm), CliError> {
-    let Some(path) = flags.positional() else {
-        return Err(usage_err("missing FSM input file"));
-    };
-    let fsm = load_fsm(path)?;
+/// Parses the hardening flags and the input path — the last arguments a
+/// command consumes — and hardens the FSM.
+fn harden_from(flags: &mut Flags<'_>) -> Result<scfi_core::HardenedFsm, CliError> {
     let config = parse_config(flags)?;
+    let fsm = load_fsm(flags.input()?)?;
     let hardened = harden(&fsm, &config).map_err(|e| CliError {
         message: format!("hardening failed: {e}"),
         code: 3,
@@ -319,14 +329,13 @@ fn harden_from(flags: &mut Flags<'_>) -> Result<(Fsm, scfi_core::HardenedFsm), C
         message: format!("internal verification failed: {e}"),
         code: 3,
     })?;
-    Ok((fsm, hardened))
+    Ok(hardened)
 }
 
 fn cmd_harden(args: &[String], out: &mut String) -> Result<(), CliError> {
     let mut flags = Flags::new(args);
     let emit = flags.value("--emit")?.unwrap_or("verilog").to_string();
-    let (_fsm, hardened) = harden_from(&mut flags)?;
-    flags.finish()?;
+    let hardened = harden_from(&mut flags)?;
     match emit.as_str() {
         "verilog" => {
             let _ = write!(out, "{}", hardened.module().to_verilog());
@@ -359,12 +368,10 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
         .value("--multi")?
         .map(|v| v.parse().map_err(|_| usage_err("--multi must be a number")))
         .transpose()?;
-    let runs: usize = match flags.value("--runs")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| usage_err("--runs must be a number"))?,
-        None => 2000,
-    };
+    let runs: Option<usize> = flags
+        .value("--runs")?
+        .map(|v| v.parse().map_err(|_| usage_err("--runs must be a number")))
+        .transpose()?;
     let protocol: Option<usize> = flags
         .value("--protocol")?
         .map(|v| {
@@ -376,15 +383,43 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
         .transpose()?;
     let fuzz_inputs = flags.switch("--fuzz-inputs");
     let fault_windows = flags.switch("--fault-windows");
-    if fuzz_inputs && protocol.is_none() {
-        return Err(usage_err(
-            "--fuzz-inputs biases protocol walks; it requires --protocol",
-        ));
+    let format = flags.value("--format")?.unwrap_or("text").to_string();
+    if !matches!(format.as_str(), "text" | "csv" | "json") {
+        return Err(usage_err(format!("unknown format `{format}`")));
     }
-    if fault_windows && multi.is_none() {
-        return Err(usage_err(
+    // Every flag combination is checked before any work is done or any
+    // output is written.
+    let map_format = format != "text";
+    for (conflict, message) in [
+        (
+            fuzz_inputs && protocol.is_none(),
+            "--fuzz-inputs biases protocol walks; it requires --protocol",
+        ),
+        (
+            fault_windows && multi.is_none(),
             "--fault-windows samples per-fault arming windows; it requires --multi",
-        ));
+        ),
+        (
+            runs.is_some() && multi.is_none(),
+            "--runs sets the --multi sample count; it requires --multi",
+        ),
+        (
+            map_format && multi.is_some(),
+            "--format csv|json streams the exhaustive per-site map; \
+             it cannot be combined with --multi",
+        ),
+        (
+            map_format && rank,
+            "--rank is the text ranking; --format csv|json already exports every site",
+        ),
+        (
+            rank && multi.is_some(),
+            "--rank applies to exhaustive campaigns only",
+        ),
+    ] {
+        if conflict {
+            return Err(usage_err(message));
+        }
     }
     let lane_words: usize = match flags.value("--lanes")? {
         Some("64") => 1,
@@ -397,18 +432,17 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
         }
     };
     let backend = match flags.value("--backend")? {
-        None => scfi_faultsim::Backend::default(),
-        Some(name) => scfi_faultsim::Backend::parse(name).ok_or_else(|| {
+        None => Backend::default(),
+        Some(name) => Backend::parse(name).ok_or_else(|| {
             usage_err(format!(
-                "--backend must be scalar, packed or simd (got `{name}`)"
+                "--backend must be {} (got `{name}`)",
+                Backend::accepted_names()
             ))
         })?,
     };
-    let format = flags.value("--format")?.unwrap_or("text").to_string();
     let control = parse_run_control(&mut flags)?;
     let stats = parse_stats_options(&mut flags)?;
-    let (_fsm, hardened) = harden_from(&mut flags)?;
-    flags.finish()?;
+    let hardened = harden_from(&mut flags)?;
 
     let mut effects = vec![FaultEffect::Flip];
     if stuck_at {
@@ -455,50 +489,31 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
             scfi_faultsim::FaultTarget::scenario_count(&target)
         );
     }
-    match format.as_str() {
-        "text" => {
-            let report = match multi {
-                Some(m) => try_run_multi_fault(&target, m, runs, &config, &control),
-                None => try_run_exhaustive(&target, &config, &control),
-            }
+    if map_format {
+        let map = scfi_faultsim::VulnerabilityMap::try_analyze(&target, &config, &control)
             .map_err(|e| campaign_error(e, out))?;
-            let _ = writeln!(out, "{report}");
-            let _ = writeln!(
-                out,
-                "analytic success probability (paper formula): {:.3e}",
-                scfi_faultsim::paper_success_probability(&hardened)
-            );
-            if rank {
-                if multi.is_some() {
-                    return Err(usage_err("--rank applies to exhaustive campaigns only"));
-                }
-                let map = scfi_faultsim::VulnerabilityMap::try_analyze(&target, &config, &control)
-                    .map_err(|e| campaign_error(e, out))?;
-                let _ = writeln!(out, "{map}");
-            }
+        if format == "csv" {
+            scfi_serve::wire::write_sites_csv(out, hardened.module(), &map);
+        } else {
+            scfi_serve::wire::write_sites_json(out, hardened.module(), &map);
         }
-        "csv" | "json" => {
-            if multi.is_some() {
-                return Err(usage_err(
-                    "--format csv|json streams the exhaustive per-site map; \
-                     it cannot be combined with --multi",
-                ));
-            }
-            if rank {
-                return Err(usage_err(
-                    "--rank is the text ranking; --format csv|json already \
-                     exports every site",
-                ));
-            }
+    } else {
+        let report = match multi {
+            Some(m) => try_run_multi_fault(&target, m, runs.unwrap_or(2000), &config, &control),
+            None => try_run_exhaustive(&target, &config, &control),
+        }
+        .map_err(|e| campaign_error(e, out))?;
+        let _ = writeln!(out, "{report}");
+        let _ = writeln!(
+            out,
+            "analytic success probability (paper formula): {:.3e}",
+            scfi_faultsim::paper_success_probability(&hardened)
+        );
+        if rank {
             let map = scfi_faultsim::VulnerabilityMap::try_analyze(&target, &config, &control)
                 .map_err(|e| campaign_error(e, out))?;
-            if format == "csv" {
-                scfi_serve::wire::write_sites_csv(out, hardened.module(), &map);
-            } else {
-                scfi_serve::wire::write_sites_json(out, hardened.module(), &map);
-            }
+            let _ = writeln!(out, "{map}");
         }
-        other => return Err(usage_err(format!("unknown format `{other}`"))),
     }
     stats.emit(out)?;
     Ok(())
@@ -664,12 +679,8 @@ fn cmd_certify(args: &[String], out: &mut String) -> Result<(), CliError> {
     let expect_proof = flags.switch("--expect-proof");
     let budget = parse_certify_budget(&mut flags)?;
     let stats = parse_stats_options(&mut flags)?;
-    let Some(path) = flags.positional() else {
-        return Err(usage_err("missing FSM input file"));
-    };
-    let fsm = load_fsm(path)?;
     let scfi_config = parse_config(&mut flags)?;
-    flags.finish()?;
+    let fsm = load_fsm(flags.input()?)?;
     let level = scfi_config.protection_level();
     if max_active.is_some() && !joint {
         return Err(usage_err("--max-active sets the --joint fault bound"));
@@ -947,12 +958,8 @@ fn certify_model<M: CertifyModel>(
 
 fn cmd_area(args: &[String], out: &mut String) -> Result<(), CliError> {
     let mut flags = Flags::new(args);
-    let Some(path) = flags.positional() else {
-        return Err(usage_err("missing FSM input file"));
-    };
-    let fsm = load_fsm(path)?;
     let config = parse_config(&mut flags)?;
-    flags.finish()?;
+    let fsm = load_fsm(flags.input()?)?;
     let n = config.protection_level();
     let lib = Library::nangate45_like();
     let unprot = lower_unprotected(&fsm).map_err(|e| CliError {
@@ -1049,9 +1056,15 @@ mod tests {
     }
 
     fn run_err(args: &[&str]) -> CliError {
+        run_err_out(args).0
+    }
+
+    /// A failing run's error, with everything it wrote before failing.
+    fn run_err_out(args: &[&str]) -> (CliError, String) {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         let mut out = String::new();
-        run(&args, &mut out).expect_err("command fails")
+        let e = run(&args, &mut out).expect_err("command fails");
+        (e, out)
     }
 
     fn write_demo() -> std::path::PathBuf {
@@ -1228,9 +1241,9 @@ mod tests {
         let p = path.to_str().expect("utf8");
         let base = ["analyze", p, "--level", "2", "--rank"];
         let default = run_ok(&base);
-        for backend in ["scalar", "packed", "simd"] {
+        for backend in Backend::ALL {
             let mut args = base.to_vec();
-            args.extend(["--backend", backend]);
+            args.extend(["--backend", backend.name()]);
             assert_eq!(
                 run_ok(&args),
                 default,
@@ -1244,11 +1257,11 @@ mod tests {
     fn backend_rejection_names_the_accepted_set() {
         let path = write_demo();
         let p = path.to_str().expect("utf8");
-        for bogus in ["avx512", "fast", "1"] {
+        for bogus in ["avx512", "fast", "1", "simd"] {
             let e = run_err(&["analyze", p, "--backend", bogus]);
             assert_eq!(e.code, 1);
             assert!(
-                e.message.contains("scalar, packed or simd"),
+                e.message.contains(&Backend::accepted_names()),
                 "error for --backend {bogus} must name the accepted set: {}",
                 e.message
             );
@@ -1766,17 +1779,46 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
+    /// `--rank --multi`, like every flag combination that cannot run, is a
+    /// usage error raised before any work: nothing is written, not even
+    /// the `--protocol` header.
     #[test]
     fn rank_with_multi_is_rejected() {
         let path = write_demo();
-        let e = run_err(&[
-            "analyze",
-            path.to_str().expect("utf8"),
-            "--rank",
-            "--multi",
-            "2",
-        ]);
-        assert_eq!(e.code, 1);
+        let p = path.to_str().expect("utf8");
+        for extra in [
+            &["--rank", "--multi", "2"][..],
+            &["--runs", "5"],
+            &["--protocol", "2", "--format", "xml"],
+            &["--protocol", "2", "--format", "csv", "--multi", "2"],
+            &["--protocol", "2", "--format", "json", "--rank"],
+        ] {
+            let mut args = vec!["analyze", p, "--level", "2"];
+            args.extend(extra);
+            let (e, out) = run_err_out(&args);
+            assert_eq!(e.code, 1, "{extra:?}: {}", e.message);
+            assert_eq!(out, "", "{extra:?} wrote output before failing");
+        }
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// Flags may come before the FSM path: a flag's value is never read
+    /// as the path.
+    #[test]
+    fn flags_before_the_path_match_flags_after_it() {
+        let path = write_demo();
+        let p = path.to_str().expect("utf8");
+        for cmd in ["harden", "analyze", "certify", "area"] {
+            assert_eq!(
+                run_ok(&[cmd, "--level", "2", p]),
+                run_ok(&[cmd, p, "--level", "2"]),
+                "scfi {cmd}"
+            );
+        }
+        assert_eq!(
+            run_ok(&["harden", "--pad", "replicate", p]),
+            run_ok(&["harden", p, "--pad", "replicate"])
+        );
         let _ = std::fs::remove_file(path);
     }
 

@@ -11,25 +11,19 @@
 //! byte-identical across backends. The workspace differential suites pin
 //! that equivalence on every Table-1 FSM at every width and thread count.
 //!
-//! Three implementations ship:
+//! Two implementations ship:
 //!
 //! * [`ScalarBackend`] — one [`Simulator`] per worker, one injection at a
 //!   time. The semantic reference: slowest, trivially auditable, and the
-//!   engine the packed backends are differentially tested against.
+//!   engine the packed backend is differentially tested against.
 //! * [`PackedBackend`] — the bit-parallel wave engine over `[u64; W]` net
 //!   words, `W` ∈ {1, 2, 4} from [`CampaignConfig::lane_words`]: 64–256
 //!   injections per netlist pass with word-parallel classification,
 //!   incremental re-simulation and wave-level cycle skipping.
-//! * [`SimdBackend`] — the same wave engine fixed at
-//!   [`SIMD_LANE_WORDS`](scfi_netlist::SIMD_LANE_WORDS) = 8 words
-//!   (512 lanes per op). The `[u64; 8]`
-//!   inner loops are shaped for the compiler's vectorizer (full 512-bit
-//!   rows on AVX-512, pairs of 256-bit ops on AVX2); on narrow machines it
-//!   degrades gracefully to unrolled scalar word ops.
 //!
 //! Campaign drivers pick the backend from
 //! [`CampaignConfig::backend`](CampaignConfig::backend); the CLI exposes
-//! the same choice as `scfi analyze --backend scalar|packed|simd`.
+//! the same choice as `scfi analyze --backend scalar|packed`.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,7 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use scfi_netlist::{Simulator, LANES};
 
 use crate::campaign::{run_item_scalar, CampaignConfig, Outcome};
-use crate::control::{CampaignError, LaneWidth, RunControl, StopReason};
+use crate::control::{CampaignError, RunControl, StopReason};
 use crate::target::{FaultTarget, Scenario};
 use crate::wave::{self, RunOutput, WaveStats, WorkList};
 
@@ -49,23 +43,15 @@ pub enum Backend {
     /// The tunable-width packed wave engine ([`PackedBackend`]).
     #[default]
     Packed,
-    /// The fixed 512-lane vectorization-shaped wave engine
-    /// ([`SimdBackend`]).
-    Simd,
 }
 
 impl Backend {
-    /// Every backend, in `scalar < packed < simd` order.
-    pub const ALL: [Backend; 3] = [Backend::Scalar, Backend::Packed, Backend::Simd];
+    /// Every backend, in `scalar < packed` order.
+    pub const ALL: [Backend; 2] = [Backend::Scalar, Backend::Packed];
 
     /// Parses a backend name as accepted by `scfi analyze --backend`.
     pub fn parse(name: &str) -> Option<Backend> {
-        match name {
-            "scalar" => Some(Backend::Scalar),
-            "packed" => Some(Backend::Packed),
-            "simd" => Some(Backend::Simd),
-            _ => None,
-        }
+        Backend::ALL.into_iter().find(|b| b.name() == name)
     }
 
     /// The backend's canonical name (`parse`'s inverse).
@@ -73,8 +59,15 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Packed => "packed",
-            Backend::Simd => "simd",
         }
+    }
+
+    /// Every accepted name, as the front ends' rejection messages list
+    /// them: `scalar or packed`.
+    pub fn accepted_names() -> String {
+        let names = Backend::ALL.map(Backend::name);
+        let (last, rest) = names.split_last().expect("at least two backends");
+        format!("{} or {last}", rest.join(", "))
     }
 }
 
@@ -152,12 +145,6 @@ pub struct ScalarBackend;
 /// `W` = [`CampaignConfig::lane_words`] ∈ {1, 2, 4}.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PackedBackend;
-
-/// The fixed-width SIMD wave backend:
-/// [`SIMD_LANE_WORDS`](scfi_netlist::SIMD_LANE_WORDS)-word (512-lane)
-/// waves, ignoring [`CampaignConfig::lane_words`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SimdBackend;
 
 impl CampaignBackend for ScalarBackend {
     fn name(&self) -> &'static str {
@@ -308,30 +295,6 @@ impl CampaignBackend for PackedBackend {
     }
 }
 
-impl CampaignBackend for SimdBackend {
-    fn name(&self) -> &'static str {
-        "simd"
-    }
-
-    fn try_execute<T: FaultTarget>(
-        &self,
-        target: &T,
-        work: &WorkList,
-        config: &CampaignConfig,
-        control: &RunControl,
-    ) -> Result<Vec<Outcome>, CampaignError> {
-        wave::try_execute(
-            target,
-            work,
-            config.thread_count(),
-            LaneWidth::SIMD,
-            config.precompiled_for(target.module()),
-            control,
-            config.telemetry_handle(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,12 +307,12 @@ mod tests {
         }
         assert_eq!(Backend::parse("avx1024"), None);
         assert_eq!(Backend::default(), Backend::Packed);
+        assert_eq!(Backend::accepted_names(), "scalar or packed");
     }
 
     #[test]
     fn trait_names_match_enum_names() {
         assert_eq!(ScalarBackend.name(), Backend::Scalar.name());
         assert_eq!(PackedBackend.name(), Backend::Packed.name());
-        assert_eq!(SimdBackend.name(), Backend::Simd.name());
     }
 }

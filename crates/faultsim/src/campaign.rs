@@ -5,7 +5,7 @@ use std::ops::Range;
 
 use scfi_netlist::{CellId, CellKind, Module, Simulator};
 
-use crate::backend::{Backend, CampaignBackend, PackedBackend, ScalarBackend, SimdBackend};
+use crate::backend::{Backend, CampaignBackend, PackedBackend, ScalarBackend};
 use crate::control::{CampaignError, LaneWidth, RunControl};
 use crate::target::{FaultTarget, FaultTiming};
 use crate::wave::WorkList;
@@ -576,7 +576,6 @@ pub(crate) fn try_execute_backend<T: FaultTarget>(
     match config.backend {
         Backend::Scalar => ScalarBackend.try_execute(target, work, config, control),
         Backend::Packed => PackedBackend.try_execute(target, work, config, control),
-        Backend::Simd => SimdBackend.try_execute(target, work, config, control),
     }
 }
 
@@ -1141,7 +1140,7 @@ mod tests {
 
     /// The drawn per-fault windows are real overrides: the same seeded
     /// campaign with and without them produces different worklists, and
-    /// the windowed one still agrees across the simd backend too.
+    /// the windowed one still agrees across every backend.
     #[test]
     fn windowed_multi_fault_agrees_across_all_backends() {
         let f = fsm();

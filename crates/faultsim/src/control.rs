@@ -40,10 +40,8 @@ use crate::wave::WorkList;
 
 /// Validated lane-word width of the packed wave engine.
 ///
-/// The single source of truth for which wave widths exist: the
-/// configurable packed backend runs `W` ∈ {1, 2, 4} (64-, 128- or
-/// 256-lane waves), and the SIMD backend uses an internal fixed W = 8
-/// that is deliberately *not* constructible from campaign configuration.
+/// The single source of truth for which wave widths exist: the packed
+/// backend runs `W` ∈ {1, 2, 4} (64-, 128- or 256-lane waves).
 /// Both [`CampaignConfig::lane_words`](crate::CampaignConfig::lane_words)
 /// and the wave executor validate through this type, so the rejection
 /// message exists exactly once.
@@ -51,10 +49,6 @@ use crate::wave::WorkList;
 pub struct LaneWidth(usize);
 
 impl LaneWidth {
-    /// The fixed 8-word (512-lane) width of the SIMD backend. Internal:
-    /// config validation only admits {1, 2, 4}.
-    pub(crate) const SIMD: LaneWidth = LaneWidth(8);
-
     /// Validates a packed-engine lane-word count: 1, 2 or 4 words
     /// (64/128/256 lanes). Anything else is
     /// [`CampaignError::InvalidLaneWords`].
@@ -470,8 +464,6 @@ mod tests {
                 "message names the input: {msg}"
             );
         }
-        assert_eq!(LaneWidth::SIMD.words(), 8);
-        assert_eq!(LaneWidth::SIMD.lanes(), 512);
     }
 
     #[test]

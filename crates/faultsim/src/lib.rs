@@ -36,7 +36,7 @@
 //!
 //! Execution is pluggable behind the [`CampaignBackend`] trait: a backend
 //! runs a [`WorkList`] of `(scenario, faults)` items and returns one
-//! slot-ordered [`Outcome`] per item. Three implementations ship, selected
+//! slot-ordered [`Outcome`] per item. Two implementations ship, selected
 //! by [`CampaignConfig::backend`]:
 //!
 //! * [`Backend::Scalar`] — one [`Simulator`](scfi_netlist::Simulator),
@@ -48,8 +48,6 @@
 //!   masks, word-parallel trajectory classification ([`WaveOracle`]),
 //!   incremental re-simulation against the fault-free baseline, and
 //!   wave-level cycle skipping.
-//! * [`Backend::Simd`] — the same wave engine fixed at 512 lanes per op,
-//!   shaped for the compiler's vectorizer.
 //!
 //! Backends are pure throughput trade-offs: every backend produces
 //! injection-for-injection identical reports, deterministic and
@@ -97,7 +95,7 @@ mod target;
 mod vulnerability;
 mod wave;
 
-pub use backend::{Backend, CampaignBackend, PackedBackend, ScalarBackend, SimdBackend};
+pub use backend::{Backend, CampaignBackend, PackedBackend, ScalarBackend};
 pub use campaign::{
     arm, enumerate_faults, run_exhaustive, run_exhaustive_scalar, run_multi_fault,
     run_multi_fault_scalar, try_run_exhaustive, try_run_multi_fault, CampaignConfig,

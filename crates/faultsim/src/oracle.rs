@@ -3,7 +3,7 @@
 //! The wave executor's per-lane serial cost used to be extraction: every
 //! live lane of every cycle pulled its registers and outputs out of the
 //! packed `[u64; W]` net words into `Vec<bool>` scratch and ran the
-//! target's scalar [`classify`](crate::FaultTarget::classify) — 64–512
+//! target's scalar [`classify`](crate::FaultTarget::classify) — 64–256
 //! codeword decodes per wave cycle, each allocating a `BitVec` and
 //! scanning the codebook. A [`WaveOracle`] removes that hot path: targets
 //! precompile their codebook and alert structure once, and the executor

@@ -1,18 +1,18 @@
 //! Batched multi-word wave execution of campaigns over the packed
 //! simulator.
 //!
-//! The wave executor is the throughput core behind the packed and SIMD
-//! [campaign backends](crate::backends): the `(scenario, faults)`
+//! The wave executor is the throughput core behind the packed
+//! [campaign backend](crate::PackedBackend): the `(scenario, faults)`
 //! [`WorkList`] is chunked into waves of up to `64 · W` injections
 //! (`W` = [`CampaignConfig::lane_words`](crate::CampaignConfig::lane_words)
-//! lane words for the packed backend, eight words for the SIMD backend),
-//! each wave runs as one multi-cycle pass of a [`PackedSimulator`]`<W>`
-//! (per-lane register preloads, per-lane per-cycle input words, per-lane
-//! fault masks armed while each lane's [`FaultTiming`] window is open),
-//! and lanes are classified cycle by cycle with the per-cycle outcomes
-//! folded into a trajectory verdict per lane. Simulator scratch — the
-//! compiled netlist, value arrays, preload/output words and extraction
-//! buffers — is reused across every wave of a worker.
+//! lane words), each wave runs as one multi-cycle pass of a
+//! [`PackedSimulator`]`<W>` (per-lane register preloads, per-lane
+//! per-cycle input words, per-lane fault masks armed while each lane's
+//! [`FaultTiming`] window is open), and lanes are classified cycle by
+//! cycle with the per-cycle outcomes folded into a trajectory verdict
+//! per lane. Simulator scratch — the compiled netlist, value arrays,
+//! preload/output words and extraction buffers — is reused across every
+//! wave of a worker.
 //!
 //! # Word-parallel classification
 //!
@@ -315,23 +315,6 @@ fn arm_lanes<const W: usize>(sim: &mut PackedSimulator<'_, W>, fault: Fault, lan
     }
 }
 
-/// Converts a raw lane-word count into a validated [`LaneWidth`],
-/// admitting the SIMD backend's internal W = 8 alongside the
-/// configurable {1, 2, 4}.
-///
-/// # Panics
-///
-/// Panics with the unified [`CampaignError::InvalidLaneWords`] message
-/// for any other width.
-#[cfg(test)]
-fn width_from_words(lane_words: usize) -> LaneWidth {
-    if lane_words == LaneWidth::SIMD.words() {
-        LaneWidth::SIMD
-    } else {
-        LaneWidth::new(lane_words).unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
 /// Everything one controlled run produced: slot-ordered outcomes
 /// (`None` for items whose wave never ran or panicked), execution
 /// counters, the first stop reason, and any caught wave panics.
@@ -391,12 +374,12 @@ pub(crate) fn finish_run(
 /// Executes the work list on the packed engine and returns one outcome per
 /// item, in item order. `threads` worker threads share the compiled
 /// netlist; each owns its simulator and scratch. `lane_words` selects the
-/// wave width (`W` ∈ {1, 2, 4} for the tunable packed backend, 8 for the
-/// fixed SIMD wave); the outcome vector is identical for every width.
+/// wave width (`W` ∈ {1, 2, 4}); the outcome vector is identical for
+/// every width.
 ///
 /// # Panics
 ///
-/// Panics if `lane_words` is not 1, 2, 4 or 8, or if a wave panics.
+/// Panics if `lane_words` is not 1, 2 or 4, or if a wave panics.
 #[cfg(test)]
 pub(crate) fn execute<T: FaultTarget>(
     target: &T,
@@ -419,7 +402,7 @@ pub(crate) fn execute_counting<T: FaultTarget>(
     threads: usize,
     lane_words: usize,
 ) -> (Vec<Outcome>, WaveStats) {
-    let width = width_from_words(lane_words);
+    let width = LaneWidth::new(lane_words).unwrap_or_else(|e| panic!("{e}"));
     try_execute_counting(
         target,
         work,
@@ -432,7 +415,7 @@ pub(crate) fn execute_counting<T: FaultTarget>(
     .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The controlled entry point behind the packed and SIMD backends: runs
+/// The controlled entry point behind the packed backend: runs
 /// under `control`, admitting one wave at a time, and returns either the
 /// complete slot-ordered outcome vector or the typed error carrying the
 /// completed portion. `precompiled`, when supplied (e.g. from a compile
@@ -475,8 +458,7 @@ pub(crate) fn try_execute_counting<T: FaultTarget>(
         1 => execute_waves::<T, 1>(target, work, threads, precompiled, control, telemetry),
         2 => execute_waves::<T, 2>(target, work, threads, precompiled, control, telemetry),
         4 => execute_waves::<T, 4>(target, work, threads, precompiled, control, telemetry),
-        8 => execute_waves::<T, 8>(target, work, threads, precompiled, control, telemetry),
-        _ => unreachable!("LaneWidth admits only 1, 2, 4 or 8 words"),
+        _ => unreachable!("LaneWidth admits only 1, 2 or 4 words"),
     };
     finish_run(work, run)
 }
@@ -1037,7 +1019,7 @@ mod tests {
         let one = execute(&t, &work, 1, 1);
         assert_eq!(one.len(), work.len());
         for threads in [1, 4] {
-            for lane_words in [1, 2, 4, 8] {
+            for lane_words in [1, 2, 4] {
                 let got = execute(&t, &work, threads, lane_words);
                 assert_eq!(one, got, "threads {threads}, lane_words {lane_words}");
             }
@@ -1113,7 +1095,7 @@ mod tests {
                 run_item_scalar(&t, &mut sim, s, &sc, group, work.windows(i), &mut outputs)
             })
             .collect();
-        for lane_words in [1, 2, 4, 8] {
+        for lane_words in [1, 2, 4] {
             let packed = execute(&t, &work, 1, lane_words);
             assert_eq!(packed, scalar, "lane_words {lane_words}");
         }
@@ -1344,7 +1326,7 @@ mod tests {
                 run_item_scalar(&t, &mut sim, s, &sc, group, work.windows(i), &mut outputs)
             })
             .collect();
-        for lane_words in [1, 2, 4, 8] {
+        for lane_words in [1, 2, 4] {
             assert_eq!(
                 execute(&t, &work, 1, lane_words),
                 scalar,
@@ -1473,7 +1455,7 @@ mod tests {
                     .with_pin_faults(),
             );
             let work = crate::campaign::exhaustive_work(&t, &faults);
-            for lane_words in [1, 4, 8] {
+            for lane_words in [1, 4] {
                 let with_oracle = execute(&t, &work, 1, lane_words);
                 let fallback = execute(&NoOracle(&t), &work, 1, lane_words);
                 assert_eq!(with_oracle, fallback, "lane_words {lane_words}");

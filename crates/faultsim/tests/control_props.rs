@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use scfi_faultsim::{
     CampaignBackend, CampaignConfig, CampaignError, Fault, FaultEffect, FaultSchedule, FaultSite,
     FaultTarget, FaultTiming, Outcome, PackedBackend, RunControl, ScalarBackend, Scenario,
-    SimdBackend, StopReason, WorkList,
+    StopReason, WorkList,
 };
 use scfi_netlist::{CellId, Module, ModuleBuilder, NetId};
 use std::time::Duration;
@@ -18,7 +18,7 @@ const N_INPUTS: usize = 3;
 const N_SCENARIOS: usize = 12;
 
 /// A small fixed sequential module: enough cells for a fault space that
-/// spans several waves even at the 512-lane SIMD width.
+/// spans several waves even at the 256-lane width.
 fn module() -> Module {
     let mut b = ModuleBuilder::new("control_props");
     let inputs: Vec<NetId> = (0..N_INPUTS).map(|i| b.input(format!("i{i}"))).collect();
@@ -147,8 +147,8 @@ fn work_list(target: &SyntheticTarget, faults: &[Fault]) -> WorkList {
 
 /// Backend picks: (label, config patch, wave width in items).
 /// Scalar chunks its per-item loop at 64 items; packed waves hold
-/// `64 × W` lanes; the SIMD backend always runs 512-lane waves.
-const PICKS: usize = 5;
+/// `64 × W` lanes.
+const PICKS: usize = 4;
 
 fn pick_config(pick: usize, threads: usize) -> (CampaignConfig, usize, &'static str) {
     let config = CampaignConfig::new().threads(threads);
@@ -156,8 +156,7 @@ fn pick_config(pick: usize, threads: usize) -> (CampaignConfig, usize, &'static 
         0 => (config, 64, "scalar"),
         1 => (config.lane_words(1), 64, "packed W=1"),
         2 => (config.lane_words(2), 128, "packed W=2"),
-        3 => (config.lane_words(4), 256, "packed W=4"),
-        _ => (config, 512, "simd"),
+        _ => (config.lane_words(4), 256, "packed W=4"),
     }
 }
 
@@ -170,8 +169,7 @@ fn try_run(
 ) -> Result<Vec<Outcome>, CampaignError> {
     match pick {
         0 => ScalarBackend.try_execute(target, work, config, control),
-        1..=3 => PackedBackend.try_execute(target, work, config, control),
-        _ => SimdBackend.try_execute(target, work, config, control),
+        _ => PackedBackend.try_execute(target, work, config, control),
     }
 }
 

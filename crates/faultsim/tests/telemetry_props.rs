@@ -57,7 +57,7 @@ proptest! {
 
     #[test]
     fn campaign_reports_are_byte_identical_with_recorder_installed(
-        backend_pick in 0usize..3,
+        backend_pick in 0usize..Backend::ALL.len(),
         lane_pick in 0usize..3,
         threads in 1usize..4,
         stuck_at in any::<bool>(),
@@ -71,8 +71,7 @@ proptest! {
             0 => ScfiTarget::new(&hardened),
             depth => ScfiTarget::with_protocol(&hardened, depth, 0x5CF1_3007),
         };
-        let backend = Backend::parse(["scalar", "packed", "simd"][backend_pick])
-            .expect("known backend");
+        let backend = Backend::ALL[backend_pick];
         let lane_words = [1usize, 2, 4][lane_pick];
 
         let off = render_all(

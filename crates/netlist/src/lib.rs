@@ -55,9 +55,7 @@ mod vcd;
 
 pub use builder::ModuleBuilder;
 pub use ir::{Cell, CellId, CellKind, Module, NetId, ValidateError};
-pub use packed::{
-    extract_lane, lane_mask, PackedNetlist, PackedSimulator, LANES, MAX_LANE_WORDS, SIMD_LANE_WORDS,
-};
+pub use packed::{extract_lane, lane_mask, PackedNetlist, PackedSimulator, LANES};
 pub use sim::Simulator;
 pub use stats::ModuleStats;
 pub use vcd::VcdRecorder;

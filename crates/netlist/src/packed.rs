@@ -67,20 +67,6 @@ use crate::ir::{CellId, CellKind, Module, NetId};
 /// [`PackedSimulator::LANES`]).
 pub const LANES: usize = 64;
 
-/// The largest *configurable* lane-word count `W` (256 lanes per wave)
-/// for width-tunable campaign code. Widths beyond four words usually stop
-/// paying: the per-net working set outgrows L1/L2 while the per-wave
-/// occupancy win flattens out. The fixed-width SIMD campaign backend runs
-/// at [`SIMD_LANE_WORDS`] anyway, betting on wide vector units.
-pub const MAX_LANE_WORDS: usize = 4;
-
-/// The lane-word count of the fixed-width SIMD wave (512 lanes per pass).
-/// Eight-word waves are not part of the tunable `{1, 2, 4}` set: they only
-/// pay off where the unrolled per-word loops vectorize to 256-/512-bit
-/// SIMD, so campaign code exposes them as a distinct backend rather than
-/// another width knob.
-pub const SIMD_LANE_WORDS: usize = 8;
-
 const OP_BUF: u8 = 0;
 const OP_NOT: u8 = 1;
 const OP_AND: u8 = 2;
@@ -311,10 +297,9 @@ impl<const W: usize> PinMasks<W> {
 /// fault-arming methods take a `lanes` wave mask selecting which lanes the
 /// fault applies to ([`lane_mask`]`(l)` for one lane, `[!0; W]` for all).
 ///
-/// `W` must be in `{1, 2, 4, 8}` — widths are compile-time so the
-/// per-word loops unroll; see [`MAX_LANE_WORDS`] for why tunable-width
-/// code stops at four words and [`SIMD_LANE_WORDS`] for the fixed
-/// eight-word SIMD wave.
+/// `W` must be in `{1, 2, 4}` — widths are compile-time so the
+/// per-word loops unroll. Wider waves stop paying: the per-net working
+/// set outgrows L1/L2 while the per-wave occupancy win flattens out.
 ///
 /// The two-phase cycle semantics match the scalar
 /// [`Simulator`](crate::Simulator) exactly: inputs applied, combinational
@@ -385,8 +370,8 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
     /// values.
     pub fn new(net: &'p PackedNetlist) -> Self {
         assert!(
-            matches!(W, 1 | 2 | 4 | 8),
-            "lane-word count {W} outside the supported {{1, 2, 4, 8}}"
+            matches!(W, 1 | 2 | 4),
+            "lane-word count {W} outside the supported {{1, 2, 4}}"
         );
         PackedSimulator {
             net,
@@ -1131,29 +1116,5 @@ mod tests {
         let base = vec![false; compiled.len()];
         let mut activity = Vec::new();
         sim.eval_comb_pruned(&[[0]], &base, [!0], &mut activity);
-    }
-
-    /// The fixed eight-word SIMD wave is a first-class width: lanes in the
-    /// first and last words track independent scalar oracles.
-    #[test]
-    fn w8_wave_matches_scalar_in_first_and_last_words() {
-        let m = counter();
-        let compiled = PackedNetlist::compile(&m);
-        let mut sim = PackedSimulator::<SIMD_LANE_WORDS>::new(&compiled);
-        let mut counting = Simulator::new(&m);
-        let mut idle = Simulator::new(&m);
-        let mut out = Vec::new();
-        let mut bits = Vec::new();
-        // Lane 3 counts every cycle; lane 500 (word 7) never does.
-        let inputs = lane_mask::<SIMD_LANE_WORDS>(3);
-        for cycle in 0..4 {
-            sim.step_into(&[inputs], &mut out);
-            let expect_counting = counting.step(&[true]);
-            let expect_idle = idle.step(&[false]);
-            extract_lane(&out, 3, &mut bits);
-            assert_eq!(bits, expect_counting, "cycle {cycle}: lane 3");
-            extract_lane(&out, 500, &mut bits);
-            assert_eq!(bits, expect_idle, "cycle {cycle}: lane 500");
-        }
     }
 }

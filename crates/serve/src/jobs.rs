@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use scfi_faultsim::{
-    enumerate_faults, CampaignConfig, CampaignError, Fault, FaultEffect, FaultTarget,
+    enumerate_faults, Backend, CampaignConfig, CampaignError, Fault, FaultEffect, FaultTarget,
     RedundancyTarget, RunControl, ScfiTarget, StopReason, UnprotectedTarget, VulnerabilityMap,
 };
 use scfi_fsm::{parse_fsm, Fsm};
@@ -112,7 +112,7 @@ pub struct JobSpec {
     /// Protection level N.
     pub level: usize,
     /// Campaign backend (analyze).
-    pub backend: scfi_faultsim::Backend,
+    pub backend: Backend,
     /// Packed-engine lane words (analyze).
     pub lane_words: usize,
     /// Multi-cycle protocol walk depth (analyze).
@@ -260,11 +260,14 @@ impl JobSpec {
         let level = field_uint(doc, "level")?.unwrap_or(3) as usize;
 
         let backend = match field_str(doc, "backend")?.as_deref() {
-            None => scfi_faultsim::Backend::default(),
-            Some(name) => scfi_faultsim::Backend::parse(name).ok_or_else(|| {
+            None => Backend::default(),
+            Some(name) => Backend::parse(name).ok_or_else(|| {
                 ApiError::bad_request(
                     "bad_backend",
-                    format!("`backend` must be scalar, packed or simd (got `{name}`)"),
+                    format!(
+                        "`backend` must be {} (got `{name}`)",
+                        Backend::accepted_names()
+                    ),
                 )
             })?,
         };
@@ -639,7 +642,7 @@ mod tests {
         assert_eq!(s.kind, JobKind::Analyze);
         assert_eq!(s.config, ConfigKind::Scfi);
         assert_eq!(s.level, 3);
-        assert_eq!(s.backend, scfi_faultsim::Backend::Packed);
+        assert_eq!(s.backend, Backend::Packed);
         assert_eq!(s.lane_words, 4);
         assert_eq!(s.format, Format::Json);
         assert_eq!(s.fsm.name(), "demo");
@@ -685,6 +688,10 @@ mod tests {
                 "bad_backend",
             ),
             (
+                r#"{"kind": "analyze", "suite": "aes_control", "backend": "simd"}"#,
+                "bad_backend",
+            ),
+            (
                 r#"{"kind": "analyze", "suite": "aes_control", "lanes": 96}"#,
                 "bad_lanes",
             ),
@@ -709,7 +716,7 @@ mod tests {
                 "bad_knobs",
             ),
             (
-                r#"{"kind": "certify", "suite": "aes_control", "backend": "simd"}"#,
+                r#"{"kind": "certify", "suite": "aes_control", "backend": "packed"}"#,
                 "bad_knobs",
             ),
             (

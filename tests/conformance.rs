@@ -18,7 +18,7 @@ mod common;
 
 use scfi_core::{harden, redundancy, ScfiConfig, ScfiError, StateDecode};
 use scfi_faultsim::{
-    enumerate_faults, run_exhaustive, run_exhaustive_scalar, Backend, CampaignConfig, FaultSite,
+    enumerate_faults, run_exhaustive, run_exhaustive_scalar, CampaignConfig, FaultSite,
     FaultTarget, RedundancyTarget, ScfiTarget, UnprotectedTarget, VulnerabilityMap,
 };
 use scfi_fsm::lower_unprotected;
@@ -201,11 +201,9 @@ fn register_fault_campaign_detects_every_injection() {
     }
 }
 
-/// Asserts that every campaign backend — the packed wave engine at every
-/// lane width W ∈ {1, 2, 4} (64-, 128- and 256-lane waves), the fixed
-/// 512-lane SIMD backend, and the scalar backend routed through the
-/// backend trait — produces byte-identical `CampaignReport`s to the
-/// scalar reference for the same campaign.
+/// Asserts that the packed wave engine at every lane width W ∈ {1, 2, 4}
+/// (64-, 128- and 256-lane waves) produces byte-identical
+/// `CampaignReport`s to the scalar reference for the same campaign.
 fn assert_engines_agree<T: FaultTarget>(target: &T, config: &CampaignConfig, what: &str) {
     let scalar = run_exhaustive_scalar(target, config);
     assert!(scalar.injections > 0, "{what}: empty campaign");
@@ -214,13 +212,6 @@ fn assert_engines_agree<T: FaultTarget>(target: &T, config: &CampaignConfig, wha
         assert_eq!(
             packed, scalar,
             "{what}: packed engine (W={lane_words}) diverged from the scalar reference\n  packed: {packed}\n  scalar: {scalar}"
-        );
-    }
-    for backend in [Backend::Scalar, Backend::Simd] {
-        let report = run_exhaustive(target, &config.clone().backend(backend));
-        assert_eq!(
-            report, scalar,
-            "{what}: {backend} backend diverged from the scalar reference\n  {backend}: {report}\n  scalar: {scalar}"
         );
     }
 }
@@ -611,10 +602,6 @@ fn multiwindow_fuzzed_campaigns_agree_across_engines_and_threads() {
                     "{what}: packed W={lane_words} threads={threads} diverged from scalar"
                 );
             }
-        }
-        for backend in [Backend::Scalar, Backend::Simd] {
-            let report = run_multi_fault(target, m, runs, &base.clone().backend(backend));
-            assert_eq!(report, scalar, "{what}: {backend} diverged from scalar");
         }
     }
     check(
