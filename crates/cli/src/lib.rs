@@ -27,19 +27,22 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::time::Duration;
+use std::str::FromStr;
 
-use scfi_core::{harden, redundancy, PadPolicy, ScfiConfig};
+use scfi_core::{HardenedFsm, PadPolicy, ScfiConfig};
 use scfi_faultsim::{
-    try_run_exhaustive, try_run_multi_fault, Backend, CampaignConfig, CampaignError, FaultEffect,
-    RunControl, ScfiTarget, StopReason,
+    try_run_exhaustive, try_run_multi_fault, Backend, CampaignError, FaultTarget, ScfiTarget,
+    StopReason, VulnerabilityMap,
 };
-use scfi_fsm::{lower_unprotected, parse_fsm, Fsm};
-use scfi_serve::WALK_SEED;
+use scfi_fsm::{parse_fsm, Fsm};
+use scfi_netlist::Module;
+use scfi_serve::cache::prepare_with;
+use scfi_serve::jobs::{certify, joint_bound, Certification, Format, JobKind, JobSpec};
+use scfi_serve::wire::{bits, write_sites_csv, write_sites_json};
+use scfi_serve::{ConfigKind, Prepared, PreparedModel, WALK_SEED};
 use scfi_stdcell::Library;
 use scfi_symbolic::{
-    describe_fault, CertificationReport, Certifier, CertifyBudget, CertifyModel, JointReport,
-    JointVerdict, Verdict,
+    describe_active, describe_fault, CertificationReport, JointReport, JointVerdict, Verdict,
 };
 use scfi_telemetry::Telemetry;
 
@@ -95,8 +98,10 @@ pub const USAGE: &str = "usage:
 address 127.0.0.1:3007): POST /v1/jobs submits an analyze or certify
 job, GET /v1/jobs/{id} polls status, GET /v1/jobs/{id}/result fetches
 the result document, DELETE /v1/jobs/{id} cancels cooperatively, and
-GET /v1/healthz reports queue depth and compile-cache counters. Served
-results are byte-identical to the corresponding CLI output.
+GET /v1/healthz reports queue depth and compile-cache counters. A served
+analyze result is byte-identical to `scfi analyze --format json|csv`; a
+served certify result carries the same verdicts as `scfi certify`, as
+JSON.
 
 `-` reads the FSM DSL from standard input. `scfi suite` lists the bundled
 OpenTitan-like benchmark FSMs; `scfi suite <name>` prints one as DSL.
@@ -241,6 +246,17 @@ impl<'a> Flags<'a> {
         None
     }
 
+    /// A flag with a numeric value; a value that does not parse is a
+    /// usage error saying the flag `must be {what}`.
+    fn number<T: FromStr>(&mut self, name: &str, what: &str) -> Result<Option<T>, CliError> {
+        self.value(name)?
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| usage_err(format!("{name} must be {what}")))
+            })
+            .transpose()
+    }
+
     fn finish(&self) -> Result<(), CliError> {
         for (i, a) in self.args.iter().enumerate() {
             if !self.used[i] {
@@ -286,20 +302,12 @@ fn load_fsm(path: &str) -> Result<Fsm, CliError> {
 }
 
 fn parse_config(flags: &mut Flags<'_>) -> Result<ScfiConfig, CliError> {
-    let level: usize = match flags.value("--level")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| usage_err("--level must be a number"))?,
-        None => 3,
-    };
+    let level = flags.number("--level", "a number")?.unwrap_or(3);
     let mut config = ScfiConfig::new(level);
     if flags.switch("--adaptive") {
         config = config.adaptive_mds(true);
     }
-    if let Some(r) = flags.value("--rails")? {
-        let rails: usize = r
-            .parse()
-            .map_err(|_| usage_err("--rails must be a number"))?;
+    if let Some(rails) = flags.number("--rails", "a number")? {
         if rails == 0 {
             return Err(usage_err("--rails must be at least 1"));
         }
@@ -316,26 +324,26 @@ fn parse_config(flags: &mut Flags<'_>) -> Result<ScfiConfig, CliError> {
     Ok(config)
 }
 
-/// Parses the hardening flags and the input path — the last arguments a
-/// command consumes — and hardens the FSM.
-fn harden_from(flags: &mut Flags<'_>) -> Result<scfi_core::HardenedFsm, CliError> {
-    let config = parse_config(flags)?;
-    let fsm = load_fsm(flags.input()?)?;
-    let hardened = harden(&fsm, &config).map_err(|e| CliError {
-        message: format!("hardening failed: {e}"),
-        code: 3,
-    })?;
-    hardened.check_all_edges().map_err(|e| CliError {
-        message: format!("internal verification failed: {e}"),
-        code: 3,
-    })?;
-    Ok(hardened)
+/// Prepares `fsm` as the job server does; a failed pass is a processing
+/// error (exit 3) carrying the pass's message.
+fn prepare(fsm: &Fsm, kind: ConfigKind, config: &ScfiConfig) -> Result<Prepared, CliError> {
+    prepare_with(fsm, kind, config).map_err(|message| CliError { message, code: 3 })
+}
+
+/// The hardened model of an SCFI preparation.
+fn hardened(prepared: &Prepared) -> &HardenedFsm {
+    match &prepared.model {
+        PreparedModel::Scfi(hardened) => hardened,
+        _ => unreachable!("an SCFI preparation holds the hardened model"),
+    }
 }
 
 fn cmd_harden(args: &[String], out: &mut String) -> Result<(), CliError> {
     let mut flags = Flags::new(args);
     let emit = flags.value("--emit")?.unwrap_or("verilog").to_string();
-    let hardened = harden_from(&mut flags)?;
+    let config = parse_config(&mut flags)?;
+    let prepared = prepare(&load_fsm(flags.input()?)?, ConfigKind::Scfi, &config)?;
+    let hardened = hardened(&prepared);
     match emit.as_str() {
         "verilog" => {
             let _ = write!(out, "{}", hardened.module().to_verilog());
@@ -364,14 +372,8 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
     let pin_faults = flags.switch("--pin-faults");
     let stuck_at = flags.switch("--stuck-at");
     let rank = flags.switch("--rank");
-    let multi: Option<usize> = flags
-        .value("--multi")?
-        .map(|v| v.parse().map_err(|_| usage_err("--multi must be a number")))
-        .transpose()?;
-    let runs: Option<usize> = flags
-        .value("--runs")?
-        .map(|v| v.parse().map_err(|_| usage_err("--runs must be a number")))
-        .transpose()?;
+    let multi: Option<usize> = flags.number("--multi", "a number")?;
+    let runs: Option<usize> = flags.number("--runs", "a number")?;
     let protocol: Option<usize> = flags
         .value("--protocol")?
         .map(|v| {
@@ -383,13 +385,19 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
         .transpose()?;
     let fuzz_inputs = flags.switch("--fuzz-inputs");
     let fault_windows = flags.switch("--fault-windows");
-    let format = flags.value("--format")?.unwrap_or("text").to_string();
-    if !matches!(format.as_str(), "text" | "csv" | "json") {
-        return Err(usage_err(format!("unknown format `{format}`")));
+    // `None` is the text summary; csv and json stream the per-site map.
+    let format = match flags.value("--format")? {
+        None | Some("text") => None,
+        Some("csv") => Some(Format::Csv),
+        Some("json") => Some(Format::Json),
+        Some(other) => return Err(usage_err(format!("unknown format `{other}`"))),
+    };
+    if !matches!(region.as_str(), "all" | "diffusion" | "selector") {
+        return Err(usage_err(format!("unknown region `{region}`")));
     }
     // Every flag combination is checked before any work is done or any
     // output is written.
-    let map_format = format != "text";
+    let map_format = format.is_some();
     for (conflict, message) in [
         (
             fuzz_inputs && protocol.is_none(),
@@ -402,6 +410,14 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
         (
             runs.is_some() && multi.is_none(),
             "--runs sets the --multi sample count; it requires --multi",
+        ),
+        (
+            multi == Some(0),
+            "--multi 0 injects no fault; it must be at least 1",
+        ),
+        (
+            runs == Some(0),
+            "--runs 0 draws no sample; it must be at least 1",
         ),
         (
             map_format && multi.is_some(),
@@ -440,31 +456,39 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
             ))
         })?,
     };
-    let control = parse_run_control(&mut flags)?;
+    let timeout_secs = flags.number("--timeout-secs", "a whole number of seconds")?;
+    let max_injections = flags.number("--max-injections", "a number")?;
     let stats = parse_stats_options(&mut flags)?;
-    let hardened = harden_from(&mut flags)?;
+    let scfi_config = parse_config(&mut flags)?;
+    let level = scfi_config.protection_level();
+    let spec = JobSpec {
+        backend,
+        lane_words,
+        protocol,
+        fuzz_inputs,
+        format: format.unwrap_or(Format::Json),
+        stuck_at,
+        pin_faults,
+        timeout_secs,
+        max_injections,
+        ..JobSpec::new(
+            JobKind::Analyze,
+            load_fsm(flags.input()?)?,
+            ConfigKind::Scfi,
+            level,
+        )
+    };
+    let prepared = prepare(&spec.fsm, spec.config, &scfi_config)?;
+    let hardened = hardened(&prepared);
+    let control = spec.run_control();
 
-    let mut effects = vec![FaultEffect::Flip];
-    if stuck_at {
-        effects.push(FaultEffect::Stuck0);
-        effects.push(FaultEffect::Stuck1);
-    }
-    let mut config = CampaignConfig::new()
-        .effects(effects)
-        .threads(2)
-        .lane_words(lane_words)
-        .backend(backend)
-        .telemetry(stats.telemetry.clone());
+    let mut config = spec.campaign_config(&prepared, &stats.telemetry);
     let regions = hardened.regions();
     config = match region.as_str() {
-        "all" => config,
         "diffusion" => config.region(regions.diffusion.clone()),
         "selector" => config.region(regions.pattern_match.start..regions.modifier_select.end),
-        other => return Err(usage_err(format!("unknown region `{other}`"))),
+        _ => config,
     };
-    if pin_faults {
-        config = config.with_pin_faults();
-    }
     if fault_windows {
         config = config.with_fault_windows();
     }
@@ -473,9 +497,9 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
         // Walk seed fixed, and shared with `scfi serve`, so repeated
         // invocations and served jobs analyze the same protocol scenario
         // set.
-        Some(depth) if fuzz_inputs => ScfiTarget::with_fuzzed_protocol(&hardened, depth, WALK_SEED),
-        Some(depth) => ScfiTarget::with_protocol(&hardened, depth, WALK_SEED),
-        None => ScfiTarget::new(&hardened),
+        Some(depth) if fuzz_inputs => ScfiTarget::with_fuzzed_protocol(hardened, depth, WALK_SEED),
+        Some(depth) => ScfiTarget::with_protocol(hardened, depth, WALK_SEED),
+        None => ScfiTarget::new(hardened),
     };
     if let Some(depth) = protocol {
         let _ = writeln!(
@@ -486,20 +510,24 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
             } else {
                 ""
             },
-            scfi_faultsim::FaultTarget::scenario_count(&target)
+            target.scenario_count()
         );
     }
     if map_format {
-        let map = scfi_faultsim::VulnerabilityMap::try_analyze(&target, &config, &control)
+        let map = VulnerabilityMap::try_analyze(&target, &config, &control)
             .map_err(|e| campaign_error(e, out))?;
-        if format == "csv" {
-            scfi_serve::wire::write_sites_csv(out, hardened.module(), &map);
-        } else {
-            scfi_serve::wire::write_sites_json(out, hardened.module(), &map);
+        match spec.format {
+            Format::Csv => write_sites_csv(out, hardened.module(), &map),
+            Format::Json => write_sites_json(out, hardened.module(), &map),
         }
     } else {
+        // `--rank` runs the campaign once, as a map, and takes the
+        // summary line from its totals.
+        let mut ranking = None;
         let report = match multi {
             Some(m) => try_run_multi_fault(&target, m, runs.unwrap_or(2000), &config, &control),
+            None if rank => VulnerabilityMap::try_analyze(&target, &config, &control)
+                .map(|map| ranking.insert(map).summary()),
             None => try_run_exhaustive(&target, &config, &control),
         }
         .map_err(|e| campaign_error(e, out))?;
@@ -507,35 +535,14 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
         let _ = writeln!(
             out,
             "analytic success probability (paper formula): {:.3e}",
-            scfi_faultsim::paper_success_probability(&hardened)
+            scfi_faultsim::paper_success_probability(hardened)
         );
-        if rank {
-            let map = scfi_faultsim::VulnerabilityMap::try_analyze(&target, &config, &control)
-                .map_err(|e| campaign_error(e, out))?;
+        if let Some(map) = ranking {
             let _ = writeln!(out, "{map}");
         }
     }
     stats.emit(out)?;
     Ok(())
-}
-
-/// Parses the shared campaign-budget flags (`--timeout-secs`,
-/// `--max-injections`) into a [`RunControl`] handle.
-fn parse_run_control(flags: &mut Flags<'_>) -> Result<RunControl, CliError> {
-    let mut control = RunControl::unlimited();
-    if let Some(v) = flags.value("--timeout-secs")? {
-        let secs: u64 = v
-            .parse()
-            .map_err(|_| usage_err("--timeout-secs must be a whole number of seconds"))?;
-        control = control.with_deadline(Duration::from_secs(secs));
-    }
-    if let Some(v) = flags.value("--max-injections")? {
-        let budget: u64 = v
-            .parse()
-            .map_err(|_| usage_err("--max-injections must be a number"))?;
-        control = control.with_injection_budget(budget);
-    }
-    Ok(control)
 }
 
 /// Converts a campaign failure into its exit code, writing the completed
@@ -659,28 +666,27 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `scfi certify`: formal per-site fault certification via the
-/// `scfi-symbolic` BDD engine.
+/// `scfi certify`: formal fault certification via the `scfi-symbolic`
+/// BDD engine, run through the job server's [`certify`].
 fn cmd_certify(args: &[String], out: &mut String) -> Result<(), CliError> {
     let mut flags = Flags::new(args);
-    let config_kind = flags.value("--config")?.unwrap_or("scfi").to_string();
+    let config = match flags.value("--config")? {
+        None => ConfigKind::Scfi,
+        Some(name) => ConfigKind::parse(name)
+            .ok_or_else(|| usage_err(format!("unknown certify config `{name}`")))?,
+    };
     let all_gates = flags.switch("--all-gates");
     let stuck_at = flags.switch("--stuck-at");
     let pin_faults = flags.switch("--pin-faults");
     let per_site = flags.switch("--per-site");
     let joint = flags.switch("--joint");
-    let max_active: Option<usize> = flags
-        .value("--max-active")?
-        .map(|v| {
-            v.parse()
-                .map_err(|_| usage_err("--max-active must be a number"))
-        })
-        .transpose()?;
+    let max_active = flags.number("--max-active", "a number")?;
     let expect_proof = flags.switch("--expect-proof");
-    let budget = parse_certify_budget(&mut flags)?;
+    let timeout_secs = flags.number("--timeout-secs", "a whole number of seconds")?;
+    let max_bdd_nodes = flags.number("--max-bdd-nodes", "a number")?;
     let stats = parse_stats_options(&mut flags)?;
     let scfi_config = parse_config(&mut flags)?;
-    let fsm = load_fsm(flags.input()?)?;
+    let path = flags.input()?;
     let level = scfi_config.protection_level();
     if max_active.is_some() && !joint {
         return Err(usage_err("--max-active sets the --joint fault bound"));
@@ -691,213 +697,79 @@ fn cmd_certify(args: &[String], out: &mut String) -> Result<(), CliError> {
         ));
     }
     if joint {
-        // The paper's §3 bound: up to N − 1 simultaneous faults.
-        let max_active = max_active.unwrap_or(level.saturating_sub(1));
-        let report = match config_kind.as_str() {
-            "scfi" => {
-                let hardened = harden(&fsm, &scfi_config).map_err(|e| CliError {
-                    message: format!("hardening failed: {e}"),
-                    code: 3,
-                })?;
-                certify_joint_model(
-                    &hardened, all_gates, stuck_at, pin_faults, max_active, budget, &stats, out,
-                )
-            }
-            "redundancy" => {
-                let r = redundancy(&fsm, level).map_err(|e| CliError {
-                    message: format!("redundancy transform failed: {e}"),
-                    code: 3,
-                })?;
-                certify_joint_model(
-                    &r, all_gates, stuck_at, pin_faults, max_active, budget, &stats, out,
-                )
-            }
-            "unprotected" => {
-                let lowered = lower_unprotected(&fsm).map_err(|e| CliError {
-                    message: format!("lowering failed: {e}"),
-                    code: 3,
-                })?;
-                certify_joint_model(
-                    &lowered, all_gates, stuck_at, pin_faults, max_active, budget, &stats, out,
-                )
-            }
-            other => return Err(usage_err(format!("unknown certify config `{other}`"))),
-        };
-        stats.emit(out)?;
-        return match &report.verdict {
-            JointVerdict::Proved => Ok(()),
-            JointVerdict::Counterexample(_) if expect_proof => Err(CliError {
-                message: format!(
-                    "--expect-proof: a combination of at most {} fault(s) refutes the joint guarantee",
-                    report.max_active
-                ),
-                code: 3,
-            }),
-            JointVerdict::Counterexample(_) => Ok(()),
-            JointVerdict::Unknown { reason } => Err(CliError {
-                message: format!("joint certification budget exhausted: claim undecided ({reason})"),
-                code: if reason.contains("deadline") { 4 } else { 5 },
-            }),
-        };
+        joint_bound(max_active, level).map_err(usage_err)?;
     }
-
-    let report = match config_kind.as_str() {
-        "scfi" => {
-            let hardened = harden(&fsm, &scfi_config).map_err(|e| CliError {
-                message: format!("hardening failed: {e}"),
-                code: 3,
-            })?;
-            certify_model(
-                &hardened, all_gates, stuck_at, pin_faults, per_site, budget, &stats, out,
-            )
+    let spec = JobSpec {
+        stuck_at,
+        pin_faults,
+        joint,
+        max_active,
+        all_gates,
+        timeout_secs,
+        max_bdd_nodes,
+        ..JobSpec::new(JobKind::Certify, load_fsm(path)?, config, level)
+    };
+    let prepared = prepare(&spec.fsm, spec.config, &scfi_config)?;
+    let module = prepared.module();
+    let verdict = match certify(&spec, &prepared.model, None, &stats.telemetry) {
+        Certification::Joint(report) => write_joint(out, module, &report, expect_proof),
+        Certification::Sites(report) => {
+            write_sites(out, module, &report, per_site, all_gates, expect_proof)
         }
-        "redundancy" => {
-            let r = redundancy(&fsm, level).map_err(|e| CliError {
-                message: format!("redundancy transform failed: {e}"),
-                code: 3,
-            })?;
-            certify_model(
-                &r, all_gates, stuck_at, pin_faults, per_site, budget, &stats, out,
-            )
-        }
-        "unprotected" => {
-            let lowered = lower_unprotected(&fsm).map_err(|e| CliError {
-                message: format!("lowering failed: {e}"),
-                code: 3,
-            })?;
-            certify_model(
-                &lowered, all_gates, stuck_at, pin_faults, per_site, budget, &stats, out,
-            )
-        }
-        other => return Err(usage_err(format!("unknown certify config `{other}`"))),
     };
     stats.emit(out)?;
-    if expect_proof && report.counterexamples() > 0 {
-        return Err(CliError {
+    verdict
+}
+
+/// Renders a joint report, with the active faults and the attacked state
+/// of a counterexample, and returns its exit status: a refutation fails
+/// only under `--expect-proof`, an undecided claim always.
+fn write_joint(
+    out: &mut String,
+    module: &Module,
+    report: &JointReport,
+    expect_proof: bool,
+) -> Result<(), CliError> {
+    let _ = writeln!(out, "{report}");
+    if let JointVerdict::Counterexample(w) = &report.verdict {
+        let _ = writeln!(out, "  active: {}", describe_active(module, w));
+        let _ = writeln!(
+            out,
+            "  from state {} under inputs {}",
+            bits(&w.regs),
+            bits(&w.inputs)
+        );
+    }
+    match &report.verdict {
+        JointVerdict::Proved => Ok(()),
+        JointVerdict::Counterexample(_) if expect_proof => Err(CliError {
             message: format!(
-                "--expect-proof: {} counterexample site(s) refute the detection guarantee",
-                report.counterexamples()
+                "--expect-proof: a combination of at most {} fault(s) refutes the joint guarantee",
+                report.max_active
             ),
             code: 3,
-        });
+        }),
+        JointVerdict::Counterexample(_) => Ok(()),
+        JointVerdict::Unknown { reason } => Err(CliError {
+            message: format!("joint certification budget exhausted: claim undecided ({reason})"),
+            code: if reason.contains("deadline") { 4 } else { 5 },
+        }),
     }
-    if report.unknown() > 0 {
-        // The budget ran out before every site was decided. The report
-        // (with its UNKNOWN verdicts) is already in `out`; exit with the
-        // documented partial-result code so scripts can tell "undecided"
-        // from "refuted".
-        let deadline = report.sites.iter().any(
-            |s| matches!(&s.verdict, Verdict::Unknown { reason } if reason.contains("deadline")),
-        );
-        return Err(CliError {
-            message: format!(
-                "certification budget exhausted: {} of {} site(s) undecided",
-                report.unknown(),
-                report.sites.len()
-            ),
-            code: if deadline { 4 } else { 5 },
-        });
-    }
-    Ok(())
 }
 
-/// Parses the certification-budget flags (`--timeout-secs`,
-/// `--max-bdd-nodes`) into a [`CertifyBudget`].
-fn parse_certify_budget(flags: &mut Flags<'_>) -> Result<CertifyBudget, CliError> {
-    let mut budget = CertifyBudget::unlimited();
-    if let Some(v) = flags.value("--timeout-secs")? {
-        let secs: u64 = v
-            .parse()
-            .map_err(|_| usage_err("--timeout-secs must be a whole number of seconds"))?;
-        budget = budget.timeout(Duration::from_secs(secs));
-    }
-    if let Some(v) = flags.value("--max-bdd-nodes")? {
-        let nodes: usize = v
-            .parse()
-            .map_err(|_| usage_err("--max-bdd-nodes must be a number"))?;
-        budget = budget.max_nodes(nodes);
-    }
-    Ok(budget)
-}
-
-// The certification fault-space definition is shared with the job
-// server (`scfi serve` certifies the identical fault set for the same
-// knobs), so it lives in `scfi_serve::jobs`.
-use scfi_serve::jobs::certify_fault_set;
-
-/// Certifies the joint multi-fault claim for one model and renders the
-/// report. A setup-phase budget overflow degrades the whole claim to
-/// UNKNOWN — never a fabricated proof.
-#[allow(clippy::too_many_arguments)]
-fn certify_joint_model<M: CertifyModel>(
-    model: &M,
-    all_gates: bool,
-    stuck_at: bool,
-    pin_faults: bool,
-    max_active: usize,
-    budget: CertifyBudget,
-    stats: &StatsOptions,
+/// Renders a per-site report (the summary, the optional per-site
+/// listing, each counterexample's witness, the `--all-gates` escape
+/// ranking, the guarantee line) and returns its exit status:
+/// counterexamples fail only under `--expect-proof`, undecided sites
+/// always.
+fn write_sites(
     out: &mut String,
-) -> JointReport {
-    let module = model.module();
-    let faults = certify_fault_set(module, all_gates, stuck_at, pin_faults);
-    let report = match Certifier::with_instruments(model, budget, stats.telemetry.clone(), None) {
-        Ok(mut certifier) => {
-            let report = certifier.certify_joint(&faults, max_active);
-            let _ = writeln!(out, "{report}");
-            if let JointVerdict::Counterexample(w) = &report.verdict {
-                let bits = |word: &[bool]| -> String {
-                    word.iter().map(|&v| if v { '1' } else { '0' }).collect()
-                };
-                let _ = writeln!(out, "  active: {}", certifier.describe_active(w));
-                let _ = writeln!(
-                    out,
-                    "  from state {} under inputs {}",
-                    bits(&w.regs),
-                    bits(&w.inputs)
-                );
-            }
-            report
-        }
-        Err(overflow) => {
-            let report = JointReport {
-                config: model.config_name(),
-                module: module.name().to_string(),
-                sites: faults.len(),
-                max_active,
-                reachable_states: 0,
-                verdict: JointVerdict::Unknown {
-                    reason: overflow.to_string(),
-                },
-            };
-            let _ = writeln!(out, "{report}");
-            report
-        }
-    };
-    report
-}
-
-/// Certifies one model's fault space and renders the report.
-#[allow(clippy::too_many_arguments)]
-fn certify_model<M: CertifyModel>(
-    model: &M,
-    all_gates: bool,
-    stuck_at: bool,
-    pin_faults: bool,
+    module: &Module,
+    report: &CertificationReport,
     per_site: bool,
-    budget: CertifyBudget,
-    stats: &StatsOptions,
-    out: &mut String,
-) -> CertificationReport {
-    let module = model.module();
-    let faults = certify_fault_set(module, all_gates, stuck_at, pin_faults);
-
-    // A budget overflow during setup means no certifier exists at all:
-    // degrade every site to Unknown rather than fabricating a proof.
-    let report = match Certifier::with_instruments(model, budget, stats.telemetry.clone(), None) {
-        Ok(mut certifier) => certifier.certify_all(&faults),
-        Err(overflow) => Certifier::degraded_report(model, &faults, overflow),
-    };
+    all_gates: bool,
+    expect_proof: bool,
+) -> Result<(), CliError> {
     let _ = writeln!(out, "{report}");
     if per_site {
         for site in &report.sites {
@@ -910,8 +782,6 @@ fn certify_model<M: CertifyModel>(
             let _ = writeln!(out, "  {tag}  {}", describe_fault(module, site.fault));
         }
     }
-    let bits =
-        |word: &[bool]| -> String { word.iter().map(|&v| if v { '1' } else { '0' }).collect() };
     for (fault, witness) in report.counterexample_sites() {
         let _ = writeln!(
             out,
@@ -953,39 +823,61 @@ fn certify_model<M: CertifyModel>(
             report.sites.len()
         );
     }
-    report
+    if expect_proof && report.counterexamples() > 0 {
+        return Err(CliError {
+            message: format!(
+                "--expect-proof: {} counterexample site(s) refute the detection guarantee",
+                report.counterexamples()
+            ),
+            code: 3,
+        });
+    }
+    if report.unknown() > 0 {
+        // The budget ran out before every site was decided. The report
+        // (with its UNKNOWN verdicts) is already in `out`; exit with the
+        // documented partial-result code so scripts can tell "undecided"
+        // from "refuted".
+        let deadline = report.sites.iter().any(
+            |s| matches!(&s.verdict, Verdict::Unknown { reason } if reason.contains("deadline")),
+        );
+        return Err(CliError {
+            message: format!(
+                "certification budget exhausted: {} of {} site(s) undecided",
+                report.unknown(),
+                report.sites.len()
+            ),
+            code: if deadline { 4 } else { 5 },
+        });
+    }
+    Ok(())
 }
 
 fn cmd_area(args: &[String], out: &mut String) -> Result<(), CliError> {
     let mut flags = Flags::new(args);
     let config = parse_config(&mut flags)?;
     let fsm = load_fsm(flags.input()?)?;
-    let n = config.protection_level();
+    let models = [
+        ConfigKind::Unprotected,
+        ConfigKind::Redundancy,
+        ConfigKind::Scfi,
+    ]
+    .into_iter()
+    .map(|kind| Ok((kind.name(), prepare(&fsm, kind, &config)?)))
+    .collect::<Result<Vec<_>, CliError>>()?;
     let lib = Library::nangate45_like();
-    let unprot = lower_unprotected(&fsm).map_err(|e| CliError {
-        message: format!("lowering failed: {e}"),
-        code: 3,
-    })?;
-    let red = redundancy(&fsm, n).map_err(|e| CliError {
-        message: format!("redundancy transform failed: {e}"),
-        code: 3,
-    })?;
-    let hardened = harden(&fsm, &config).map_err(|e| CliError {
-        message: format!("hardening failed: {e}"),
-        code: 3,
-    })?;
-    let rows = [
-        ("unprotected", lib.map(unprot.module())),
-        ("redundancy", lib.map(red.module())),
-        ("scfi", lib.map(hardened.module())),
-    ];
-    let _ = writeln!(out, "{} at protection level {n}:", fsm.name());
+    let _ = writeln!(
+        out,
+        "{} at protection level {}:",
+        fsm.name(),
+        config.protection_level()
+    );
     let _ = writeln!(
         out,
         "{:<14} {:>10} {:>14} {:>12}",
         "config", "area [GE]", "min period ps", "max MHz"
     );
-    for (name, mapped) in rows {
+    for (name, prepared) in &models {
+        let mapped = lib.map(prepared.module());
         let _ = writeln!(
             out,
             "{:<14} {:>10.1} {:>14.0} {:>12.1}",
@@ -1027,17 +919,10 @@ fn cmd_suite(args: &[String], out: &mut String) -> Result<(), CliError> {
             }
         }
         Some(name) => {
-            let fsm = scfi_opentitan::by_name(&name)
-                .map(|b| b.fsm)
-                .or_else(|| {
-                    scfi_opentitan::protocol_workloads()
-                        .into_iter()
-                        .find(|f| f.name() == name)
-                })
-                .ok_or_else(|| CliError {
-                    message: format!("no bundled FSM named `{name}` (try `scfi suite`)"),
-                    code: 2,
-                })?;
+            let fsm = scfi_opentitan::bundled(&name).ok_or_else(|| CliError {
+                message: format!("no bundled FSM named `{name}` (try `scfi suite`)"),
+                code: 2,
+            })?;
             let _ = write!(out, "{}", fsm.to_dsl());
         }
     }
@@ -1557,6 +1442,26 @@ mod tests {
             run_err(&["certify", p, "--joint", "--max-active", "x"]).code,
             1
         );
+        // A joint bound of 0, given or derived from N = 1, would prove
+        // the claim vacuously.
+        for args in [
+            &[
+                "--config",
+                "unprotected",
+                "--max-active",
+                "0",
+                "--expect-proof",
+            ][..],
+            &["--config", "unprotected", "--level", "1"],
+            &["--level", "1"],
+        ] {
+            let mut full = vec!["certify", p, "--joint"];
+            full.extend(args);
+            let (e, out) = run_err_out(&full);
+            assert_eq!(e.code, 1, "{args:?}: {}", e.message);
+            assert!(e.message.contains("joint bound of 0"), "{}", e.message);
+            assert_eq!(out, "", "{args:?} wrote output before failing");
+        }
         // An explicit bound overrides the level-derived default.
         let out = run_ok(&[
             "certify",
@@ -1677,6 +1582,22 @@ mod tests {
             plain, budgeted,
             "an unhit budget must not change the report"
         );
+        // `--rank` runs the campaign once, so a budget of exactly its
+        // size (the summary line's injection count) changes nothing.
+        let ranked = run_ok(&["analyze", p, "--level", "2", "--rank"]);
+        let size = ranked.split_whitespace().next().expect("injection count");
+        assert_eq!(
+            run_ok(&[
+                "analyze",
+                p,
+                "--level",
+                "2",
+                "--rank",
+                "--max-injections",
+                size
+            ]),
+            ranked
+        );
         let _ = std::fs::remove_file(path);
     }
 
@@ -1792,6 +1713,8 @@ mod tests {
             &["--protocol", "2", "--format", "xml"],
             &["--protocol", "2", "--format", "csv", "--multi", "2"],
             &["--protocol", "2", "--format", "json", "--rank"],
+            &["--protocol", "2", "--multi", "0"],
+            &["--protocol", "2", "--multi", "2", "--runs", "0"],
         ] {
             let mut args = vec!["analyze", p, "--level", "2"];
             args.extend(extra);
@@ -1832,6 +1755,9 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
+    /// Every flag is checked before the FSM file is read: against a
+    /// missing file, a bad flag is still a usage error, with nothing
+    /// written.
     #[test]
     fn bad_flags_are_reported() {
         let path = write_demo();
@@ -1841,6 +1767,20 @@ mod tests {
         assert_eq!(run_err(&["harden", p, "--bogus"]).code, 1);
         assert_eq!(run_err(&["harden"]).code, 1);
         assert_eq!(run_err(&["harden", "/nonexistent/x.dsl"]).code, 2);
+        let missing = "/nonexistent/x.dsl";
+        for args in [
+            &["harden", missing, "--level", "x"][..],
+            &["harden", missing, "--pad", "fancy"],
+            &["harden", missing, "--bogus"],
+            &["certify", missing, "--joint", "--per-site"],
+            &["certify", missing, "--max-active", "2"],
+            &["certify", missing, "--config", "bogus"],
+            &["analyze", missing, "--region", "bogus"],
+        ] {
+            let (e, out) = run_err_out(args);
+            assert_eq!(e.code, 1, "{args:?}: {}", e.message);
+            assert_eq!(out, "", "{args:?} wrote output before failing");
+        }
         let _ = std::fs::remove_file(path);
     }
 

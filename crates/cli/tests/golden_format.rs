@@ -93,3 +93,66 @@ fn analyze_json_agrees_with_the_csv_totals() {
         .expect("injections field");
     assert_eq!(total, injections);
 }
+
+/// `scfi analyze --format json` and a served job run the same pipeline
+/// (spec, preparation, campaign knobs, writer), so for the same spec
+/// `run_job` must produce the CLI's bytes — after the CLI's
+/// `multi-cycle campaign:` header line for protocol campaigns.
+#[test]
+fn analyze_json_matches_run_job_for_the_same_spec() {
+    use scfi_faultsim::RunControl;
+    use scfi_serve::cache::prepare;
+    use scfi_serve::jobs::{run_job, JobOutcome, JobSpec};
+    use scfi_telemetry::Telemetry;
+
+    for (suite, extra, body_extra) in [
+        ("aes_control", &[][..], ""),
+        ("otbn_controller", &[], ""),
+        ("pwrmgr_fsm", &[], ""),
+        (
+            "aes_control",
+            &["--protocol", "2", "--fuzz-inputs"],
+            r#", "protocol": 2, "fuzz_inputs": true"#,
+        ),
+    ] {
+        let fsm = scfi_opentitan::by_name(suite).expect("suite FSM").fsm;
+        let path = std::env::temp_dir().join(format!(
+            "scfi_golden_run_job_{suite}_{}.dsl",
+            std::process::id()
+        ));
+        std::fs::write(&path, fsm.to_dsl()).expect("writable temp dir");
+        let mut args = vec![
+            "analyze",
+            path.to_str().expect("utf8"),
+            "--level",
+            "2",
+            "--format",
+            "json",
+        ];
+        args.extend(extra);
+        let cli = run(&args);
+        let _ = std::fs::remove_file(&path);
+        let cli = if extra.is_empty() {
+            cli.as_str()
+        } else {
+            let (header, rest) = cli.split_once('\n').expect("header line");
+            assert!(header.starts_with("multi-cycle campaign:"), "{header}");
+            rest
+        };
+
+        let request =
+            format!(r#"{{"kind": "analyze", "suite": "{suite}", "level": 2{body_extra}}}"#);
+        let spec = JobSpec::from_json(&scfi_serve::json::parse(&request).expect("job body"))
+            .expect("valid spec");
+        let prepared = prepare(&spec.fsm, spec.config, spec.level).expect("suite FSM prepares");
+        let JobOutcome::Done { body, .. } = run_job(
+            &spec,
+            &prepared,
+            &RunControl::unlimited(),
+            &Telemetry::off(),
+        ) else {
+            panic!("{request} did not complete");
+        };
+        assert_eq!(body, cli, "{request}: served bytes differ from the CLI's");
+    }
+}

@@ -143,6 +143,18 @@ pub fn harden(fsm: &Fsm, config: &ScfiConfig) -> Result<HardenedFsm, ScfiError> 
     if n < 2 {
         return Err(ScfiError::ProtectionLevelTooLow { requested: n });
     }
+    // The layout's error-bit bound, checked before the code searches,
+    // whose cost grows steeply with N. Adaptation falls back to the
+    // widest matrix, so it is bounded by that one.
+    let error_bits = config.error_bits_per_instance();
+    let widest = if config.is_adaptive_mds() {
+        MdsSpec::ScfiLightweight
+    } else {
+        config.mds_spec()
+    };
+    if error_bits == 0 || error_bits >= widest.width() / 2 {
+        return Err(ScfiError::ErrorBitsTooLarge { error_bits });
+    }
     let cfg = fsm.cfg();
     let state_code = CodeSpec::new(fsm.state_count(), n).build()?;
     let cond_code = CodeSpec::new(cfg.max_out_degree(), n).build()?;

@@ -234,6 +234,14 @@ pub fn by_name(name: &str) -> Option<BenchFsm> {
     SUITE.iter().find(|(n, ..)| *n == name).map(entry)
 }
 
+/// Resolves a bundled FSM by name, as `scfi suite <name>` and a served
+/// job's `"suite"` field do: a Table-1 row, else a protocol workload.
+pub fn bundled(name: &str) -> Option<Fsm> {
+    by_name(name)
+        .map(|b| b.fsm)
+        .or_else(|| protocol_workloads().into_iter().find(|f| f.name() == name))
+}
+
 fn entry(&(name, paper_module_ge, dsl): &(&'static str, f64, &str)) -> BenchFsm {
     let fsm = parse_fsm(dsl)
         .unwrap_or_else(|e| panic!("built-in benchmark FSM {name} failed to parse: {e}"));

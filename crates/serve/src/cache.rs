@@ -110,18 +110,27 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// module plus compiled netlist out. Deterministic, so cached and fresh
 /// preparations are interchangeable.
 pub fn prepare(fsm: &Fsm, kind: ConfigKind, level: usize) -> Result<Prepared, String> {
+    prepare_with(fsm, kind, &ScfiConfig::new(level))
+}
+
+/// [`prepare`] under a full hardening configuration, as `scfi harden`,
+/// `area`, `analyze` and `certify` take it from their flags: the SCFI
+/// model is hardened with `config` and checked on every CFG edge, the
+/// redundancy model uses its protection level, the unprotected lowering
+/// neither. The error is the failed pass's message.
+pub fn prepare_with(fsm: &Fsm, kind: ConfigKind, config: &ScfiConfig) -> Result<Prepared, String> {
     let digest = fnv1a(fsm.to_dsl().as_bytes());
     let model = match kind {
         ConfigKind::Scfi => {
-            let hardened = harden(fsm, &ScfiConfig::new(level))
-                .map_err(|e| format!("hardening failed: {e}"))?;
+            let hardened = harden(fsm, config).map_err(|e| format!("hardening failed: {e}"))?;
             hardened
                 .check_all_edges()
                 .map_err(|e| format!("internal verification failed: {e}"))?;
             PreparedModel::Scfi(Box::new(hardened))
         }
         ConfigKind::Redundancy => PreparedModel::Redundancy(Box::new(
-            redundancy(fsm, level).map_err(|e| format!("redundancy transform failed: {e}"))?,
+            redundancy(fsm, config.protection_level())
+                .map_err(|e| format!("redundancy transform failed: {e}"))?,
         )),
         ConfigKind::Unprotected => {
             let lowered = lower_unprotected(fsm).map_err(|e| format!("lowering failed: {e}"))?;

@@ -8,10 +8,14 @@
 //! server that guesses runs the wrong experiment at a distance.
 //!
 //! [`run_job`] then executes a spec against a cached [`Prepared`] model
-//! under a [`RunControl`] handle. The rendered result bytes are exactly
-//! what the CLI would print for the same experiment (the [`wire`]
-//! writers are shared), which is what the determinism conformance suite
-//! pins.
+//! under a [`RunControl`] handle. `scfi analyze` and `scfi certify` build
+//! the same [`JobSpec`] from their flags and run the same pipeline —
+//! [`prepare_with`](crate::cache::prepare_with), the campaign knobs of
+//! [`JobSpec::campaign_config`], the one [`certify`] call — and only
+//! render differently: a served analyze result is byte-identical to
+//! `scfi analyze --format json|csv` (the [`wire`] writers are shared), a
+//! served certify result is the same [`Certification`] rendered as JSON
+//! instead of text.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,16 +26,19 @@ use scfi_faultsim::{
 };
 use scfi_fsm::{parse_fsm, Fsm};
 use scfi_netlist::Module;
-use scfi_symbolic::{Certifier, CertifyBudget, CertifyModel, JointReport, JointVerdict};
+use scfi_symbolic::{
+    CertificationReport, Certifier, CertifyBudget, CertifyModel, JointReport, JointVerdict,
+};
 use scfi_telemetry::Telemetry;
 
 use crate::cache::{ConfigKind, Prepared, PreparedModel};
 use crate::json::{obj, Json};
 use crate::wire;
 
-/// The CLI's fixed protocol-walk seed, mirrored here so a served
-/// protocol campaign analyzes the identical scenario set as
-/// `scfi analyze --protocol K` on the same FSM.
+/// The fixed protocol-walk seed of both front ends: a served protocol
+/// campaign and `scfi analyze --protocol K` on the same FSM analyze the
+/// identical scenario set, so the served document equals
+/// `scfi analyze --protocol K --format json|csv` after its header line.
 pub const WALK_SEED: u64 = 0x5CF1_3007;
 
 /// A typed request failure: HTTP status plus a stable machine-readable
@@ -228,18 +235,11 @@ impl JobSpec {
             }
             (Some(dsl), None) => parse_fsm(&dsl)
                 .map_err(|e| ApiError::bad_request("bad_dsl", format!("parsing `fsm`: {e}")))?,
-            (None, Some(name)) => scfi_opentitan::by_name(&name)
-                .map(|b| b.fsm)
-                .or_else(|| {
-                    scfi_opentitan::protocol_workloads()
-                        .into_iter()
-                        .find(|f| f.name() == name)
-                })
-                .ok_or(ApiError {
-                    status: 404,
-                    code: "unknown_suite",
-                    message: format!("no bundled FSM named `{name}`"),
-                })?,
+            (None, Some(name)) => scfi_opentitan::bundled(&name).ok_or(ApiError {
+                status: 404,
+                code: "unknown_suite",
+                message: format!("no bundled FSM named `{name}`"),
+            })?,
             (None, None) => {
                 return Err(ApiError::bad_request(
                     "bad_fsm",
@@ -350,14 +350,14 @@ impl JobSpec {
                         "`max_active` sets the `joint` fault bound",
                     ));
                 }
+                if joint {
+                    joint_bound(max_active, level)
+                        .map_err(|message| ApiError::bad_request("bad_knobs", message))?;
+                }
             }
         }
 
         Ok(JobSpec {
-            kind,
-            fsm,
-            config,
-            level,
             backend,
             lane_words,
             protocol,
@@ -371,7 +371,35 @@ impl JobSpec {
             timeout_secs: field_uint(doc, "timeout_secs")?,
             max_injections: field_uint(doc, "max_injections")?,
             max_bdd_nodes: field_uint(doc, "max_bdd_nodes")?.map(|v| v as usize),
+            ..JobSpec::new(kind, fsm, config, level)
         })
+    }
+
+    /// A job of `kind` on `fsm` under `config` at protection level
+    /// `level`, every other knob at its default: the packed engine at 256
+    /// lanes, single-transition scenarios, flips only, per-site
+    /// certification of the register fault space, JSON rendering and no
+    /// budget.
+    pub fn new(kind: JobKind, fsm: Fsm, config: ConfigKind, level: usize) -> JobSpec {
+        JobSpec {
+            kind,
+            fsm,
+            config,
+            level,
+            backend: Backend::default(),
+            lane_words: 4,
+            protocol: None,
+            fuzz_inputs: false,
+            format: Format::Json,
+            stuck_at: false,
+            pin_faults: false,
+            joint: false,
+            max_active: None,
+            all_gates: false,
+            timeout_secs: None,
+            max_injections: None,
+            max_bdd_nodes: None,
+        }
     }
 
     /// Builds the run-control handle for this job, arming the deadline
@@ -386,22 +414,77 @@ impl JobSpec {
         }
         control
     }
+
+    /// The campaign knobs of an analyze job on `prepared`: its fault
+    /// effects and pin faults, engine and wave width on two threads, and
+    /// the model's precompiled netlist.
+    pub fn campaign_config(&self, prepared: &Prepared, telemetry: &Telemetry) -> CampaignConfig {
+        let config = CampaignConfig::new()
+            .effects(fault_effects(self.stuck_at))
+            .threads(2)
+            .lane_words(self.lane_words)
+            .backend(self.backend)
+            .telemetry(telemetry.clone())
+            .precompiled(Arc::clone(&prepared.packed));
+        if self.pin_faults {
+            config.with_pin_faults()
+        } else {
+            config
+        }
+    }
+
+    /// The certification budget: the deadline (armed when the certifier
+    /// is built) and the BDD node budget.
+    pub fn certify_budget(&self) -> CertifyBudget {
+        let mut budget = CertifyBudget::unlimited();
+        if let Some(secs) = self.timeout_secs {
+            budget = budget.timeout(Duration::from_secs(secs));
+        }
+        if let Some(nodes) = self.max_bdd_nodes {
+            budget = budget.max_nodes(nodes);
+        }
+        budget
+    }
+}
+
+/// The joint claim's fault bound: `max_active` when given, else the
+/// paper's §3 bound N − 1.
+///
+/// # Errors
+///
+/// A bound of 0, given or derived from N ≤ 1: it certifies no fault, so
+/// the claim would read as proved without checking anything. Both front
+/// ends call this before any work.
+pub fn joint_bound(max_active: Option<usize>, level: usize) -> Result<usize, String> {
+    match max_active.unwrap_or(level.saturating_sub(1)) {
+        0 => Err(format!(
+            "a joint bound of 0 faults proves nothing (max active {} at protection \
+             level {level}); it must be at least 1",
+            max_active.map_or("N − 1".to_string(), |k| k.to_string())
+        )),
+        bound => Ok(bound),
+    }
+}
+
+fn fault_effects(stuck_at: bool) -> Vec<FaultEffect> {
+    if stuck_at {
+        vec![FaultEffect::Flip, FaultEffect::Stuck0, FaultEffect::Stuck1]
+    } else {
+        vec![FaultEffect::Flip]
+    }
 }
 
 /// Enumerates the certification fault space — the shared definition used
-/// by the per-site and the joint engines (and by `scfi certify`).
+/// by the per-site and the joint engines.
 pub fn certify_fault_set(
     module: &Module,
     all_gates: bool,
     stuck_at: bool,
     pin_faults: bool,
 ) -> Vec<Fault> {
-    let mut effects = vec![FaultEffect::Flip];
-    if stuck_at {
-        effects.push(FaultEffect::Stuck0);
-        effects.push(FaultEffect::Stuck1);
-    }
-    let mut fault_config = CampaignConfig::new().effects(effects).with_register_flips();
+    let mut fault_config = CampaignConfig::new()
+        .effects(fault_effects(stuck_at))
+        .with_register_flips();
     if !all_gates {
         // The paper's FT1 claim: the state registers (stored-bit flips
         // plus the register-region nets).
@@ -466,22 +549,7 @@ fn run_analyze(
     control: &RunControl,
     telemetry: &Telemetry,
 ) -> JobOutcome {
-    let mut effects = vec![FaultEffect::Flip];
-    if spec.stuck_at {
-        effects.push(FaultEffect::Stuck0);
-        effects.push(FaultEffect::Stuck1);
-    }
-    let mut config = CampaignConfig::new()
-        .effects(effects)
-        .threads(2)
-        .lane_words(spec.lane_words)
-        .backend(spec.backend)
-        .telemetry(telemetry.clone())
-        .precompiled(Arc::clone(&prepared.packed));
-    if spec.pin_faults {
-        config = config.with_pin_faults();
-    }
-
+    let config = spec.campaign_config(prepared, telemetry);
     let result = match &prepared.model {
         PreparedModel::Scfi(hardened) => {
             let target = match (spec.protocol, spec.fuzz_inputs) {
@@ -561,54 +629,12 @@ fn run_certify(
     control: &RunControl,
     telemetry: &Telemetry,
 ) -> JobOutcome {
-    match &prepared.model {
-        PreparedModel::Scfi(h) => certify_model(h.as_ref(), spec, control, telemetry),
-        PreparedModel::Redundancy(r) => certify_model(r.as_ref(), spec, control, telemetry),
-        PreparedModel::Unprotected(u) => certify_model(&u.lowered, spec, control, telemetry),
-    }
-}
-
-fn certify_model<M: CertifyModel>(
-    model: &M,
-    spec: &JobSpec,
-    control: &RunControl,
-    telemetry: &Telemetry,
-) -> JobOutcome {
-    let module = model.module();
-    let faults = certify_fault_set(module, spec.all_gates, spec.stuck_at, spec.pin_faults);
-    let mut budget = CertifyBudget::unlimited();
-    if let Some(secs) = spec.timeout_secs {
-        budget = budget.timeout(Duration::from_secs(secs));
-    }
-    if let Some(nodes) = spec.max_bdd_nodes {
-        budget = budget.max_nodes(nodes);
-    }
-    let instruments =
-        || Certifier::with_instruments(model, budget, telemetry.clone(), Some(control.clone()));
     let mut body = String::new();
-    if spec.joint {
-        // The paper's §3 bound: up to N − 1 simultaneous faults.
-        let max_active = spec.max_active.unwrap_or(spec.level.saturating_sub(1));
-        let report = match instruments() {
-            Ok(mut certifier) => certifier.certify_joint(&faults, max_active),
-            Err(overflow) => JointReport {
-                config: model.config_name(),
-                module: module.name().to_string(),
-                sites: faults.len(),
-                max_active,
-                reachable_states: 0,
-                verdict: JointVerdict::Unknown {
-                    reason: overflow.to_string(),
-                },
-            },
-        };
-        wire::write_joint_json(&mut body, &report);
-    } else {
-        let report = match instruments() {
-            Ok(mut certifier) => certifier.certify_all(&faults),
-            Err(overflow) => Certifier::degraded_report(model, &faults, overflow),
-        };
-        wire::write_certify_json(&mut body, module, &report);
+    match certify(spec, &prepared.model, Some(control.clone()), telemetry) {
+        Certification::Sites(report) => {
+            wire::write_certify_json(&mut body, prepared.module(), &report)
+        }
+        Certification::Joint(report) => wire::write_joint_json(&mut body, &report),
     }
     // A cancelled certification aborts inside the BDD step loop and
     // surfaces as Unknown verdicts; report it as a stopped job (with the
@@ -623,6 +649,71 @@ fn certify_model<M: CertifyModel>(
         body,
         content_type: "application/json",
     }
+}
+
+/// What a certify job proved, before rendering.
+pub enum Certification {
+    /// One verdict per site of the fault set.
+    Sites(CertificationReport),
+    /// The single verdict on every combination of up to
+    /// [`joint_bound`] simultaneous faults.
+    Joint(JointReport),
+}
+
+/// Certifies `model` over the fault set `spec` selects, per site or
+/// jointly, under its [`certify_budget`](JobSpec::certify_budget) and the
+/// optional `cancel` flag, recording BDD statistics into `telemetry`. A
+/// budget overflow while the certifier is built degrades every verdict
+/// to unknown — never a fabricated proof.
+///
+/// # Panics
+///
+/// On a joint spec whose [`joint_bound`] is 0; [`JobSpec::from_json`] and
+/// `scfi certify` reject those before any work.
+pub fn certify(
+    spec: &JobSpec,
+    model: &PreparedModel,
+    cancel: Option<RunControl>,
+    telemetry: &Telemetry,
+) -> Certification {
+    match model {
+        PreparedModel::Scfi(h) => certify_model(h.as_ref(), spec, cancel, telemetry),
+        PreparedModel::Redundancy(r) => certify_model(r.as_ref(), spec, cancel, telemetry),
+        PreparedModel::Unprotected(u) => certify_model(&u.lowered, spec, cancel, telemetry),
+    }
+}
+
+fn certify_model<M: CertifyModel>(
+    model: &M,
+    spec: &JobSpec,
+    cancel: Option<RunControl>,
+    telemetry: &Telemetry,
+) -> Certification {
+    let module = model.module();
+    let faults = certify_fault_set(module, spec.all_gates, spec.stuck_at, spec.pin_faults);
+    let certifier =
+        Certifier::with_instruments(model, spec.certify_budget(), telemetry.clone(), cancel);
+    if !spec.joint {
+        return Certification::Sites(match certifier {
+            Ok(mut certifier) => certifier.certify_all(&faults),
+            Err(overflow) => Certifier::degraded_report(model, &faults, overflow),
+        });
+    }
+    let max_active =
+        joint_bound(spec.max_active, spec.level).expect("front ends reject a zero joint bound");
+    Certification::Joint(match certifier {
+        Ok(mut certifier) => certifier.certify_joint(&faults, max_active),
+        Err(overflow) => JointReport {
+            config: model.config_name(),
+            module: module.name().to_string(),
+            sites: faults.len(),
+            max_active,
+            reachable_states: 0,
+            verdict: JointVerdict::Unknown {
+                reason: overflow.to_string(),
+            },
+        },
+    })
 }
 
 #[cfg(test)]
@@ -721,6 +812,16 @@ mod tests {
             ),
             (
                 r#"{"kind": "certify", "suite": "aes_control", "max_active": 2}"#,
+                "bad_knobs",
+            ),
+            (
+                r#"{"kind": "certify", "suite": "aes_control", "config": "unprotected",
+                    "joint": true, "max_active": 0}"#,
+                "bad_knobs",
+            ),
+            (
+                r#"{"kind": "certify", "suite": "aes_control", "config": "unprotected",
+                    "joint": true, "level": 1}"#,
                 "bad_knobs",
             ),
             (

@@ -12,12 +12,14 @@
 //! GET    /v1/healthz          liveness, queue depth, cache counters
 //! ```
 //!
-//! The serving layer adds *no* semantics of its own: a served result is
-//! byte-identical to the CLI output for the same experiment (the wire
-//! writers in [`wire`] are shared with `scfi analyze --format csv|json`),
-//! and the compiled-model cache in [`cache`] is a pure memoization of
-//! deterministic preparation — the determinism conformance suite pins
-//! both properties, cache-hit path included.
+//! The serving layer adds *no* semantics of its own: `scfi analyze` and
+//! `scfi certify` run the same [`JobSpec`] pipeline ([`jobs`]), so a
+//! served analyze result is byte-identical to `scfi analyze --format
+//! csv|json` (the writers in [`wire`] are shared) and a served certify
+//! result carries the CLI's verdicts as JSON. The compiled-model cache in
+//! [`cache`] is a pure memoization of deterministic preparation — the
+//! determinism conformance suite pins both properties, cache-hit path
+//! included.
 //!
 //! ```no_run
 //! use scfi_serve::{Server, ServerOptions};

@@ -76,7 +76,9 @@ pub fn write_sites_json(out: &mut String, module: &Module, map: &VulnerabilityMa
     let _ = writeln!(out, "}}");
 }
 
-fn bits(word: &[bool]) -> String {
+/// A register or input word as a `0`/`1` string, bit 0 first — the
+/// witness encoding of both the JSON documents and the CLI text reports.
+pub fn bits(word: &[bool]) -> String {
     word.iter().map(|&v| if v { '1' } else { '0' }).collect()
 }
 

@@ -45,6 +45,7 @@ use scfi_faultsim::{Fault, FaultEffect, FaultSite, RunControl};
 use crate::bdd::{Bdd, BddOverflow, BddRef};
 use crate::eval::{SymStep, SymbolicEvaluator};
 use crate::reach::{try_reachable_states, Reachability};
+use crate::unroll::JointWitness;
 
 /// A protected (or deliberately unprotected) netlist the certifier can
 /// reason about: the module plus the configuration-specific detection
@@ -871,6 +872,17 @@ pub fn describe_fault(module: &Module, fault: Fault) -> String {
             format!("stored-bit flip on register {pos} (c{})", c.0)
         }
     }
+}
+
+/// One-line description of a joint witness's active faults (for CLI
+/// reports): [`describe_fault`] per site, comma-joined.
+pub fn describe_active(module: &Module, witness: &JointWitness) -> String {
+    witness
+        .active
+        .iter()
+        .map(|&f| describe_fault(module, f))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 #[cfg(test)]

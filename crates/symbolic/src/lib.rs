@@ -62,8 +62,8 @@ mod unroll;
 
 pub use bdd::{Bdd, BddOverflow, BddRef};
 pub use certify::{
-    describe_fault, CertificationReport, Certifier, CertifyBudget, CertifyModel, EscapeRanking,
-    SiteReport, Verdict, Witness,
+    describe_active, describe_fault, CertificationReport, Certifier, CertifyBudget, CertifyModel,
+    EscapeRanking, SiteReport, Verdict, Witness,
 };
 pub use eval::{SymStep, SymbolicEvaluator, VarMap};
 pub use reach::{reachable_states, state_cube, try_reachable_states, try_state_cube, Reachability};

@@ -42,7 +42,7 @@ use scfi_faultsim::Fault;
 use scfi_netlist::Simulator;
 
 use crate::bdd::{Bdd, BddOverflow, BddRef};
-use crate::certify::{describe_fault, Certifier, CertifyModel};
+use crate::certify::{Certifier, CertifyModel};
 
 /// A concrete escaping assignment of the joint certification: the active
 /// fault subset plus the register/input assignment it escapes on.
@@ -492,23 +492,12 @@ impl<M: CertifyModel> Certifier<'_, M> {
         }
         hijacked && !caught
     }
-
-    /// One-line description of a joint witness's active faults (for CLI
-    /// reports): `describe_fault` per site, comma-joined.
-    pub fn describe_active(&self, witness: &JointWitness) -> String {
-        witness
-            .active
-            .iter()
-            .map(|&f| describe_fault(self.model.module(), f))
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certify::CertifyBudget;
+    use crate::certify::{describe_active, CertifyBudget};
     use scfi_core::{harden, ScfiConfig};
     use scfi_faultsim::{enumerate_faults, CampaignConfig};
     use scfi_fsm::{lower_unprotected, parse_fsm, Fsm};
@@ -583,7 +572,7 @@ mod tests {
                     "a fewest-care witness uses exactly N flips"
                 );
                 assert!(w.confirmed, "witness must replay to a concrete hijack");
-                assert!(!certifier.describe_active(w).is_empty());
+                assert!(!describe_active(h.module(), w).is_empty());
             }
             other => panic!("N flips must break HD-2 protection, got {other:?}"),
         }

@@ -123,6 +123,19 @@ fn oversized_protection_levels_are_rejected() {
         harden(&fsm, &ScfiConfig::new(16)),
         Err(ScfiError::ErrorBitsTooLarge { error_bits: 16 })
     ));
+    // The bound is checked before the state and condition codes are
+    // searched, so higher levels fail on it too, and fast: N = 49 would
+    // otherwise fail the code search first, and N = 20 take seconds.
+    for n in [49, 20] {
+        assert!(matches!(
+            harden(&fsm, &ScfiConfig::new(n)),
+            Err(ScfiError::ErrorBitsTooLarge { error_bits }) if error_bits == n
+        ));
+        assert!(matches!(
+            harden(&fsm, &ScfiConfig::new(n).adaptive_mds(true)),
+            Err(ScfiError::ErrorBitsTooLarge { error_bits }) if error_bits == n
+        ));
+    }
     // Explicit error-bit overrides hit the same bound, in both directions.
     assert!(matches!(
         harden(&fsm, &ScfiConfig::new(2).error_bits(16)),
