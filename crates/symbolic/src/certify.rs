@@ -509,7 +509,7 @@ pub struct Certifier<'m, M: CertifyModel> {
     /// Observability handle ([`Telemetry::off`] unless installed via
     /// [`with_instruments`](Self::with_instruments)); recording never
     /// changes any verdict or report byte.
-    telemetry: Telemetry,
+    pub(crate) telemetry: Telemetry,
     /// `(hits, misses)` already flushed to the telemetry counters, so the
     /// cumulative [`Bdd`] totals can be exported as monotone deltas.
     flushed_ite: (u64, u64),
@@ -714,17 +714,22 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
             },
         };
         if let Some(start) = site_start {
-            let elapsed = start.elapsed();
-            self.telemetry
-                .histogram("scfi_certify_site_ns")
-                .observe_duration(elapsed);
             self.telemetry
                 .histogram("scfi_certify_steps_per_site")
                 .observe(self.bdd.steps());
-            self.telemetry.record_span("certify_site", start, elapsed);
-            self.flush_bdd_stats();
+            self.record_unit(start, "scfi_certify_site_ns", "certify_site");
         }
         verdict
+    }
+
+    /// Records one finished unit of certification work that began at
+    /// `start`: its duration into the `series` histogram, a `span`, and
+    /// the BDD counters it moved.
+    pub(crate) fn record_unit(&mut self, start: Instant, series: &str, span: &'static str) {
+        let elapsed = start.elapsed();
+        self.telemetry.histogram(series).observe_duration(elapsed);
+        self.telemetry.record_span(span, start, elapsed);
+        self.flush_bdd_stats();
     }
 
     fn certify_inner(&mut self, fault: Fault) -> Result<Verdict, BddOverflow> {

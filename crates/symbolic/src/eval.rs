@@ -246,17 +246,27 @@ impl FaultMasks {
 /// `set_net_stuck` calls), flips toggle by the parity of the active
 /// flip guards (like repeated `set_net_flip`), and register flips
 /// negate the stored-bit source by the parity of their guards.
-#[derive(Default)]
+///
+/// Every value a guard transforms is ANDed with the care set: it agrees
+/// with its unconstrained function wherever the care set holds and is
+/// `FALSE` outside it, so every net downstream agrees with its
+/// unconstrained function wherever the care set holds.
 struct GuardedMasks {
     nets: HashMap<u32, Vec<(FaultEffect, BddRef)>>,
     pins: HashMap<(u32, u8), Vec<(FaultEffect, BddRef)>>,
     /// Flip-guard parity per register *position*.
     reg_flips: HashMap<usize, Vec<BddRef>>,
+    care: BddRef,
 }
 
 impl GuardedMasks {
-    fn compile(module: &Module, faults: &[(Fault, BddRef)]) -> Self {
-        let mut masks = GuardedMasks::default();
+    fn compile(module: &Module, faults: &[(Fault, BddRef)], care: BddRef) -> Self {
+        let mut masks = GuardedMasks {
+            nets: HashMap::new(),
+            pins: HashMap::new(),
+            reg_flips: HashMap::new(),
+            care,
+        };
         for &(fault, guard) in faults {
             match fault.site {
                 FaultSite::CellOutput(c) => masks
@@ -280,8 +290,10 @@ impl GuardedMasks {
         masks
     }
 
-    /// Applies one site's guarded transform list to a raw value.
+    /// Applies one site's guarded transform list to a raw value, inside
+    /// the care set.
     fn apply(
+        &self,
         b: &mut Bdd,
         raw: BddRef,
         transforms: &[(FaultEffect, BddRef)],
@@ -303,31 +315,33 @@ impl GuardedMasks {
                 parity = b.try_xor(parity, guard)?;
             }
         }
-        b.try_xor(v, parity)
+        let v = b.try_xor(v, parity)?;
+        b.try_and(v, self.care)
     }
 
     fn net(&self, b: &mut Bdd, net: u32, raw: BddRef) -> Result<BddRef, BddOverflow> {
         match self.nets.get(&net) {
-            Some(t) => Self::apply(b, raw, t),
+            Some(t) => self.apply(b, raw, t),
             None => Ok(raw),
         }
     }
 
     fn pin(&self, b: &mut Bdd, cell: u32, pin: usize, raw: BddRef) -> Result<BddRef, BddOverflow> {
         match self.pins.get(&(cell, pin as u8)) {
-            Some(t) => Self::apply(b, raw, t),
+            Some(t) => self.apply(b, raw, t),
             None => Ok(raw),
         }
     }
 
     fn reg_source(&self, b: &mut Bdd, pos: usize, raw: BddRef) -> Result<BddRef, BddOverflow> {
+        let Some(guards) = self.reg_flips.get(&pos) else {
+            return Ok(raw);
+        };
         let mut v = raw;
-        if let Some(guards) = self.reg_flips.get(&pos) {
-            for &g in guards {
-                v = b.try_xor(v, g)?;
-            }
+        for &g in guards {
+            v = b.try_xor(v, g)?;
         }
-        Ok(v)
+        b.try_and(v, self.care)
     }
 }
 
@@ -470,6 +484,14 @@ impl<'m> SymbolicEvaluator<'m> {
     /// tests); with no faults it is the plain transition step from the
     /// given sources.
     ///
+    /// `care` is the set the caller will restrict the result to (the
+    /// joint proof's selector-cardinality constraint). Every value a
+    /// guard transforms is ANDed with it, so each returned function
+    /// equals its unconstrained counterpart wherever `care` holds: a
+    /// caller that ANDs its final BDD with `care` gets the same handle as
+    /// from an unconstrained evaluation, from smaller intermediates.
+    /// `BddRef::TRUE` constrains nothing and costs no step.
+    ///
     /// # Panics
     ///
     /// Panics on a register- or input-count mismatch.
@@ -479,11 +501,12 @@ impl<'m> SymbolicEvaluator<'m> {
         regs: &[BddRef],
         inputs: &[BddRef],
         faults: &[(Fault, BddRef)],
+        care: BddRef,
     ) -> Result<SymStep, BddOverflow> {
         let m = self.module;
         assert_eq!(regs.len(), m.registers().len(), "register count mismatch");
         assert_eq!(inputs.len(), m.inputs().len(), "input count mismatch");
-        let masks = GuardedMasks::compile(m, faults);
+        let masks = GuardedMasks::compile(m, faults, care);
         let mut nets = vec![BddRef::FALSE; m.len()];
 
         // Phase 0: source nets (inputs, constants, register outputs).
@@ -951,7 +974,13 @@ mod tests {
             let plain = ev.eval(&mut b, &[fault]);
             let (regs, inputs) = identity_sources(&ev, &mut b);
             let guarded = ev
-                .try_eval_guarded(&mut b, &regs, &inputs, &[(fault, BddRef::TRUE)])
+                .try_eval_guarded(
+                    &mut b,
+                    &regs,
+                    &inputs,
+                    &[(fault, BddRef::TRUE)],
+                    BddRef::TRUE,
+                )
                 .expect("unbudgeted");
             // Canonicity: equal functions are handle-equal.
             assert_eq!(plain.next_regs, guarded.next_regs, "fault {fault:?}");
@@ -962,7 +991,7 @@ mod tests {
         let off: Vec<(Fault, BddRef)> = faults.iter().map(|&f| (f, BddRef::FALSE)).collect();
         let (regs, inputs) = identity_sources(&ev, &mut b);
         let guarded = ev
-            .try_eval_guarded(&mut b, &regs, &inputs, &off)
+            .try_eval_guarded(&mut b, &regs, &inputs, &off, BddRef::TRUE)
             .expect("unbudgeted");
         assert_eq!(base.next_regs, guarded.next_regs);
         assert_eq!(base.outputs, guarded.outputs);
@@ -972,7 +1001,8 @@ mod tests {
     fn guarded_eval_selects_every_fault_subset_at_once() {
         // One evaluation with symbolic selectors, cofactored on each
         // concrete selector assignment, must match the unguarded
-        // evaluation of exactly that fault subset.
+        // evaluation of exactly that fault subset; so must a care-set
+        // evaluation on every subset inside its care set.
         let m = counter();
         let ev = SymbolicEvaluator::new(&m);
         let mut b = Bdd::new();
@@ -998,7 +1028,14 @@ mod tests {
             .collect();
         let (regs, inputs) = identity_sources(&ev, &mut b);
         let joint = ev
-            .try_eval_guarded(&mut b, &regs, &inputs, &guarded_faults)
+            .try_eval_guarded(&mut b, &regs, &inputs, &guarded_faults, BddRef::TRUE)
+            .expect("unbudgeted");
+        // The same evaluation inside a care set of at most one active
+        // fault must agree with it wherever the care set holds.
+        let selectors: Vec<u32> = (0..faults.len() as u32).map(|i| sel_base + i).collect();
+        let care = crate::unroll::at_most(&mut b, &selectors, 1).expect("unbudgeted");
+        let in_care = ev
+            .try_eval_guarded(&mut b, &regs, &inputs, &guarded_faults, care)
             .expect("unbudgeted");
         let n_in = m.inputs().len();
         let n_reg = m.registers().len();
@@ -1021,19 +1058,26 @@ mod tests {
                 for i in 0..faults.len() {
                     assignment[(sel_base + i as u32) as usize] = subset >> i & 1 == 1;
                 }
-                for (r, (&j, &e)) in joint.next_regs.iter().zip(&expect.next_regs).enumerate() {
-                    assert_eq!(
-                        b.eval(j, &assignment),
-                        b.eval(e, &assignment),
-                        "next reg {r}, subset {subset:03b}, bits {bits:b}"
-                    );
-                }
-                for (p, (&j, &e)) in joint.outputs.iter().zip(&expect.outputs).enumerate() {
-                    assert_eq!(
-                        b.eval(j, &assignment),
-                        b.eval(e, &assignment),
-                        "output {p}, subset {subset:03b}, bits {bits:b}"
-                    );
+                let checked: &[&SymStep] = if subset.count_ones() <= 1 {
+                    &[&joint, &in_care]
+                } else {
+                    &[&joint]
+                };
+                for step in checked {
+                    for (r, (&j, &e)) in step.next_regs.iter().zip(&expect.next_regs).enumerate() {
+                        assert_eq!(
+                            b.eval(j, &assignment),
+                            b.eval(e, &assignment),
+                            "next reg {r}, subset {subset:03b}, bits {bits:b}"
+                        );
+                    }
+                    for (p, (&j, &e)) in step.outputs.iter().zip(&expect.outputs).enumerate() {
+                        assert_eq!(
+                            b.eval(j, &assignment),
+                            b.eval(e, &assignment),
+                            "output {p}, subset {subset:03b}, bits {bits:b}"
+                        );
+                    }
                 }
             }
         }
@@ -1049,11 +1093,11 @@ mod tests {
         let mut b = Bdd::new();
         let (regs, inputs) = identity_sources(&ev, &mut b);
         let s1 = ev
-            .try_eval_guarded(&mut b, &regs, &inputs, &[])
+            .try_eval_guarded(&mut b, &regs, &inputs, &[], BddRef::TRUE)
             .expect("unbudgeted");
         let en2 = vec![b.var(ev.varmap().var_count())]; // fresh second-cycle input
         let s2 = ev
-            .try_eval_guarded(&mut b, &s1.next_regs, &en2, &[])
+            .try_eval_guarded(&mut b, &s1.next_regs, &en2, &[], BddRef::TRUE)
             .expect("unbudgeted");
         let mut sim = Simulator::new(&m);
         for bits in 0u64..1 << 4 {

@@ -37,6 +37,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::time::Instant;
 
 use scfi_faultsim::Fault;
 use scfi_netlist::Simulator;
@@ -176,7 +177,7 @@ impl KStepVerdict {
 /// bottom-up threshold recurrence: processing variables from the deepest
 /// up, `a[c]` tracks "at most `c` of the processed variables are true"
 /// and each variable `v` updates it to `ite(v, a[c-1], a[c])`.
-fn at_most(b: &mut Bdd, vars: &[u32], k: usize) -> Result<BddRef, BddOverflow> {
+pub(crate) fn at_most(b: &mut Bdd, vars: &[u32], k: usize) -> Result<BddRef, BddOverflow> {
     let mut a = vec![BddRef::TRUE; k + 1];
     for &v in vars.iter().rev() {
         let lit = b.try_var(v)?;
@@ -207,14 +208,23 @@ impl<M: CertifyModel> Certifier<'_, M> {
     /// counter is reset first and an overflow degrades to
     /// [`JointVerdict::Unknown`]; the claim is then *undecided*, never
     /// proven.
+    ///
+    /// With a recording telemetry handle the proof observes
+    /// `scfi_certify_joint_ns`, records a `certify_joint` span and
+    /// flushes the BDD counters; it is not a site, so
+    /// `scfi_certify_steps_per_site` is left alone.
     pub fn certify_joint(&mut self, faults: &[Fault], max_active: usize) -> JointReport {
         self.bdd.reset_steps();
+        let start = self.telemetry.enabled().then(Instant::now);
         let verdict = match self.certify_joint_inner(faults, max_active) {
             Ok(v) => v,
             Err(overflow) => JointVerdict::Unknown {
                 reason: overflow.to_string(),
             },
         };
+        if let Some(start) = start {
+            self.record_unit(start, "scfi_certify_joint_ns", "certify_joint");
+        }
         JointReport {
             config: self.model.config_name(),
             module: self.model.module().name().to_string(),
@@ -253,10 +263,18 @@ impl<M: CertifyModel> Certifier<'_, M> {
             .zip(&sel_vars)
             .map(|(&fault, &v)| Ok((fault, b.try_var(v)?)))
             .collect::<Result<Vec<_>, BddOverflow>>()?;
+        // The cardinality constraint is the care set of the whole proof:
+        // built first, it keeps every guarded net inside the admissible
+        // subsets instead of over all 2^sites of them.
+        let cardinality = at_most(b, &sel_vars, max_active)?;
 
-        let faulty = self
-            .evaluator
-            .try_eval_guarded(&mut self.bdd, &regs, &inputs, &guarded)?;
+        let faulty = self.evaluator.try_eval_guarded(
+            &mut self.bdd,
+            &regs,
+            &inputs,
+            &guarded,
+            cardinality,
+        )?;
 
         let ports = self.detection_ports.clone();
         let b = &mut self.bdd;
@@ -271,7 +289,6 @@ impl<M: CertifyModel> Certifier<'_, M> {
             alerted = b.try_or(alerted, faulty.outputs[p])?;
         }
         let quiet = b.try_not(alerted)?;
-        let cardinality = at_most(b, &sel_vars, max_active)?;
         let escape = {
             let e = b.try_and(diverge, undetected)?;
             let e = b.try_and(e, quiet)?;
@@ -382,17 +399,25 @@ impl<M: CertifyModel> Certifier<'_, M> {
             };
             assume_all = self.bdd.try_and(assume_all, assume_t)?;
 
-            let g = self
-                .evaluator
-                .try_eval_guarded(&mut self.bdd, &golden, &inputs, &[])?;
+            let g = self.evaluator.try_eval_guarded(
+                &mut self.bdd,
+                &golden,
+                &inputs,
+                &[],
+                BddRef::TRUE,
+            )?;
             let armed: &[(Fault, BddRef)] = if t == j {
                 &[(fault, BddRef::TRUE)]
             } else {
                 &[]
             };
-            let f = self
-                .evaluator
-                .try_eval_guarded(&mut self.bdd, &faulty, &inputs, armed)?;
+            let f = self.evaluator.try_eval_guarded(
+                &mut self.bdd,
+                &faulty,
+                &inputs,
+                armed,
+                BddRef::TRUE,
+            )?;
 
             let b = &mut self.bdd;
             let mut diverge = BddRef::FALSE;

@@ -57,4 +57,48 @@ fn certification_reports_are_byte_identical_with_recorder_installed() {
         faults.len() as u64,
         "one site-duration observation per certified fault"
     );
+    assert_eq!(
+        recorder.histogram("scfi_certify_joint_ns").snapshot().count,
+        1,
+        "one duration observation per joint proof"
+    );
+}
+
+#[test]
+fn a_joint_proof_reports_its_own_bdd_work() {
+    let fsm = parse_fsm(DEMO).expect("demo parses");
+    let h = harden(&fsm, &ScfiConfig::new(3)).expect("harden");
+    let reg_faults = enumerate_faults(
+        h.module(),
+        &CampaignConfig::new().register_region(h.module()),
+    );
+    let recorder = Telemetry::recording();
+    let mut certifier =
+        Certifier::with_instruments(&h, CertifyBudget::unlimited(), recorder.clone(), None)
+            .expect("setup within budget");
+    let nodes = recorder.gauge("scfi_bdd_nodes_high_water");
+    let misses = recorder.counter("scfi_bdd_ite_cache_misses_total");
+    let (setup_nodes, setup_misses) = (nodes.get(), misses.get());
+
+    let joint = certifier.certify_joint(&reg_faults, 2);
+    assert!(joint.verdict.is_proven(), "{joint}");
+    assert!(
+        nodes.get() > setup_nodes,
+        "the joint proof's node table must reach the high-water gauge \
+         ({} after setup, {} after the proof)",
+        setup_nodes,
+        nodes.get()
+    );
+    assert!(
+        misses.get() > setup_misses,
+        "the joint proof's misses flush"
+    );
+    assert_eq!(
+        recorder
+            .histogram("scfi_certify_steps_per_site")
+            .snapshot()
+            .count,
+        0,
+        "a joint proof is not a site"
+    );
 }

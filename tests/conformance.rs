@@ -566,6 +566,77 @@ fn joint_certification_proves_the_n_minus_one_claim_on_every_table1_fsm() {
     }
 }
 
+/// Joint certification with at most one active fault is logically the
+/// per-site check, so the two engines must agree on one fault set: the
+/// joint proof is PROVED exactly when no site has a counterexample (or
+/// is undecided), and otherwise it is REFUTED by a replay-confirmed
+/// witness whose one active fault is a per-site counterexample site.
+fn assert_joint_k1_matches_per_site<M: CertifyModel>(
+    model: &M,
+    config: &CampaignConfig,
+    what: &str,
+) {
+    use scfi_symbolic::JointVerdict;
+    let faults = enumerate_faults(model.module(), config);
+    assert!(!faults.is_empty(), "{what}: empty fault space");
+    let mut certifier = Certifier::new(model);
+    let per_site = certifier.certify_all(&faults);
+    let joint = certifier.certify_joint(&faults, 1);
+    let escaping: Vec<&scfi_faultsim::Fault> =
+        per_site.counterexample_sites().map(|(f, _)| f).collect();
+    match &joint.verdict {
+        JointVerdict::Proved => assert!(
+            escaping.is_empty() && per_site.unknown() == 0,
+            "{what}: joint k=1 proved but per-site is not clean: {per_site}"
+        ),
+        JointVerdict::Counterexample(w) => {
+            assert!(w.confirmed, "{what}: joint witness did not replay");
+            assert_eq!(w.active.len(), 1, "{what}: k=1 witness");
+            assert!(
+                escaping.contains(&&w.active[0]),
+                "{what}: joint witness {:?} is no per-site counterexample: {per_site}",
+                w.active[0]
+            );
+        }
+        JointVerdict::Unknown { reason } => panic!("{what}: unbudgeted joint Unknown: {reason}"),
+    }
+}
+
+/// The gate for care-set evaluation of joint proofs: joint k = 1 equals
+/// per-site on every Table-1 FSM for SCFI and the unprotected lowering
+/// (registers, N ∈ {2, 3}), on redundancy at N = 2 (registers; i2c_fsm's
+/// 302-site joint alone takes seconds, so it is left out), and on all
+/// three configurations over all gates at N = 2 for three FSMs.
+#[test]
+fn joint_certification_at_one_active_fault_matches_per_site_proofs() {
+    for b in scfi_opentitan::all() {
+        // The unprotected lowering has no protection level.
+        let lowered = lower_unprotected(&b.fsm).expect("lowering");
+        let config = register_fault_space(lowered.module());
+        assert_joint_k1_matches_per_site(&lowered, &config, &format!("{} unprotected", b.name));
+        for n in [2usize, 3] {
+            let h = harden(&b.fsm, &ScfiConfig::new(n)).expect("harden");
+            let config = register_fault_space(h.module());
+            assert_joint_k1_matches_per_site(&h, &config, &format!("{} SCFI N={n}", b.name));
+        }
+        if b.name != "i2c_fsm" {
+            let r = redundancy(&b.fsm, 2).expect("redundancy");
+            let config = register_fault_space(r.module());
+            assert_joint_k1_matches_per_site(&r, &config, &format!("{} redundancy N=2", b.name));
+        }
+        if ["aes_control", "otbn_controller", "ibex_lsu"].contains(&b.name) {
+            let all_gates = CampaignConfig::new().with_register_flips();
+            let h = harden(&b.fsm, &ScfiConfig::new(2)).expect("harden");
+            assert_joint_k1_matches_per_site(&h, &all_gates, &format!("{} SCFI gates", b.name));
+            let r = redundancy(&b.fsm, 2).expect("redundancy");
+            let what = format!("{} redundancy gates", b.name);
+            assert_joint_k1_matches_per_site(&r, &all_gates, &what);
+            let what = format!("{} unprotected gates", b.name);
+            assert_joint_k1_matches_per_site(&lowered, &all_gates, &what);
+        }
+    }
+}
+
 /// The temporal attacker's campaign — multi-fault draws where every fault
 /// carries its *own* sampled arming window over adversarially fuzzed
 /// protocol walks — must produce byte-identical reports on every backend,
