@@ -317,6 +317,17 @@ impl Bdd {
         self.steps = 0;
     }
 
+    /// Runs `f` with the step limit lifted. Its steps still advance the
+    /// deadline and cancellation cadence, and its nodes still count
+    /// against the node budget. The certifier's one-time work after setup
+    /// runs this way, so no site's step allowance pays for it.
+    pub(crate) fn without_step_limit<T>(&mut self, f: impl FnOnce(&mut Bdd) -> T) -> T {
+        let limit = self.max_steps.take();
+        let out = f(self);
+        self.max_steps = limit;
+        out
+    }
+
     /// Counts one operation step against the step limit and (periodically)
     /// the deadline and cancellation probe.
     fn step(&mut self) -> Result<(), BddOverflow> {

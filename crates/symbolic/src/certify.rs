@@ -97,6 +97,19 @@ pub trait CertifyModel {
     fn config_name(&self) -> &'static str;
 }
 
+/// The disjunction of a step's detection lines.
+pub(crate) fn or_ports(
+    b: &mut Bdd,
+    step: &SymStep,
+    ports: &[usize],
+) -> Result<BddRef, BddOverflow> {
+    let mut any = BddRef::FALSE;
+    for &p in ports {
+        any = b.try_or(any, step.outputs[p])?;
+    }
+    Ok(any)
+}
+
 /// Builds the disjunction of exact-word matches `⋁_w (next == w)`.
 fn word_match_any(
     b: &mut Bdd,
@@ -476,6 +489,14 @@ impl CertifyBudget {
 /// evaluator, the fault-free base step and the reachable-state set, and
 /// certifies fault sites against them.
 ///
+/// Every proof evaluates inside one care set, `R = Assume ∧ Reach`,
+/// built by a single AND at setup: each escape is ANDed with it at the
+/// end anyway, so nothing outside it can change a verdict. The first
+/// per-site proof ANDs every base function with `R` once and keeps that
+/// restricted base; each site's fault cone is then re-evaluated from it
+/// inside `R` ([`SymbolicEvaluator::try_eval_fault_from`]). Joint proofs
+/// add `R` to their selector-cardinality care set.
+///
 /// # Example
 ///
 /// ```
@@ -502,9 +523,15 @@ pub struct Certifier<'m, M: CertifyModel> {
     pub(crate) evaluator: SymbolicEvaluator<'m>,
     pub(crate) bdd: Bdd,
     pub(crate) base: SymStep,
+    /// `base` with every function ANDed with `care`, built by the first
+    /// per-site proof ([`restrict_base`](Self::restrict_base)).
+    restricted: Option<SymStep>,
     pub(crate) reach: Reachability,
     /// The model's input-space assumption over the input variables.
     pub(crate) assumption: BddRef,
+    /// `assumption ∧ reach.states`: the care set every proof evaluates
+    /// inside.
+    pub(crate) care: BddRef,
     pub(crate) detection_ports: Vec<usize>,
     /// Observability handle ([`Telemetry::off`] unless installed via
     /// [`with_instruments`](Self::with_instruments)); recording never
@@ -584,6 +611,7 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
             now
         });
         let reach = try_reachable_states(&mut bdd, &evaluator, &base, assumption)?;
+        let care = bdd.try_and(assumption, reach.states)?;
         if let Some(start) = reach_start {
             let elapsed = start.elapsed();
             telemetry
@@ -603,8 +631,10 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
             evaluator,
             bdd,
             base,
+            restricted: None,
             reach,
             assumption,
+            care,
             detection_ports,
             telemetry,
             flushed_ite: (0, 0),
@@ -704,10 +734,17 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
     /// starts, and a budget overflow degrades to [`Verdict::Unknown`]
     /// carrying the overflow reason — the site is reported undecided,
     /// never proven. Unbudgeted certifiers cannot overflow.
+    ///
+    /// The first call also builds the restricted base step. That
+    /// one-time work runs before the step counter is reset and outside
+    /// the step limit, so it is charged to the node budget and the
+    /// deadline only; if it overflows, this site is `Unknown` and the
+    /// next call tries again.
     pub fn certify(&mut self, fault: Fault) -> Verdict {
+        let restricted = self.restrict_base();
         self.bdd.reset_steps();
         let site_start = self.telemetry.enabled().then(Instant::now);
-        let verdict = match self.certify_inner(fault) {
+        let verdict = match restricted.and_then(|()| self.certify_inner(fault)) {
             Ok(verdict) => verdict,
             Err(overflow) => Verdict::Unknown {
                 reason: overflow.to_string(),
@@ -732,35 +769,54 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
         self.flush_bdd_stats();
     }
 
-    fn certify_inner(&mut self, fault: Fault) -> Result<Verdict, BddOverflow> {
+    /// Builds the restricted base step if no per-site proof has yet:
+    /// every base net, next-state and output function ANDed with the care
+    /// set, once, outside the step limit. With a recording telemetry
+    /// handle it observes `scfi_certify_restrict_ns` and records a
+    /// `certify_restrict` span.
+    fn restrict_base(&mut self) -> Result<(), BddOverflow> {
+        if self.restricted.is_some() {
+            return Ok(());
+        }
         self.bdd.poll()?;
+        let start = self.telemetry.enabled().then(Instant::now);
+        let (base, care) = (&self.base, self.care);
+        let restricted = self
+            .bdd
+            .without_step_limit(|b| base.try_restrict(b, care))?;
+        self.restricted = Some(restricted);
+        if let Some(start) = start {
+            self.record_unit(start, "scfi_certify_restrict_ns", "certify_restrict");
+        }
+        Ok(())
+    }
+
+    /// The escape BDD of one fault site, with the faulty step and the
+    /// divergence it was built from. The fault's cone is re-evaluated
+    /// from the restricted base inside the care set, so `diverge` is
+    /// `FALSE` outside it; every other function agrees with its
+    /// unconstrained counterpart inside it. The escape is still ANDed
+    /// with the assumption and the reachable set, so by canonicity it is
+    /// the same handle as the escape of an unconstrained evaluation.
+    fn site_escape(&mut self, fault: Fault) -> Result<(SymStep, BddRef, BddRef), BddOverflow> {
+        let base = self
+            .restricted
+            .as_ref()
+            .expect("the restricted base is built before any site");
+        let b = &mut self.bdd;
         let faulty = self
             .evaluator
-            .try_eval_fault_from(&mut self.bdd, &self.base, fault)?;
-        // Disjunction of the detection lines in a step (BddRefs are Copy,
-        // so collecting them first keeps the borrows disjoint).
-        let or_ports =
-            |b: &mut Bdd, step: &SymStep, ports: &[usize]| -> Result<BddRef, BddOverflow> {
-                let mut any = BddRef::FALSE;
-                for &p in ports {
-                    any = b.try_or(any, step.outputs[p])?;
-                }
-                Ok(any)
-            };
-        // Cloned (two small indices) rather than moved out, so an early
-        // `?` return cannot leave the field empty for the next site.
-        let ports = self.detection_ports.clone();
-        let b = &mut self.bdd;
+            .try_eval_fault_from(b, base, fault, self.care)?;
 
         // diverge: the committed next state differs somewhere.
         let mut diverge = BddRef::FALSE;
-        for (&free, &bad) in self.base.next_regs.iter().zip(&faulty.next_regs) {
+        for (&free, &bad) in base.next_regs.iter().zip(&faulty.next_regs) {
             let d = b.try_xor(free, bad)?;
             diverge = b.try_or(diverge, d)?;
         }
 
         let undetected = self.model.undetected_next(b, &faulty.next_regs)?;
-        let alerted = or_ports(b, &faulty, &ports)?;
+        let alerted = or_ports(b, &faulty, &self.detection_ports)?;
         let quiet = b.try_not(alerted)?;
         let escape = {
             let e = b.try_and(diverge, undetected)?;
@@ -768,6 +824,13 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
             let e = b.try_and(e, self.assumption)?;
             b.try_and(e, self.reach.states)?
         };
+        Ok((faulty, diverge, escape))
+    }
+
+    fn certify_inner(&mut self, fault: Fault) -> Result<Verdict, BddOverflow> {
+        self.bdd.poll()?;
+        let (faulty, diverge, escape) = self.site_escape(fault)?;
+        let b = &mut self.bdd;
 
         if escape != BddRef::FALSE {
             let assignment = b.sat_one(escape).expect("non-false BDD has a model");
@@ -783,8 +846,13 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
             // The observability test uses the campaign's observables —
             // the committed state and the detection lines, not the Moore
             // outputs (a Moore-only glitch is Masked in §6.4 terms too).
-            let base_alert = or_ports(b, &self.base, &ports)?;
-            let faulty_alert = or_ports(b, &faulty, &ports)?;
+            let base = self
+                .restricted
+                .as_ref()
+                .expect("the restricted base is built before any site");
+            let ports = &self.detection_ports;
+            let base_alert = or_ports(b, base, ports)?;
+            let faulty_alert = or_ports(b, &faulty, ports)?;
             let alert_diff = b.try_xor(base_alert, faulty_alert)?;
             let observable = b.try_or(diverge, alert_diff)?;
             let effect = b.try_and(observable, self.reach.states)?;
@@ -909,6 +977,77 @@ mod tests {
 
     fn register_fault_config(module: &Module) -> CampaignConfig {
         CampaignConfig::new().register_region(module)
+    }
+
+    impl<M: CertifyModel> Certifier<'_, M> {
+        /// The reference escape of one site: the fault's cone re-evaluated
+        /// from the plain base step with no care set, then the same escape
+        /// formula.
+        fn unconstrained_escape(&mut self, fault: Fault) -> BddRef {
+            let b = &mut self.bdd;
+            let faulty = self
+                .evaluator
+                .try_eval_fault_from(b, &self.base, fault, BddRef::TRUE)
+                .unwrap();
+            let mut diverge = BddRef::FALSE;
+            for (&free, &bad) in self.base.next_regs.iter().zip(&faulty.next_regs) {
+                let d = b.xor(free, bad);
+                diverge = b.or(diverge, d);
+            }
+            let undetected = self.model.undetected_next(b, &faulty.next_regs).unwrap();
+            let alerted = or_ports(b, &faulty, &self.detection_ports).unwrap();
+            let quiet = b.not(alerted);
+            let e = b.and(diverge, undetected);
+            let e = b.and(e, quiet);
+            let e = b.and(e, self.assumption);
+            b.and(e, self.reach.states)
+        }
+    }
+
+    /// Every site's escape through the care set `R` is the handle of the
+    /// unconstrained escape, over the register region and over all gates,
+    /// for every fault effect.
+    fn assert_care_set_escapes_are_unconstrained_escapes(model: &impl CertifyModel) {
+        let m = model.module();
+        let config = CampaignConfig::new()
+            .effects(vec![
+                FaultEffect::Flip,
+                FaultEffect::Stuck0,
+                FaultEffect::Stuck1,
+            ])
+            .with_register_flips();
+        for faults in [
+            enumerate_faults(m, &config.clone().register_region(m)),
+            enumerate_faults(m, &config),
+        ] {
+            let mut certifier = Certifier::new(model);
+            certifier.restrict_base().unwrap();
+            for &fault in &faults {
+                let (_, _, escape) = certifier.site_escape(fault).unwrap();
+                let reference = certifier.unconstrained_escape(fault);
+                assert_eq!(
+                    escape,
+                    reference,
+                    "{} ({}): {fault:?}",
+                    m.name(),
+                    model.config_name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn care_set_escapes_equal_unconstrained_escapes() {
+        for name in ["aes_control", "ibex_lsu", "pwrmgr_fsm"] {
+            let fsm = scfi_opentitan::by_name(name).expect("a Table-1 FSM").fsm;
+            for n in [2, 3] {
+                assert_care_set_escapes_are_unconstrained_escapes(
+                    &harden(&fsm, &ScfiConfig::new(n)).unwrap(),
+                );
+                assert_care_set_escapes_are_unconstrained_escapes(&redundancy(&fsm, n).unwrap());
+            }
+            assert_care_set_escapes_are_unconstrained_escapes(&lower_unprotected(&fsm).unwrap());
+        }
     }
 
     #[test]
@@ -1096,6 +1235,49 @@ mod tests {
         let report = certifier.certify_all(&faults);
         assert_eq!(report.unknown(), report.sites.len(), "{report}");
         assert!(!report.all_proven());
+    }
+
+    #[test]
+    fn the_restriction_is_charged_to_the_node_budget_never_to_a_site_allowance() {
+        let fsm = scfi_opentitan::by_name("i2c_fsm")
+            .expect("a Table-1 FSM")
+            .fsm;
+        let h = harden(&fsm, &ScfiConfig::new(3)).unwrap();
+        let faults = enumerate_faults(h.module(), &register_fault_config(h.module()));
+        let mut plain = Certifier::new(&h);
+        let setup_nodes = plain.bdd.node_count();
+        let mut hardest_site = 0;
+        let verdicts: Vec<Verdict> = faults
+            .iter()
+            .map(|&fault| {
+                let verdict = plain.certify(fault);
+                hardest_site = hardest_site.max(plain.bdd.steps());
+                verdict
+            })
+            .collect();
+        // The hardest site's allowance decides every site, the first one
+        // (which also restricts the base step) included.
+        let budget = CertifyBudget::unlimited().max_steps(hardest_site);
+        let report = Certifier::with_budget(&h, budget)
+            .unwrap()
+            .certify_all(&faults);
+        for (site, verdict) in report.sites.iter().zip(&verdicts) {
+            assert_eq!(&site.verdict, verdict, "fault {:?}", site.fault);
+        }
+        // A node budget the setup fills exactly leaves no room for the
+        // restriction: every site is Unknown, none proved.
+        let budget = CertifyBudget::unlimited().max_nodes(setup_nodes);
+        let mut starved = Certifier::with_budget(&h, budget).expect("setup fits exactly");
+        let report = starved.certify_all(&faults);
+        assert!(starved.restricted.is_none());
+        assert_eq!(report.unknown(), faults.len(), "{report}");
+        for site in &report.sites {
+            assert!(
+                matches!(&site.verdict, Verdict::Unknown { reason } if reason.contains("node budget")),
+                "{:?}",
+                site.verdict
+            );
+        }
     }
 
     #[test]

@@ -171,6 +171,25 @@ pub struct SymStep {
     pub outputs: Vec<BddRef>,
 }
 
+impl SymStep {
+    /// This step with every net, next-state and output function ANDed
+    /// with `care`: each one agrees with its original inside `care` and
+    /// is `FALSE` outside it. A plain conjunction, not the Coudert–Madre
+    /// `restrict` operator. This is the base step that
+    /// [`SymbolicEvaluator::try_eval_fault_from`] expects under a care
+    /// set.
+    pub(crate) fn try_restrict(&self, b: &mut Bdd, care: BddRef) -> Result<SymStep, BddOverflow> {
+        let mut and_all = |fs: &[BddRef]| -> Result<Vec<BddRef>, BddOverflow> {
+            fs.iter().map(|&f| b.try_and(f, care)).collect()
+        };
+        Ok(SymStep {
+            nets: and_all(&self.nets)?,
+            next_regs: and_all(&self.next_regs)?,
+            outputs: and_all(&self.outputs)?,
+        })
+    }
+}
+
 /// Per-net / per-pin fault transform: stuck value applied first, then an
 /// optional flip — the scalar simulator's `apply_net_fault` order.
 #[derive(Clone, Copy, Default)]
@@ -193,17 +212,26 @@ impl Transform {
 }
 
 /// Compiled fault set for one symbolic run.
-#[derive(Default)]
+///
+/// Every value a fault transforms is ANDed with the care set, and so is
+/// every inverting cell the run recomputes (see
+/// [`SymbolicEvaluator::try_eval_fault_from`]).
 struct FaultMasks {
     nets: HashMap<u32, Transform>,
     pins: HashMap<(u32, u8), Transform>,
     /// Register *positions* whose stored bit is flipped before the cycle.
     reg_flips: Vec<usize>,
+    care: BddRef,
 }
 
 impl FaultMasks {
-    fn compile(module: &Module, faults: &[Fault]) -> Self {
-        let mut masks = FaultMasks::default();
+    fn compile(module: &Module, faults: &[Fault], care: BddRef) -> Self {
+        let mut masks = FaultMasks {
+            nets: HashMap::new(),
+            pins: HashMap::new(),
+            reg_flips: Vec::new(),
+            care,
+        };
         let set = |t: &mut Transform, effect: FaultEffect| match effect {
             FaultEffect::Flip => t.flip = !t.flip,
             FaultEffect::Stuck0 => t.stuck = Some(false),
@@ -224,15 +252,28 @@ impl FaultMasks {
         masks
     }
 
-    fn net(&self, net: u32) -> Transform {
-        self.nets.get(&net).copied().unwrap_or_default()
+    /// Applies a transform, if any, to a raw value, inside the care set.
+    fn apply(
+        &self,
+        b: &mut Bdd,
+        raw: BddRef,
+        transform: Option<&Transform>,
+    ) -> Result<BddRef, BddOverflow> {
+        match transform {
+            Some(t) => {
+                let v = t.apply(b, raw)?;
+                b.try_and(v, self.care)
+            }
+            None => Ok(raw),
+        }
     }
 
-    fn pin(&self, cell: u32, pin: usize) -> Transform {
-        self.pins
-            .get(&(cell, pin as u8))
-            .copied()
-            .unwrap_or_default()
+    fn net(&self, b: &mut Bdd, net: u32, raw: BddRef) -> Result<BddRef, BddOverflow> {
+        self.apply(b, raw, self.nets.get(&net))
+    }
+
+    fn pin(&self, b: &mut Bdd, cell: u32, pin: usize, raw: BddRef) -> Result<BddRef, BddOverflow> {
+        self.apply(b, raw, self.pins.get(&(cell, pin as u8)))
     }
 }
 
@@ -347,9 +388,9 @@ impl GuardedMasks {
 
 /// Symbolic single-cycle evaluator for a [`Module`].
 ///
-/// Construction precomputes the variable order and the fanout adjacency
-/// used by the cone-incremental re-evaluation
-/// ([`SymbolicEvaluator::eval_fault_from`]).
+/// Construction precomputes the variable order only. The cone-incremental
+/// re-evaluation ([`SymbolicEvaluator::eval_fault_from`]) finds the
+/// fault's fanout by sweeping the whole topological order.
 ///
 /// # Example
 ///
@@ -409,18 +450,20 @@ impl<'m> SymbolicEvaluator<'m> {
     }
 
     /// The source value of a register's output net before net faults:
-    /// its current-state variable, negated if the stored bit is flipped.
+    /// its current-state variable, negated if the stored bit is flipped,
+    /// inside the care set.
     fn reg_source(
         &self,
         b: &mut Bdd,
         pos: usize,
         masks: &FaultMasks,
     ) -> Result<BddRef, BddOverflow> {
-        if masks.reg_flips.iter().filter(|&&p| p == pos).count() % 2 == 1 {
-            b.try_nvar(self.varmap.reg_current[pos])
+        let v = if masks.reg_flips.iter().filter(|&&p| p == pos).count() % 2 == 1 {
+            b.try_nvar(self.varmap.reg_current[pos])?
         } else {
-            b.try_var(self.varmap.reg_current[pos])
-        }
+            b.try_var(self.varmap.reg_current[pos])?
+        };
+        b.try_and(v, masks.care)
     }
 
     /// Evaluates one symbolic cycle under `faults` (empty for the
@@ -439,24 +482,24 @@ impl<'m> SymbolicEvaluator<'m> {
     /// [`BddOverflow`] instead of panicking. On an unbudgeted manager
     /// this never fails.
     pub fn try_eval(&self, b: &mut Bdd, faults: &[Fault]) -> Result<SymStep, BddOverflow> {
-        let masks = FaultMasks::compile(self.module, faults);
+        let masks = FaultMasks::compile(self.module, faults, BddRef::TRUE);
         let m = self.module;
         let mut nets = vec![BddRef::FALSE; m.len()];
 
         // Phase 0: source nets (inputs, constants, register outputs).
         for (i, &net) in m.inputs().iter().enumerate() {
             let raw = b.try_var(self.varmap.inputs[i])?;
-            nets[net.index()] = masks.net(net.0).apply(b, raw)?;
+            nets[net.index()] = masks.net(b, net.0, raw)?;
         }
         for (i, cell) in m.cells().iter().enumerate() {
             if let CellKind::Const(c) = cell.kind {
                 let raw = b.constant(c);
-                nets[i] = masks.net(i as u32).apply(b, raw)?;
+                nets[i] = masks.net(b, i as u32, raw)?;
             }
         }
         for (pos, &r) in m.registers().iter().enumerate() {
             let raw = self.reg_source(b, pos, &masks)?;
-            nets[r.index()] = masks.net(r.0).apply(b, raw)?;
+            nets[r.index()] = masks.net(b, r.0, raw)?;
         }
 
         // Phase 1: combinational settle in topological order.
@@ -622,19 +665,32 @@ impl<'m> SymbolicEvaluator<'m> {
     /// budget is exhausted; use
     /// [`try_eval_fault_from`](Self::try_eval_fault_from) under budgets.
     pub fn eval_fault_from(&self, b: &mut Bdd, base: &SymStep, fault: Fault) -> SymStep {
-        self.try_eval_fault_from(b, base, fault)
+        self.try_eval_fault_from(b, base, fault, BddRef::TRUE)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`eval_fault_from`](Self::eval_fault_from), surfacing budget
-    /// exhaustion on `b` as [`BddOverflow`] instead of panicking.
+    /// [`eval_fault_from`](Self::eval_fault_from) inside a care set,
+    /// surfacing budget exhaustion on `b` as [`BddOverflow`] instead of
+    /// panicking.
+    ///
+    /// `care` is the set the caller will restrict the result to (the
+    /// per-site proof's reachable states under admissible words), and
+    /// `base` should be the fault-free step with every function ANDed
+    /// with it. Every value the fault transforms (and the source a
+    /// faulted register reads) is ANDed with `care`, and so is every
+    /// recomputed inverting cell (NOT, NAND, NOR, XNOR), the only gates
+    /// that turn all-`FALSE` inputs into `TRUE`. From such a base, each
+    /// returned function therefore equals `eval(b, &[fault])` ANDed with
+    /// `care`, and the cone stops where a recomputed value equals its
+    /// base value. `BddRef::TRUE` constrains nothing and costs no step.
     pub fn try_eval_fault_from(
         &self,
         b: &mut Bdd,
         base: &SymStep,
         fault: Fault,
+        care: BddRef,
     ) -> Result<SymStep, BddOverflow> {
-        let masks = FaultMasks::compile(self.module, &[fault]);
+        let masks = FaultMasks::compile(self.module, &[fault], care);
         let m = self.module;
         let mut nets = base.nets.clone();
         let mut dirty = vec![false; m.len()];
@@ -650,7 +706,7 @@ impl<'m> SymbolicEvaluator<'m> {
                 // Unreachable through `enumerate_faults`, but keep the
                 // semantics total: re-apply the transform to the source.
                 let raw = nets[seed_cell.index()];
-                let v = masks.net(seed_cell.0).apply(b, raw)?;
+                let v = masks.net(b, seed_cell.0, raw)?;
                 if v != nets[seed_cell.index()] {
                     nets[seed_cell.index()] = v;
                     dirty[seed_cell.index()] = true;
@@ -661,7 +717,7 @@ impl<'m> SymbolicEvaluator<'m> {
                     .register_position(seed_cell)
                     .expect("DFF cells are registers");
                 let raw = self.reg_source(b, pos, &masks)?;
-                let v = masks.net(seed_cell.0).apply(b, raw)?;
+                let v = masks.net(b, seed_cell.0, raw)?;
                 if v != nets[seed_cell.index()] {
                     nets[seed_cell.index()] = v;
                     dirty[seed_cell.index()] = true;
@@ -698,7 +754,7 @@ impl<'m> SymbolicEvaluator<'m> {
         let cell = &self.module.cells()[index];
         let read = |b: &mut Bdd, pin: usize| -> Result<BddRef, BddOverflow> {
             let raw = nets[cell.pins[pin].index()];
-            masks.pin(index as u32, pin).apply(b, raw)
+            masks.pin(b, index as u32, pin, raw)
         };
         let raw = match cell.kind {
             CellKind::Buf => read(b, 0)?,
@@ -738,7 +794,15 @@ impl<'m> SymbolicEvaluator<'m> {
                 unreachable!("topo order contains only combinational cells")
             }
         };
-        masks.net(index as u32).apply(b, raw)
+        // Inverting cells turn the all-FALSE inputs outside the care set
+        // into TRUE; every other kind keeps them FALSE.
+        let raw = match cell.kind {
+            CellKind::Not | CellKind::Nand | CellKind::Nor | CellKind::Xnor => {
+                b.try_and(raw, masks.care)?
+            }
+            _ => raw,
+        };
+        masks.net(b, index as u32, raw)
     }
 
     /// Samples outputs and the register commit path from settled nets.
@@ -755,7 +819,7 @@ impl<'m> SymbolicEvaluator<'m> {
             .map(|&r| {
                 let pin_net = m.cell(r).pins[0];
                 let raw = nets[pin_net.index()];
-                masks.pin(r.0, 0).apply(b, raw)
+                masks.pin(b, r.0, 0, raw)
             })
             .collect::<Result<Vec<_>, _>>()?;
         let outputs = m
@@ -929,6 +993,78 @@ mod tests {
                 assert_eq!(full.nets, inc.nets, "fault {fault:?}");
             }
         }
+    }
+
+    /// Every fault of `model`'s module, over the register region and
+    /// over all gates (every effect, pin faults included), re-evaluated
+    /// from the fault-free step: with `care = TRUE` from the plain base it
+    /// equals `eval(b, &[fault])` handle for handle; inside
+    /// `R = Assume ∧ Reach` from the base restricted to `R` it equals
+    /// `eval(b, &[fault]) ∧ R`, net by net, on the next state and on the
+    /// outputs.
+    fn assert_care_set_cones_match_full_eval(model: &impl crate::CertifyModel) {
+        use scfi_faultsim::{enumerate_faults, CampaignConfig};
+        let m = model.module();
+        let ev = SymbolicEvaluator::new(m);
+        let mut b = Bdd::new();
+        let base = ev.eval(&mut b, &[]);
+        let inputs: Vec<BddRef> = (0..m.inputs().len())
+            .map(|i| b.var(ev.varmap().input(i)))
+            .collect();
+        let assumption = model.input_assumption(&mut b, &inputs).unwrap();
+        let reach = crate::reach::reachable_states(&mut b, &ev, &base, assumption);
+        let care = b.and(assumption, reach.states);
+        assert_ne!(care, BddRef::TRUE, "R must constrain something");
+        let restricted = base.try_restrict(&mut b, care).unwrap();
+        let every_effect = CampaignConfig::new()
+            .effects(vec![
+                FaultEffect::Flip,
+                FaultEffect::Stuck0,
+                FaultEffect::Stuck1,
+            ])
+            .with_register_flips();
+        let fault_sets = [
+            enumerate_faults(m, &every_effect.clone().register_region(m)),
+            enumerate_faults(m, &every_effect.with_pin_faults()),
+        ];
+        let and_care = |b: &mut Bdd, fs: &[BddRef]| -> Vec<BddRef> {
+            fs.iter().map(|&f| b.and(f, care)).collect()
+        };
+        for &fault in fault_sets.iter().flatten() {
+            let full = ev.eval(&mut b, &[fault]);
+            let plain = ev.eval_fault_from(&mut b, &base, fault);
+            assert_eq!(plain.nets, full.nets, "fault {fault:?}");
+            assert_eq!(plain.next_regs, full.next_regs, "fault {fault:?}");
+            assert_eq!(plain.outputs, full.outputs, "fault {fault:?}");
+
+            let inside = ev
+                .try_eval_fault_from(&mut b, &restricted, fault, care)
+                .unwrap();
+            let nets = and_care(&mut b, &full.nets);
+            if let Some(net) = (0..nets.len()).find(|&i| inside.nets[i] != nets[i]) {
+                panic!("fault {fault:?}: net {net} differs from eval ∧ R");
+            }
+            assert_eq!(
+                inside.next_regs,
+                and_care(&mut b, &full.next_regs),
+                "fault {fault:?}"
+            );
+            assert_eq!(
+                inside.outputs,
+                and_care(&mut b, &full.outputs),
+                "fault {fault:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn care_set_cones_equal_full_eval_inside_the_care_set() {
+        use scfi_core::{harden, redundancy, ScfiConfig};
+        let fsm = |name| scfi_opentitan::by_name(name).expect("a Table-1 FSM").fsm;
+        let h = harden(&fsm("aes_control"), &ScfiConfig::new(3)).unwrap();
+        assert_care_set_cones_match_full_eval(&h);
+        let r = redundancy(&fsm("pwrmgr_fsm"), 2).unwrap();
+        assert_care_set_cones_match_full_eval(&r);
     }
 
     /// Identity sources: every register reads its own current-state

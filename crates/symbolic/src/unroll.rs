@@ -43,7 +43,7 @@ use scfi_faultsim::Fault;
 use scfi_netlist::Simulator;
 
 use crate::bdd::{Bdd, BddOverflow, BddRef};
-use crate::certify::{Certifier, CertifyModel};
+use crate::certify::{or_ports, Certifier, CertifyModel};
 
 /// A concrete escaping assignment of the joint certification: the active
 /// fault subset plus the register/input assignment it escapes on.
@@ -263,20 +263,18 @@ impl<M: CertifyModel> Certifier<'_, M> {
             .zip(&sel_vars)
             .map(|(&fault, &v)| Ok((fault, b.try_var(v)?)))
             .collect::<Result<Vec<_>, BddOverflow>>()?;
-        // The cardinality constraint is the care set of the whole proof:
-        // built first, it keeps every guarded net inside the admissible
-        // subsets instead of over all 2^sites of them.
+        // The cardinality constraint and the certifier's care set (the
+        // reachable states under admissible words) together are the care
+        // set of the whole proof: built first, they keep every guarded
+        // net inside the admissible subsets instead of over all 2^sites
+        // of them, and inside the states and words the escape keeps.
         let cardinality = at_most(b, &sel_vars, max_active)?;
+        let care = b.try_and(cardinality, self.care)?;
 
-        let faulty = self.evaluator.try_eval_guarded(
-            &mut self.bdd,
-            &regs,
-            &inputs,
-            &guarded,
-            cardinality,
-        )?;
+        let faulty =
+            self.evaluator
+                .try_eval_guarded(&mut self.bdd, &regs, &inputs, &guarded, care)?;
 
-        let ports = self.detection_ports.clone();
         let b = &mut self.bdd;
         let mut diverge = BddRef::FALSE;
         for (&free, &bad) in self.base.next_regs.iter().zip(&faulty.next_regs) {
@@ -284,10 +282,7 @@ impl<M: CertifyModel> Certifier<'_, M> {
             diverge = b.try_or(diverge, d)?;
         }
         let undetected = self.model.undetected_next(b, &faulty.next_regs)?;
-        let mut alerted = BddRef::FALSE;
-        for &p in &ports {
-            alerted = b.try_or(alerted, faulty.outputs[p])?;
-        }
+        let alerted = or_ports(b, &faulty, &self.detection_ports)?;
         let quiet = b.try_not(alerted)?;
         let escape = {
             let e = b.try_and(diverge, undetected)?;
@@ -364,7 +359,6 @@ impl<M: CertifyModel> Certifier<'_, M> {
         let n_inputs = self.model.module().inputs().len();
         let reg_vars: Vec<u32> = (0..n_regs).map(|i| vm.reg_current(i)).collect();
         let cycle0_inputs: Vec<u32> = (0..n_inputs).map(|i| vm.input(i)).collect();
-        let ports = self.detection_ports.clone();
 
         let mut golden: Vec<BddRef> = reg_vars
             .iter()
@@ -426,10 +420,7 @@ impl<M: CertifyModel> Certifier<'_, M> {
                 diverge = b.try_or(diverge, d)?;
             }
             let undetected = self.model.undetected_next(b, &f.next_regs)?;
-            let mut alerted = BddRef::FALSE;
-            for &p in &ports {
-                alerted = b.try_or(alerted, f.outputs[p])?;
-            }
+            let alerted = or_ports(b, &f, &self.detection_ports)?;
             let hijack = b.try_and(diverge, undetected)?;
             any_hijack = b.try_or(any_hijack, hijack)?;
             let no_alert = b.try_not(alerted)?;

@@ -2,7 +2,9 @@
 //! recording [`Telemetry`] handle (and an armed-but-idle cancel token)
 //! renders *byte-identical* reports to one built with the plain budget
 //! constructor, for both the per-site and the joint claim. The recorder
-//! observes the BDD engine; it never participates in it.
+//! observes the BDD engine; it never participates in it. The one-time
+//! restriction of the base step to the care set is observed once per
+//! per-site run and never by a joint-only run.
 
 use scfi_core::{harden, ScfiConfig};
 use scfi_faultsim::{enumerate_faults, CampaignConfig, RunControl};
@@ -62,6 +64,14 @@ fn certification_reports_are_byte_identical_with_recorder_installed() {
         1,
         "one duration observation per joint proof"
     );
+    assert_eq!(
+        recorder
+            .histogram("scfi_certify_restrict_ns")
+            .snapshot()
+            .count,
+        1,
+        "the base step is restricted once, by the first site"
+    );
 }
 
 #[test]
@@ -100,5 +110,13 @@ fn a_joint_proof_reports_its_own_bdd_work() {
             .count,
         0,
         "a joint proof is not a site"
+    );
+    assert_eq!(
+        recorder
+            .histogram("scfi_certify_restrict_ns")
+            .snapshot()
+            .count,
+        0,
+        "a joint proof does not restrict the base step"
     );
 }
