@@ -1,4 +1,4 @@
-//! Ablations over the design choices DESIGN.md calls out:
+//! Ablations over the design choices the paper leaves open:
 //!
 //! * **MDS matrix choice** (§5.1 "the choice of MDS matrix can be changed
 //!   according to design requirements"): lightweight searched matrix vs
@@ -8,9 +8,6 @@
 //! * **Error-bit count `e`** (§4.1 "depending on the required fault
 //!   security"): area vs diffusion-layer escape rate as `e` grows.
 
-use std::time::Duration;
-
-use criterion::{criterion_group, Criterion};
 use scfi_core::{harden, PadPolicy, ScfiConfig};
 use scfi_faultsim::{run_exhaustive, CampaignConfig, FaultEffect, ScfiTarget};
 use scfi_mds::{Lowering, MdsSpec};
@@ -141,30 +138,6 @@ fn print_ablations() {
     println!("selector limitation; output protection extends detection to λ\n");
 }
 
-fn bench_ablations(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablations");
-    group.bench_function("mds_build_lightweight", |b| {
-        // Cached after the first call; measures the cache path plus clone.
-        b.iter(|| MdsSpec::ScfiLightweight.build())
-    });
-    group.bench_function("xor_lowering_paar", |b| {
-        let mds = MdsSpec::ScfiLightweight.build();
-        b.iter(|| mds.xor_program(Lowering::Paar))
-    });
-    group.finish();
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(500));
-    targets = bench_ablations
-}
-
 fn main() {
     print_ablations();
-    benches();
-    Criterion::default().configure_from_args().final_summary();
 }

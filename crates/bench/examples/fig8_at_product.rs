@@ -7,9 +7,6 @@
 //! proprietary library — ours differ in absolute value, not in ordering)
 //! and whether every configuration meets OpenTitan's 125 MHz target.
 
-use std::time::Duration;
-
-use criterion::{criterion_group, Criterion};
 use scfi_bench::at_sweep;
 use scfi_core::{harden, ScfiConfig};
 use scfi_fsm::lower_unprotected;
@@ -65,35 +62,6 @@ fn print_fig8() {
     println!("(paper: base 312 MHz, redundancy 308 MHz, SCFI 294 MHz; all meet 125 MHz)\n");
 }
 
-fn bench_sizing(c: &mut Criterion) {
-    let bench = scfi_opentitan::by_name("adc_ctrl_fsm").expect("suite entry");
-    let lib = Library::nangate45_like();
-    let scfi3 = harden(&bench.fsm, &ScfiConfig::new(3)).expect("harden");
-    let mut group = c.benchmark_group("fig8");
-    group.bench_function("size_scfi_n3_for_4000ps", |b| {
-        b.iter(|| {
-            let mut mapped = lib.map(scfi3.module());
-            mapped.size_for_period(4000.0)
-        })
-    });
-    group.bench_function("sta_min_period", |b| {
-        let mapped = lib.map(scfi3.module());
-        b.iter(|| mapped.min_period_ps())
-    });
-    group.finish();
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(500));
-    targets = bench_sizing
-}
-
 fn main() {
     print_fig8();
-    benches();
-    Criterion::default().configure_from_args().final_summary();
 }

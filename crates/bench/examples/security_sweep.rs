@@ -8,9 +8,6 @@
 //! and SCFI's rate stays flat (probabilistic detection) while matching or
 //! beating redundancy as the multiplicity grows.
 
-use std::time::Duration;
-
-use criterion::{criterion_group, Criterion};
 use scfi_core::{harden, redundancy, ScfiConfig};
 use scfi_faultsim::{
     paper_success_probability, run_multi_fault, CampaignConfig, RedundancyTarget, ScfiTarget,
@@ -82,28 +79,6 @@ fn print_sweep() {
     println!("shape: unprotected >> redundancy/SCFI; SCFI stays low as multiplicity grows\n");
 }
 
-fn bench_multi_fault(c: &mut Criterion) {
-    let bench = scfi_opentitan::by_name("ibex_lsu").expect("suite entry");
-    let hardened = harden(&bench.fsm, &ScfiConfig::new(2)).expect("harden");
-    let mut group = c.benchmark_group("security_sweep");
-    group.bench_function("multi_fault_1000_runs", |b| {
-        let target = ScfiTarget::new(&hardened);
-        b.iter(|| run_multi_fault(&target, 2, 1000, &CampaignConfig::new().seed(1)))
-    });
-    group.finish();
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3))
-        .warm_up_time(Duration::from_millis(500));
-    targets = bench_multi_fault
-}
-
 fn main() {
     print_sweep();
-    benches();
-    Criterion::default().configure_from_args().final_summary();
 }

@@ -7,11 +7,7 @@
 //! escape rate must stay well below 1 % and every escape must require
 //! landing on a *valid* wrong codeword.
 
-use std::time::Duration;
-
-use criterion::{criterion_group, Criterion};
 use scfi_bench::synfi_experiment;
-use scfi_core::{harden, ScfiConfig};
 use scfi_faultsim::{run_exhaustive, CampaignConfig, FaultEffect, ScfiTarget, UnprotectedTarget};
 use scfi_fsm::lower_unprotected;
 
@@ -54,34 +50,6 @@ fn print_synfi() {
     );
 }
 
-fn bench_campaign(c: &mut Criterion) {
-    let fsm = scfi_opentitan::synfi_formal_fsm();
-    let hardened = harden(&fsm, &ScfiConfig::new(2)).expect("harden");
-    let mut group = c.benchmark_group("synfi");
-    group.bench_function("diffusion_flip_campaign", |b| {
-        b.iter(|| {
-            run_exhaustive(
-                &ScfiTarget::new(&hardened),
-                &CampaignConfig::new()
-                    .effects(vec![FaultEffect::Flip])
-                    .region(hardened.regions().diffusion.clone()),
-            )
-        })
-    });
-    group.finish();
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3))
-        .warm_up_time(Duration::from_millis(500));
-    targets = bench_campaign
-}
-
 fn main() {
     print_synfi();
-    benches();
-    Criterion::default().configure_from_args().final_summary();
 }

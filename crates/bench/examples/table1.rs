@@ -1,14 +1,9 @@
 //! Regenerates **Table 1** of the SCFI paper: area overhead for protecting
 //! the seven OpenTitan FSMs with N-fold redundancy vs SCFI, N ∈ {2, 3, 4}.
 //!
-//! Run with `cargo bench -p scfi-bench --bench table1`. The table prints
-//! first; a small Criterion group then times the hardening pass itself.
+//! Run with `cargo run --release -p scfi-bench --example table1`.
 
-use std::time::Duration;
-
-use criterion::{criterion_group, Criterion};
 use scfi_bench::{geometric_mean, table1_rows};
-use scfi_core::{harden, ScfiConfig};
 
 fn print_table1() {
     println!("\n=== Table 1: area overhead, redundancy vs SCFI ===");
@@ -59,37 +54,6 @@ fn print_table1() {
     println!("otbn_controller is the configuration where SCFI >= redundancy (fixed MDS cost).\n");
 }
 
-fn bench_transforms(c: &mut Criterion) {
-    let suite = scfi_opentitan::all();
-    let adc = suite
-        .iter()
-        .find(|b| b.name == "adc_ctrl_fsm")
-        .expect("suite");
-    let i2c = suite.iter().find(|b| b.name == "i2c_fsm").expect("suite");
-    let mut group = c.benchmark_group("table1");
-    group.bench_function("harden_adc_ctrl_n3", |b| {
-        b.iter(|| harden(&adc.fsm, &ScfiConfig::new(3)).expect("harden"))
-    });
-    group.bench_function("harden_i2c_n4", |b| {
-        b.iter(|| harden(&i2c.fsm, &ScfiConfig::new(4)).expect("harden"))
-    });
-    group.bench_function("redundancy_adc_ctrl_n3", |b| {
-        b.iter(|| scfi_core::redundancy(&adc.fsm, 3).expect("redundancy"))
-    });
-    group.finish();
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(500));
-    targets = bench_transforms
-}
-
 fn main() {
     print_table1();
-    benches();
-    Criterion::default().configure_from_args().final_summary();
 }

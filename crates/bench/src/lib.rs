@@ -1,10 +1,10 @@
-//! Shared machinery for the benchmark harness that regenerates the SCFI
-//! paper's tables and figures.
+//! Shared machinery for the examples that regenerate the SCFI paper's
+//! tables and figures.
 //!
-//! Each `benches/*.rs` target prints the reproduction artifact (a table or
-//! CSV series mirroring the paper) and then runs a small Criterion group
-//! timing the underlying operation. This library hosts the computations so
-//! they are unit-testable:
+//! Each `examples/*.rs` target prints one reproduction artifact (a table
+//! or CSV series mirroring the paper); run one with
+//! `cargo run --release -p scfi-bench --example <name>`. This library
+//! hosts the computations so they are unit-testable:
 //!
 //! * [`module_areas`] / [`table1_rows`] — Table 1 (area overhead of
 //!   redundancy vs SCFI at N ∈ {2, 3, 4} over the seven OpenTitan-like
@@ -46,9 +46,9 @@ impl ModuleAreas {
 /// `n` and returns module-level areas.
 ///
 /// The non-FSM datapath area is profiled as
-/// `max(0, paper_module_ge − mapped unprotected FSM area)` (substitution S5
-/// in DESIGN.md): the FSM logic is genuinely synthesized and measured; only
-/// the surrounding datapath is a constant.
+/// `max(0, paper_module_ge − mapped unprotected FSM area)` (the README's
+/// "Datapath profile" note): the FSM logic is genuinely synthesized and
+/// measured; only the surrounding datapath is a constant.
 ///
 /// # Panics
 ///

@@ -37,7 +37,9 @@ use scfi_faultsim::{
 use scfi_fsm::{parse_fsm, Fsm};
 use scfi_netlist::Module;
 use scfi_serve::cache::prepare_with;
-use scfi_serve::jobs::{certify, joint_bound, Certification, Format, JobKind, JobSpec};
+use scfi_serve::jobs::{
+    certify, joint_bound, protocol_depth, Certification, Format, JobKind, JobSpec,
+};
 use scfi_serve::wire::{bits, write_sites_csv, write_sites_json};
 use scfi_serve::{ConfigKind, Prepared, PreparedModel, WALK_SEED};
 use scfi_stdcell::Library;
@@ -105,8 +107,10 @@ JSON.
 
 `-` reads the FSM DSL from standard input. `scfi suite` lists the bundled
 OpenTitan-like benchmark FSMs; `scfi suite <name>` prints one as DSL.
-`--protocol K` runs a multi-cycle campaign over depth-K CFG walks, each
-step glitched transiently, instead of the single-transition experiment.
+`--protocol K` runs a multi-cycle campaign over depth-K CFG walks
+(K ≤ 64), each step glitched transiently, instead of the
+single-transition experiment. `--multi M --runs K` (default K = 2000)
+draws M × K faults, at most 2^26.
 `--backend` picks the campaign engine (default `packed`): `scalar` is
 the one-injection-at-a-time reference, `packed` the bit-parallel wave
 engine. `--lanes` picks the packed backend's wave width (default 256;
@@ -366,6 +370,9 @@ fn cmd_harden(args: &[String], out: &mut String) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The most faults one `--multi M --runs K` campaign draws (M × K).
+const MAX_DRAWN_FAULTS: usize = 1 << 26;
+
 fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
     let mut flags = Flags::new(args);
     let region = flags.value("--region")?.unwrap_or("all").to_string();
@@ -374,14 +381,9 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
     let rank = flags.switch("--rank");
     let multi: Option<usize> = flags.number("--multi", "a number")?;
     let runs: Option<usize> = flags.number("--runs", "a number")?;
-    let protocol: Option<usize> = flags
-        .value("--protocol")?
-        .map(|v| {
-            v.parse()
-                .ok()
-                .filter(|&k: &usize| k > 0)
-                .ok_or_else(|| usage_err("--protocol must be a positive walk depth"))
-        })
+    let protocol = flags
+        .number::<u64>("--protocol", "a walk depth")?
+        .map(|depth| protocol_depth(depth).map_err(|m| usage_err(format!("--protocol {m}"))))
         .transpose()?;
     let fuzz_inputs = flags.switch("--fuzz-inputs");
     let fault_windows = flags.switch("--fault-windows");
@@ -435,6 +437,16 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
     ] {
         if conflict {
             return Err(usage_err(message));
+        }
+    }
+    // The work list holds every drawn fault, about 30 bytes each: refuse
+    // a draw count whose allocation would abort the process.
+    let runs = runs.unwrap_or(2000);
+    if let Some(m) = multi {
+        if m.saturating_mul(runs) > MAX_DRAWN_FAULTS {
+            return Err(usage_err(format!(
+                "--multi {m} × --runs {runs} draws more than {MAX_DRAWN_FAULTS} faults"
+            )));
         }
     }
     let lane_words: usize = match flags.value("--lanes")? {
@@ -525,7 +537,7 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
         // summary line from its totals.
         let mut ranking = None;
         let report = match multi {
-            Some(m) => try_run_multi_fault(&target, m, runs.unwrap_or(2000), &config, &control),
+            Some(m) => try_run_multi_fault(&target, m, runs, &config, &control),
             None if rank => VulnerabilityMap::try_analyze(&target, &config, &control)
                 .map(|map| ranking.insert(map).summary()),
             None => try_run_exhaustive(&target, &config, &control),
@@ -1103,6 +1115,30 @@ mod tests {
         let p = path.to_str().expect("utf8");
         assert_eq!(run_err(&["analyze", p, "--protocol", "0"]).code, 1);
         assert_eq!(run_err(&["analyze", p, "--protocol", "x"]).code, 1);
+        // Past MAX_PROTOCOL_DEPTH the walks are refused before they are
+        // allocated, never an allocation abort.
+        assert_eq!(run_err(&["analyze", p, "--protocol", "65"]).code, 1);
+        assert_eq!(
+            run_err(&["analyze", p, "--protocol", "99999999999"]).code,
+            1
+        );
+        let deepest = run_ok(&["analyze", p, "--level", "2", "--protocol", "64"]);
+        assert!(deepest.contains("depth-64 protocol walks"), "{deepest}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// A joint bound past the site count means "all of them": `at_most`
+    /// clamps it, so it runs instead of allocating a threshold per bound.
+    #[test]
+    fn joint_bounds_past_the_site_count_are_clamped() {
+        let path = write_demo();
+        let p = path.to_str().expect("utf8");
+        let joint = |k: &str| run_ok(&["certify", p, "--level", "2", "--joint", "--max-active", k]);
+        // The demo FSM has 6 register sites.
+        assert_eq!(
+            joint("99999999999").replace("at most 99999999999 ", "at most 6 "),
+            joint("6")
+        );
         let _ = std::fs::remove_file(path);
     }
 
@@ -1702,7 +1738,8 @@ mod tests {
 
     /// `--rank --multi`, like every flag combination that cannot run, is a
     /// usage error raised before any work: nothing is written, not even
-    /// the `--protocol` header.
+    /// the `--protocol` header. So is a draw count whose work list could
+    /// not be allocated.
     #[test]
     fn rank_with_multi_is_rejected() {
         let path = write_demo();
@@ -1715,6 +1752,9 @@ mod tests {
             &["--protocol", "2", "--format", "json", "--rank"],
             &["--protocol", "2", "--multi", "0"],
             &["--protocol", "2", "--multi", "2", "--runs", "0"],
+            &["--multi", "2", "--runs", "99999999999"],
+            &["--multi", "99999999999", "--runs", "10"],
+            &["--multi", "99999999999"],
         ] {
             let mut args = vec!["analyze", p, "--level", "2"];
             args.extend(extra);

@@ -244,9 +244,9 @@ impl CampaignConfig {
     /// lowering in this workspace allocates contiguously per bank).
     ///
     /// This is the shared definition of "the register faults" used by
-    /// the conformance suites, the `scfi certify` CLI default and the
-    /// certification benches — one source of truth instead of four
-    /// restatements of the contiguity assumption.
+    /// the conformance suites, the certifier's tests and work pins and
+    /// the job pipeline behind `scfi certify` — one source of truth
+    /// instead of restatements of the contiguity assumption.
     ///
     /// # Panics
     ///

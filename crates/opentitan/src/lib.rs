@@ -262,8 +262,7 @@ pub fn synfi_formal_fsm() -> Fsm {
 /// The secure-boot protocol FSM for multi-cycle campaigns (not a Table-1
 /// row; see the `SECURE_BOOT` docs). Its happy path
 /// `ROM_MEASURE → … → UNLOCK_FLASH → EXEC → DONE` is the walk the
-/// `campaign_multicycle` bench and the mid-protocol conformance tests
-/// attack.
+/// multi-cycle conformance tests and the faultsim work pins attack.
 pub fn secure_boot_fsm() -> Fsm {
     parse_fsm(SECURE_BOOT).expect("built-in secure-boot FSM parses")
 }

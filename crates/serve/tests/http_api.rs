@@ -95,9 +95,25 @@ fn analyze_lifecycle_runs_to_a_result_and_caches_the_model() {
         "cache hit must not change the result"
     );
 
+    // A warm concurrent batch: 4 clients × 2 jobs, every one a cache hit
+    // with the first result's bytes.
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                for _ in 0..2 {
+                    assert_eq!(
+                        run_to_result(addr, FAST_JOB),
+                        reply.body,
+                        "a concurrent warm job changed the result"
+                    );
+                }
+            });
+        }
+    });
+
     let health = http(addr, "GET", "/v1/healthz", None).json();
     let cache = health.get("cache").unwrap();
-    assert_eq!(cache.get("hits").unwrap().as_u64(), Some(1));
+    assert_eq!(cache.get("hits").unwrap().as_u64(), Some(9));
     assert_eq!(cache.get("misses").unwrap().as_u64(), Some(1));
     assert_eq!(cache.get("entries").unwrap().as_u64(), Some(1));
 }
@@ -337,6 +353,37 @@ fn malformed_and_invalid_requests_get_typed_errors() {
             "{method} {path} with {body:?}"
         );
     }
+}
+
+/// Oversized sizes never take the server down: a protocol walk past
+/// `MAX_PROTOCOL_DEPTH` is a typed 400, and a joint bound past the site
+/// count is clamped and runs to a verdict. `/v1/healthz` answers after
+/// each.
+#[test]
+fn oversized_sizes_are_rejected_or_clamped_and_the_server_stays_up() {
+    let server = boot(ServerOptions::default());
+    let addr = server.local_addr();
+
+    let reply = http(
+        addr,
+        "POST",
+        "/v1/jobs",
+        Some(r#"{"kind": "analyze", "suite": "aes_control", "protocol": 99999999999}"#),
+    );
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    let error = reply.json().get("error").unwrap().clone();
+    assert_eq!(error.get("code").unwrap().as_str(), Some("bad_protocol"));
+    assert_eq!(http(addr, "GET", "/v1/healthz", None).status, 200);
+
+    let body = run_to_result(
+        addr,
+        r#"{"kind": "certify", "suite": "aes_control", "level": 2, "joint": true,
+            "max_active": 99999999999}"#,
+    );
+    let doc = scfi_serve::json::parse(&body).expect("joint result is JSON");
+    assert_eq!(doc.get("max_active").unwrap().as_u64(), Some(99999999999));
+    assert!(doc.get("verdict").unwrap().get("kind").is_some(), "{body}");
+    assert_eq!(http(addr, "GET", "/v1/healthz", None).status, 200);
 }
 
 #[test]

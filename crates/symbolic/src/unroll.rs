@@ -176,8 +176,12 @@ impl KStepVerdict {
 /// The BDD of "at most `k` of `vars` are true", built by the standard
 /// bottom-up threshold recurrence: processing variables from the deepest
 /// up, `a[c]` tracks "at most `c` of the processed variables are true"
-/// and each variable `v` updates it to `ite(v, a[c-1], a[c])`.
+/// and each variable `v` updates it to `ite(v, a[c-1], a[c])`. A bound
+/// of `k ≥ vars.len()` holds everywhere, so `k` is clamped to the
+/// variable count first: the function is the same, and the threshold
+/// vector never outgrows the variables.
 pub(crate) fn at_most(b: &mut Bdd, vars: &[u32], k: usize) -> Result<BddRef, BddOverflow> {
+    let k = k.min(vars.len());
     let mut a = vec![BddRef::TRUE; k + 1];
     for &v in vars.iter().rev() {
         let lit = b.try_var(v)?;
@@ -532,7 +536,7 @@ mod tests {
     fn at_most_counts_true_variables() {
         let mut b = Bdd::new();
         let vars = [0u32, 1, 2, 3];
-        for k in 0..=4 {
+        for k in (0..=5).chain([usize::MAX]) {
             let f = at_most(&mut b, &vars, k).unwrap();
             for bits in 0u32..16 {
                 let assignment: Vec<bool> = (0..4).map(|i| bits >> i & 1 == 1).collect();

@@ -19,7 +19,8 @@ mod common;
 use scfi_core::{harden, redundancy, ScfiConfig, ScfiError, StateDecode};
 use scfi_faultsim::{
     enumerate_faults, run_exhaustive, run_exhaustive_scalar, CampaignConfig, FaultSite,
-    FaultTarget, RedundancyTarget, ScfiTarget, UnprotectedTarget, VulnerabilityMap,
+    FaultTarget, FaultTiming, ProtocolScenario, RedundancyTarget, ScfiTarget, UnprotectedTarget,
+    VulnerabilityMap,
 };
 use scfi_fsm::lower_unprotected;
 use scfi_netlist::{Module, Simulator};
@@ -221,7 +222,9 @@ fn assert_engines_agree<T: FaultTarget>(target: &T, config: &CampaignConfig, wha
 /// (unprotected, redundancy, SCFI) and every protection level N ∈
 /// {2, 3, 4}, the bit-parallel packed engine must reproduce the scalar
 /// engine's `CampaignReport` aggregates exactly — the same exhaustive
-/// gate-output flip campaign, injection for injection.
+/// gate-output flip campaign, injection for injection. Two more inputs
+/// cover fault spaces the matrix leaves out: gate-output flips without
+/// register flips, and one depth-1 scenario per CFG edge.
 #[test]
 fn packed_campaign_engine_matches_scalar_on_every_table1_fsm() {
     let config = CampaignConfig::new().with_register_flips();
@@ -247,6 +250,28 @@ fn packed_campaign_engine_matches_scalar_on_every_table1_fsm() {
             );
         }
     }
+
+    // Gate-output flips alone: no stored-bit flip in any wave.
+    let adc = scfi_opentitan::by_name("adc_ctrl_fsm").expect("suite entry");
+    let h = harden(&adc.fsm, &ScfiConfig::new(2)).expect("harden");
+    assert_engines_agree(
+        &ScfiTarget::new(&h),
+        &CampaignConfig::new(),
+        "adc_ctrl_fsm SCFI N=2 gate-output flips",
+    );
+
+    // The most scenario-dense campaign: one depth-1 scenario per CFG
+    // edge, register flips only, so each wave spans many scenarios.
+    let i2c = scfi_opentitan::by_name("i2c_fsm").expect("suite entry");
+    let h = harden(&i2c.fsm, &ScfiConfig::new(2)).expect("harden");
+    let scenarios = (0..h.cfg().edges().len())
+        .map(|e| ProtocolScenario::uniform(vec![e], FaultTiming::Transient(0)))
+        .collect();
+    assert_engines_agree(
+        &ScfiTarget::with_scenarios(&h, scenarios),
+        &CampaignConfig::new().effects(vec![]).with_register_flips(),
+        "i2c_fsm SCFI N=2 scenario-dense depth-1",
+    );
 }
 
 /// Multi-cycle security claim, over the paper's full FSM suite: a
@@ -642,7 +667,8 @@ fn joint_certification_at_one_active_fault_matches_per_site_proofs() {
 /// protocol walks — must produce byte-identical reports on every backend,
 /// wave width and thread count. This pins the per-fault `FaultSchedule`
 /// lowering and the word-parallel multi-window classification against the
-/// scalar reference across all three §6.1 configurations.
+/// scalar reference across all three §6.1 configurations, and on two
+/// Table-1 FSMs at N ∈ {2, 3}.
 #[test]
 fn multiwindow_fuzzed_campaigns_agree_across_engines_and_threads() {
     use scfi_faultsim::{run_multi_fault, run_multi_fault_scalar};
@@ -683,6 +709,22 @@ fn multiwindow_fuzzed_campaigns_agree_across_engines_and_threads() {
     );
     check(&red, m, runs, "secure_boot redundancy fuzzed multi-window");
     check(&scfi, m, runs, "secure_boot SCFI fuzzed multi-window");
+
+    // Table-1 FSMs at the temporal attacker's full shape: depth-4 fuzzed
+    // walks and 6,000 draws.
+    for name in ["aes_control", "adc_ctrl_fsm"] {
+        let b = scfi_opentitan::by_name(name).expect("suite entry");
+        for n in [2, 3] {
+            let h = harden(&b.fsm, &ScfiConfig::new(n)).expect("harden");
+            let target = ScfiTarget::with_fuzzed_protocol(&h, 4, 0x5CF1_F022);
+            check(
+                &target,
+                m,
+                6000,
+                &format!("{name} SCFI N={n} fuzzed multi-window"),
+            );
+        }
+    }
 }
 
 /// Whole-module single-fault campaign on the smallest Table-1 FSM: the

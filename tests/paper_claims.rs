@@ -1,6 +1,7 @@
 //! Shape-level assertions of the paper's evaluation claims, run against
 //! the actual benchmark pipeline. These are the automated versions of the
-//! EXPERIMENTS.md checklist.
+//! shape checks the `scfi-bench` examples print (README, "Reproducing the
+//! paper's artifacts"; area figures use the README's "Datapath profile").
 
 use scfi_repro::core::{harden, PadPolicy, ScfiConfig};
 use scfi_repro::faultsim::{
