@@ -6,7 +6,7 @@
 //! item order** — deterministically, independent of thread count, batching
 //! or internal lane order. Everything above the backend (aggregation,
 //! vulnerability maps, certification cross-checks, the CLI) is engine
-//! agnostic; everything below it is free to batch, prune and parallelize
+//! agnostic; everything below it is free to batch and parallelize
 //! however it likes, as long as the slot-ordered outcome vector is
 //! byte-identical across backends. The workspace differential suites pin
 //! that equivalence on every Table-1 FSM at every width and thread count.
@@ -18,8 +18,7 @@
 //!   engine the packed backend is differentially tested against.
 //! * [`PackedBackend`] — the bit-parallel wave engine over `[u64; W]` net
 //!   words, `W` ∈ {1, 2, 4} from [`CampaignConfig::lane_words`]: 64–256
-//!   injections per netlist pass with word-parallel classification,
-//!   incremental re-simulation and wave-level cycle skipping.
+//!   injections per netlist pass with word-parallel classification.
 //!
 //! Campaign drivers pick the backend from
 //! [`CampaignConfig::backend`](CampaignConfig::backend); the CLI exposes
@@ -33,7 +32,7 @@ use scfi_netlist::{Simulator, LANES};
 use crate::campaign::{run_item_scalar, CampaignConfig, Outcome};
 use crate::control::{CampaignError, RunControl, StopReason};
 use crate::target::{FaultTarget, Scenario};
-use crate::wave::{self, RunOutput, WaveStats, WorkList};
+use crate::wave::{self, RunOutput, WorkList};
 
 /// Selects which [`CampaignBackend`] a campaign runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -136,8 +135,9 @@ pub trait CampaignBackend {
 /// injections run one at a time with the last scenario cached, outcomes
 /// written straight into their work-list slots.
 ///
-/// Strictly slower than the wave backends; it exists as the differential
-/// oracle (and for debugging single injections with `peek` and VCD hooks).
+/// Strictly slower than the wave backend; it exists as the differential
+/// oracle (and for debugging single injections with
+/// [`Simulator::peek`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ScalarBackend;
 
@@ -262,12 +262,10 @@ impl CampaignBackend for ScalarBackend {
             work,
             RunOutput {
                 outcomes,
-                stats: WaveStats::default(),
                 stopped,
                 panics,
             },
         )
-        .map(|(outcomes, _)| outcomes)
     }
 }
 

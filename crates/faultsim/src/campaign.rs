@@ -7,7 +7,7 @@ use scfi_netlist::{CellId, CellKind, Module, Simulator};
 
 use crate::backend::{Backend, CampaignBackend, PackedBackend, ScalarBackend};
 use crate::control::{CampaignError, LaneWidth, RunControl};
-use crate::target::{FaultTarget, FaultTiming};
+use crate::target::{xorshift64star, FaultTarget, FaultTiming};
 use crate::wave::WorkList;
 
 /// The effect dimension of the fault model (§2.1: "transient, i.e.
@@ -119,9 +119,8 @@ impl CampaignConfig {
     }
 
     /// Installs a telemetry recorder: backends report execution counters
-    /// (waves, injections, cycle skips, mask-rebuild elisions, oracle
-    /// path ratios, re-simulation cone sizes) into it at wave/run
-    /// granularity. The default is the disabled handle; recording never
+    /// (waves, injections, stepped cycles, oracle path ratios) into it at
+    /// wave/run granularity. The default is the disabled handle; recording never
     /// changes campaign results — reports are byte-identical with
     /// telemetry on or off (the observability suites assert this).
     pub fn telemetry(mut self, telemetry: scfi_telemetry::Telemetry) -> Self {
@@ -214,11 +213,6 @@ impl CampaignConfig {
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
-    }
-
-    /// The configured execution backend.
-    pub fn backend_kind(&self) -> Backend {
-        self.backend
     }
 
     /// Samples an independent transient arming window per drawn fault in
@@ -539,11 +533,16 @@ pub(crate) fn run_item_scalar<T: FaultTarget>(
     verdict
 }
 
-/// Folds per-item outcomes back into the aggregate report, recording the
-/// first 64 hijacks (in work-list order) as examples.
-fn aggregate(work: &WorkList, outcomes: &[Outcome]) -> CampaignReport {
+/// Folds `(item, outcome)` pairs back into the aggregate report,
+/// recording the first 64 hijacks (in work-list order) as examples. Full
+/// runs fold every slot; a [`PartialReport`](crate::PartialReport) folds
+/// its completed ones.
+pub(crate) fn aggregate(
+    work: &WorkList,
+    outcomes: impl IntoIterator<Item = (usize, Outcome)>,
+) -> CampaignReport {
     let mut report = CampaignReport::empty();
-    for (i, &outcome) in outcomes.iter().enumerate() {
+    for (i, outcome) in outcomes {
         report.injections += 1;
         match outcome {
             Outcome::Masked => report.masked += 1,
@@ -607,8 +606,7 @@ pub(crate) fn exhaustive_work<T: FaultTarget>(target: &T, faults: &[Fault]) -> W
 ///
 /// Runs on the [`CampaignBackend`] selected by [`CampaignConfig::backend`]
 /// (default: the bit-parallel packed wave engine, up to 256 injections per
-/// netlist pass, sharded across [`CampaignConfig::threads`] workers with
-/// early exit for waves whose lanes have all folded to terminal verdicts).
+/// netlist pass, sharded across [`CampaignConfig::threads`] workers).
 /// Every backend produces injection-for-injection the same report; the
 /// workspace conformance suite pins them against each other on every
 /// Table-1 FSM at every wave width.
@@ -675,12 +673,13 @@ pub fn try_run_exhaustive<T: FaultTarget>(
     let faults = fault_list(target, config);
     let work = try_exhaustive_work(target, &faults)?;
     let outcomes = try_execute_backend(target, &work, config, control)?;
-    Ok(aggregate(&work, &outcomes))
+    Ok(aggregate(&work, outcomes.into_iter().enumerate()))
 }
 
 /// [`run_exhaustive`] forced onto the [`ScalarBackend`] — the differential
-/// oracle the wave backends are pinned against (and the engine of choice
-/// when debugging single injections with `peek` and VCD hooks).
+/// oracle the wave backend is pinned against (and the engine of choice
+/// when debugging single injections with
+/// [`Simulator::peek`](scfi_netlist::Simulator::peek)).
 pub fn run_exhaustive_scalar<T: FaultTarget>(
     target: &T,
     config: &CampaignConfig,
@@ -702,13 +701,7 @@ fn multi_fault_work<T: FaultTarget>(
     seed: u64,
     fault_windows: bool,
 ) -> Result<WorkList, CampaignError> {
-    let mut rng = seed.max(1);
-    let mut next = move || {
-        rng ^= rng >> 12;
-        rng ^= rng << 25;
-        rng ^= rng >> 27;
-        rng.wrapping_mul(0x2545F4914F6CDD1D)
-    };
+    let mut next = xorshift64star(seed);
     // The draws reduce the full 64-bit stream value modulo the pool size
     // (never through a `usize` cast, which silently truncates to 32 bits
     // on 32-bit hosts and would shift every sampled campaign there). On
@@ -790,7 +783,7 @@ pub fn try_run_multi_fault<T: FaultTarget>(
         config.fault_windows,
     )?;
     let outcomes = try_execute_backend(target, &work, config, control)?;
-    Ok(aggregate(&work, &outcomes))
+    Ok(aggregate(&work, outcomes.into_iter().enumerate()))
 }
 
 /// [`run_multi_fault`] forced onto the [`ScalarBackend`] (same seeded draw
@@ -1228,7 +1221,7 @@ mod tests {
                 },
             ],
         );
-        let report = aggregate(&work, &[Outcome::Hijack, Outcome::Hijack]);
+        let report = aggregate(&work, [(0, Outcome::Hijack), (1, Outcome::Hijack)]);
         assert_eq!(report.hijacked, 2);
         assert_eq!(report.hijack_examples.len(), 2);
         assert_eq!(report.hijack_examples[0].scenario, 3);

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::campaign::{CampaignReport, FaultRecord, Outcome};
+use crate::campaign::{aggregate, CampaignReport, Outcome};
 use crate::wave::WorkList;
 
 /// Validated lane-word width of the packed wave engine.
@@ -269,30 +269,16 @@ impl PartialReport {
     /// into a partial report, mirroring the full-run aggregation
     /// (including the first-64 hijack examples, in work-list order).
     pub fn from_outcomes(work: &WorkList, outcomes: Vec<Option<Outcome>>) -> PartialReport {
-        let mut report = CampaignReport::empty();
-        let mut completed = 0usize;
-        for (i, outcome) in outcomes.iter().enumerate() {
-            let Some(outcome) = outcome else { continue };
-            completed += 1;
-            report.injections += 1;
-            match outcome {
-                Outcome::Masked => report.masked += 1,
-                Outcome::Detected => report.detected += 1,
-                Outcome::Hijack => {
-                    report.hijacked += 1;
-                    if report.hijack_examples.len() < 64 {
-                        let (scenario, faults) = work.item(i);
-                        report.hijack_examples.push(FaultRecord {
-                            scenario,
-                            faults: faults.to_vec(),
-                        });
-                    }
-                }
-            }
-        }
+        let report = aggregate(
+            work,
+            outcomes
+                .iter()
+                .enumerate()
+                .filter_map(|(i, o)| o.map(|o| (i, o))),
+        );
         PartialReport {
+            completed: report.injections,
             outcomes,
-            completed,
             report,
         }
     }

@@ -45,9 +45,8 @@
 //!   [`PackedSimulator`](scfi_netlist::PackedSimulator) wave engine:
 //!   64–256 `(scenario, fault)` lanes per netlist pass
 //!   ([`CampaignConfig::lane_words`]), faults as precompiled AND/OR/XOR
-//!   masks, word-parallel trajectory classification ([`WaveOracle`]),
-//!   incremental re-simulation against the fault-free baseline, and
-//!   wave-level cycle skipping.
+//!   masks re-armed every cycle, and word-parallel trajectory
+//!   classification ([`WaveOracle`]).
 //!
 //! Backends are pure throughput trade-offs: every backend produces
 //! injection-for-injection identical reports, deterministic and

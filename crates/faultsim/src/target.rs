@@ -209,9 +209,9 @@ fn expand_walks(walks: Vec<Vec<usize>>) -> Vec<ProtocolScenario> {
     scenarios
 }
 
-/// The seeded xorshift64* stream shared by the scenario generators (the
-/// same generator as [`Cfg::random_walks`] and the multi-fault draw).
-fn xorshift64star(seed: u64) -> impl FnMut() -> u64 {
+/// The seeded xorshift64* stream shared by the scenario generators and
+/// the multi-fault draw (the same generator as [`Cfg::random_walks`]).
+pub(crate) fn xorshift64star(seed: u64) -> impl FnMut() -> u64 {
     let mut rng = seed.max(1);
     move || {
         rng ^= rng >> 12;
@@ -750,11 +750,14 @@ impl<'a> UnprotectedTarget<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the FSM has more than 20 control signals (enumeration
-    /// guard).
+    /// Panics if the FSM has more than [`MAX_SIGNALS`](Self::MAX_SIGNALS)
+    /// control signals (enumeration guard).
     pub fn new(fsm: &'a Fsm, lowered: &'a LoweredFsm) -> Self {
         let n = fsm.signals().len();
-        assert!(n <= 20, "too many signals to enumerate scenarios");
+        assert!(
+            n <= Self::MAX_SIGNALS,
+            "too many signals to enumerate scenarios"
+        );
         let cfg = fsm.cfg();
         let mut representatives = vec![None; cfg.edges().len()];
         for bits in 0..(1u64 << n) {
@@ -855,6 +858,10 @@ impl<'a> UnprotectedTarget<'a> {
     /// Input valuations sampled per edge by
     /// [`with_fuzzed_protocol`](Self::with_fuzzed_protocol).
     pub const INPUT_VARIANTS: usize = 8;
+
+    /// The most control signals [`new`](Self::new) accepts: it enumerates
+    /// all 2^n input words to find one representative per CFG edge.
+    pub const MAX_SIGNALS: usize = 20;
 
     /// Multi-cycle target over hand-picked protocol scenarios. Every walk
     /// edge must be drivable (see

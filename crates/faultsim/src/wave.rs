@@ -25,40 +25,22 @@
 //! without an oracle fall back to per-lane extraction, which remains
 //! bit-for-bit equivalent.
 //!
-//! # Incremental re-simulation
+//! # The wave loop
 //!
-//! On cycles where no net/pin fault mask is armed — register-flip
-//! campaigns, and the pre-/post-window cycles of transient multi-cycle
-//! schedules — every lane is the fault-free baseline plus a sparse state
-//! divergence. The executor then steps through
-//! [`PackedSimulator::eval_comb_pruned`] against a lazily computed scalar
-//! baseline trace, skipping every op whose inputs sit on the baseline in
-//! all live lanes — the campaign-side twin of the symbolic engine's cone
-//! pruning.
+//! Every cycle of a wave is stepped the same way. The fault masks are
+//! cleared, and one pass over the lanes drives each live lane's input
+//! words, fires the register flips whose window starts on this cycle and
+//! arms the net and pin faults whose window is open. Then one full settle
+//! ([`PackedSimulator::step_into`]) runs and the live lanes are
+//! classified.
 //!
-//! # Wave-level cycle skipping
-//!
-//! [`Outcome::fold`] makes `Detected` *terminal*: once a lane's trajectory
-//! has folded to `Detected`, no later cycle can change its verdict. The
-//! executor exploits this twice:
-//!
-//! * a lane that is past its scenario length or already `Detected` is
-//!   *dead* — it is no longer driven, faulted or classified;
-//! * when every lane of a wave is dead, the remaining cycles of the wave
-//!   are skipped outright — on long protocol scenarios whose faults are
-//!   caught early, the wave stops stepping as soon as the last live lane
-//!   folds.
-//!
-//! The fault masks themselves are rebuilt only when they can have changed:
-//! the live set moved, or some live lane's fault window opened or closed.
-//! An all-`Permanent` wave arms its masks once and never touches them
-//! again.
-//!
-//! All cuts are verdict-preserving by construction (dead lanes' folds are
-//! already fixed points, skipped rebuilds leave identical masks, pruned
-//! settles reproduce live-lane values exactly), so reports stay
-//! byte-identical to the scalar reference — the differential suites assert
-//! this at every width.
+//! A lane is *live* while the cycle lies within its scenario and its
+//! folded verdict is not yet `Detected`; [`Outcome::fold`] makes
+//! `Detected` terminal, so no later cycle can change it. Dead lanes keep
+//! stepping with the wave but are never driven, faulted or classified —
+//! a lane past its own scenario length in particular must never be
+//! classified. Reports stay byte-identical to the scalar reference; the
+//! differential suites assert this at every width.
 //!
 //! Waves are sharded across threads in contiguous blocks. The outcome of
 //! item `i` is written to slot `i` regardless of which thread, wave or
@@ -69,10 +51,8 @@
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use scfi_netlist::{
-    extract_lane, lane_mask, NetId, PackedNetlist, PackedSimulator, Simulator, LANES,
-};
-use scfi_telemetry::{Histogram, Telemetry};
+use scfi_netlist::{extract_lane, lane_mask, PackedNetlist, PackedSimulator, LANES};
+use scfi_telemetry::Telemetry;
 
 use crate::campaign::{Fault, FaultEffect, FaultSite, Outcome};
 use crate::control::{CampaignError, LaneWidth, PartialReport, RunControl, StopReason};
@@ -222,43 +202,31 @@ impl WorkList {
     }
 }
 
-/// Execution counters from a wave run — observables for the cycle-skipping
-/// and mask-rebuild optimizations. Not part of the report contract; the
-/// differential tests use them to pin that the cuts actually fire.
+/// Execution counters from a wave run. Not part of the report contract;
+/// they are flushed to telemetry once per run, and the work pins
+/// (`tests/work_pins.rs`) assert them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct WaveStats {
+struct WaveStats {
     /// Waves admitted and executed.
-    pub waves: u64,
+    waves: u64,
     /// Injections (lanes) carried by the executed waves.
-    pub injections: u64,
-    /// Wave clock edges actually stepped.
-    pub stepped: u64,
-    /// Scheduled wave cycles never stepped because every lane's verdict
-    /// settled first (the wave-level early exit).
-    pub skipped: u64,
-    /// Cycles that cleared and re-armed the fault masks.
-    pub rebuilds: u64,
-    /// Stepped cycles that kept the previous cycle's masks — no live
-    /// lane's window opened or closed and the live set held, so the
-    /// clear-and-re-arm sweep was skipped.
-    pub elided_rebuilds: u64,
+    injections: u64,
+    /// Wave clock edges stepped.
+    stepped: u64,
     /// Stepped cycles classified word-parallel through the target's
     /// [`WaveOracle`](crate::WaveOracle).
-    pub oracle_fastpath_cycles: u64,
+    oracle_fastpath_cycles: u64,
     /// Stepped cycles classified through the per-lane `extract_lane`
     /// fallback (targets without an oracle).
-    pub oracle_fallback_cycles: u64,
+    oracle_fallback_cycles: u64,
 }
 
 impl WaveStats {
     /// Accumulates another worker's counters.
-    pub fn merge(&mut self, other: &WaveStats) {
+    fn merge(&mut self, other: &WaveStats) {
         self.waves += other.waves;
         self.injections += other.injections;
         self.stepped += other.stepped;
-        self.skipped += other.skipped;
-        self.rebuilds += other.rebuilds;
-        self.elided_rebuilds += other.elided_rebuilds;
         self.oracle_fastpath_cycles += other.oracle_fastpath_cycles;
         self.oracle_fallback_cycles += other.oracle_fallback_cycles;
     }
@@ -266,7 +234,7 @@ impl WaveStats {
     /// Flushes the counters into their telemetry series (one relaxed
     /// `fetch_add` per series; a no-op on a disabled handle). Called once
     /// per run, off the wave hot path.
-    pub fn flush(&self, telemetry: &Telemetry) {
+    fn flush(&self, telemetry: &Telemetry) {
         if !telemetry.enabled() {
             return;
         }
@@ -279,15 +247,6 @@ impl WaveStats {
         telemetry
             .counter("scfi_campaign_cycles_stepped_total")
             .add(self.stepped);
-        telemetry
-            .counter("scfi_campaign_cycles_skipped_total")
-            .add(self.skipped);
-        telemetry
-            .counter("scfi_campaign_mask_rebuilds_total")
-            .add(self.rebuilds);
-        telemetry
-            .counter("scfi_campaign_mask_rebuild_elisions_total")
-            .add(self.elided_rebuilds);
         telemetry
             .counter("scfi_campaign_oracle_fastpath_cycles_total")
             .add(self.oracle_fastpath_cycles);
@@ -316,11 +275,10 @@ fn arm_lanes<const W: usize>(sim: &mut PackedSimulator<'_, W>, fault: Fault, lan
 }
 
 /// Everything one controlled run produced: slot-ordered outcomes
-/// (`None` for items whose wave never ran or panicked), execution
-/// counters, the first stop reason, and any caught wave panics.
+/// (`None` for items whose wave never ran or panicked), the first stop
+/// reason, and any caught wave panics.
 pub(crate) struct RunOutput {
     pub outcomes: Vec<Option<Outcome>>,
-    pub stats: WaveStats,
     pub stopped: Option<StopReason>,
     pub panics: Vec<(Range<usize>, String)>,
 }
@@ -340,13 +298,9 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// slot-ordered outcome vector, or the typed [`CampaignError`] carrying
 /// the completed portion. A caught wave panic outranks an interruption
 /// (its data loss is unrecoverable; an interrupted run can be resumed).
-pub(crate) fn finish_run(
-    work: &WorkList,
-    run: RunOutput,
-) -> Result<(Vec<Outcome>, WaveStats), CampaignError> {
+pub(crate) fn finish_run(work: &WorkList, run: RunOutput) -> Result<Vec<Outcome>, CampaignError> {
     let RunOutput {
         outcomes,
-        stats,
         stopped,
         mut panics,
     } = run;
@@ -364,11 +318,10 @@ pub(crate) fn finish_run(
             partial: Box::new(PartialReport::from_outcomes(work, outcomes)),
         });
     }
-    let outcomes = outcomes
+    Ok(outcomes
         .into_iter()
         .map(|o| o.expect("an uninterrupted run fills every slot"))
-        .collect();
-    Ok((outcomes, stats))
+        .collect())
 }
 
 /// Executes the work list on the packed engine and returns one outcome per
@@ -387,23 +340,8 @@ pub(crate) fn execute<T: FaultTarget>(
     threads: usize,
     lane_words: usize,
 ) -> Vec<Outcome> {
-    execute_counting(target, work, threads, lane_words).0
-}
-
-/// [`execute`], additionally returning the [`WaveStats`] counters — the
-/// observables for wave-level cycle skipping (a campaign whose faults are
-/// all caught on their first classified cycle steps one edge per wave,
-/// however long its scenarios are) and mask-rebuild elision (an
-/// all-`Permanent` wave rebuilds once).
-#[cfg(test)]
-pub(crate) fn execute_counting<T: FaultTarget>(
-    target: &T,
-    work: &WorkList,
-    threads: usize,
-    lane_words: usize,
-) -> (Vec<Outcome>, WaveStats) {
     let width = LaneWidth::new(lane_words).unwrap_or_else(|e| panic!("{e}"));
-    try_execute_counting(
+    try_execute(
         target,
         work,
         threads,
@@ -431,29 +369,6 @@ pub(crate) fn try_execute<T: FaultTarget>(
     control: &RunControl,
     telemetry: &Telemetry,
 ) -> Result<Vec<Outcome>, CampaignError> {
-    try_execute_counting(
-        target,
-        work,
-        threads,
-        width,
-        precompiled,
-        control,
-        telemetry,
-    )
-    .map(|(outcomes, _)| outcomes)
-}
-
-/// [`try_execute`] with the [`WaveStats`] counters.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_execute_counting<T: FaultTarget>(
-    target: &T,
-    work: &WorkList,
-    threads: usize,
-    width: LaneWidth,
-    precompiled: Option<&PackedNetlist>,
-    control: &RunControl,
-    telemetry: &Telemetry,
-) -> Result<(Vec<Outcome>, WaveStats), CampaignError> {
     let run = match width.words() {
         1 => execute_waves::<T, 1>(target, work, threads, precompiled, control, telemetry),
         2 => execute_waves::<T, 2>(target, work, threads, precompiled, control, telemetry),
@@ -485,15 +400,10 @@ fn execute_waves<T: FaultTarget, const W: usize>(
     if n == 0 {
         return RunOutput {
             outcomes,
-            stats: WaveStats::default(),
             stopped: None,
             panics: Vec::new(),
         };
     }
-    // The only live (non-flushed) telemetry sink of the executor: the
-    // distribution of incremental-resim cone sizes is observed as pruned
-    // cycles step. The handle is a shared no-op when telemetry is off.
-    let cone_sizes = telemetry.histogram("scfi_campaign_resim_cone_gates");
     // A cached compile (validated against the module shape by the
     // backend) replaces the per-run compilation; `PackedNetlist` is
     // immutable, so sharing it across concurrent campaigns is sound.
@@ -516,7 +426,6 @@ fn execute_waves<T: FaultTarget, const W: usize>(
             0,
             &mut outcomes,
             control,
-            &cone_sizes,
         )]
     } else {
         // Contiguous blocks of whole waves per worker; each worker writes
@@ -528,17 +437,8 @@ fn execute_waves<T: FaultTarget, const W: usize>(
                 .chunks_mut(per)
                 .enumerate()
                 .map(|(t, chunk)| {
-                    let cone_sizes = &cone_sizes;
                     scope.spawn(move || {
-                        run_waves::<T, W>(
-                            target,
-                            compiled,
-                            work,
-                            t * per,
-                            chunk,
-                            control,
-                            cone_sizes,
-                        )
+                        run_waves::<T, W>(target, compiled, work, t * per, chunk, control)
                     })
                 })
                 .collect();
@@ -561,55 +461,35 @@ fn execute_waves<T: FaultTarget, const W: usize>(
     stats.flush(telemetry);
     RunOutput {
         outcomes,
-        stats,
         stopped,
         panics,
     }
 }
 
-/// Per-wave cached scenario: the materialized schedule, the per-cycle
-/// expected landing states (word-parallel classification), and the lazily
-/// computed fault-free baseline trace (pruned stepping).
+/// Per-wave cached scenario: the materialized schedule and the per-cycle
+/// expected landing states (word-parallel classification).
 struct SlotCache {
     index: usize,
     sc: Scenario,
     /// `expected[c]` = the oracle codebook index of the fault-free landing
     /// state after cycle `c`; empty when the target has no oracle.
     expected: Vec<usize>,
-    /// `baseline[c][n]` = net `n`'s fault-free value settled during cycle
-    /// `c` (registers hold start-of-cycle state). Computed on first use.
-    baseline: Option<Vec<Vec<bool>>>,
-}
-
-/// The fault-free per-cycle net values of a scenario — the reference point
-/// for [`PackedSimulator::eval_comb_pruned`].
-fn baseline_trace(sim: &mut Simulator<'_>, sc: &Scenario, n_nets: usize) -> Vec<Vec<bool>> {
-    sim.clear_faults();
-    sim.reset_to(&sc.regs);
-    let mut trace = Vec::with_capacity(sc.cycles());
-    for inputs in &sc.inputs {
-        sim.eval_comb(inputs);
-        trace.push((0..n_nets).map(|n| sim.peek(NetId(n as u32))).collect());
-        sim.commit_registers();
-    }
-    trace
 }
 
 /// Runs the items `base..base + out.len()` of the work list, one wave of
 /// up to `64 · W` injections at a time, writing trajectory verdicts into
 /// `out` (`Some` for every completed wave).
 ///
-/// Each wave simulates at most `max(lane cycles)` clock edges. Fault
-/// semantics are exactly the scalar reference of
-/// [`run_item_scalar`](crate::campaign::run_item_scalar): net/pin masks
-/// armed while each live lane's [`FaultTiming`] window is open (the masks
-/// are cleared and re-armed only on cycles where the armed set can have
-/// changed), register flips applied once at the window's first cycle. A
-/// lane is live while the cycle is within its scenario and its folded
-/// verdict is not yet terminal ([`Outcome::Detected`] absorbs every later
-/// fold); dead lanes keep stepping with the wave but are neither driven,
-/// faulted nor classified, and once every lane of the wave is dead the
-/// remaining cycles are skipped entirely.
+/// Each wave steps `max(lane cycles)` clock edges. Fault semantics are
+/// exactly the scalar reference of
+/// [`run_item_scalar`](crate::campaign::run_item_scalar): every cycle
+/// clears the masks and re-arms the net/pin faults whose
+/// [`FaultTiming`] window is open in a live lane, and register flips are
+/// applied once at the window's first cycle. A lane is live while the
+/// cycle is within its scenario and its folded verdict is not yet
+/// terminal ([`Outcome::Detected`] absorbs every later fold); dead lanes
+/// keep stepping with the wave but are neither driven, faulted nor
+/// classified.
 ///
 /// # Execution control
 ///
@@ -620,7 +500,6 @@ fn baseline_trace(sim: &mut Simulator<'_>, sc: &Scenario, n_nets: usize) -> Vec<
 /// — its slots stay `None`, the simulator scratch is wiped, and the next
 /// wave rebuilds cleanly (every wave reloads registers, re-fills its
 /// verdict buffer and re-arms masks from scratch by construction).
-#[allow(clippy::too_many_arguments)]
 fn run_waves<T: FaultTarget, const W: usize>(
     target: &T,
     compiled: &PackedNetlist,
@@ -628,18 +507,15 @@ fn run_waves<T: FaultTarget, const W: usize>(
     base: usize,
     out: &mut [Option<Outcome>],
     control: &RunControl,
-    cone_sizes: &Histogram,
 ) -> WorkerRun {
     let wave_lanes = LANES * W;
     let oracle = target.wave_oracle();
     let mut sim = PackedSimulator::<W>::new(compiled);
-    let mut base_sim = Simulator::new(target.module());
     let mut reg_words = vec![[0u64; W]; compiled.register_count()];
     let mut input_words = vec![[0u64; W]; compiled.input_count()];
     let mut out_words: Vec<[u64; W]> = Vec::with_capacity(compiled.output_count());
     let mut reg_bits: Vec<bool> = Vec::with_capacity(compiled.register_count());
     let mut out_bits: Vec<bool> = Vec::with_capacity(compiled.output_count());
-    let mut activity: Vec<bool> = Vec::new();
     // Work lists are scenario-major, so a wave references very few distinct
     // scenarios; they are materialized once per wave, with the last one
     // carried over so a scenario spanning a wave boundary is not rebuilt.
@@ -703,7 +579,6 @@ fn run_waves<T: FaultTarget, const W: usize>(
                         index: scenario,
                         sc,
                         expected,
-                        baseline: None,
                     });
                     scens.len() - 1
                 };
@@ -723,19 +598,17 @@ fn run_waves<T: FaultTarget, const W: usize>(
             verdicts[..lanes].fill(Outcome::Masked);
             slot_live.clear();
             slot_live.resize(scens.len(), [0u64; W]);
-            let mut prev_live: Option<[u64; W]> = None;
             for cycle in 0..wave_cycles {
-                // Pass 1, every cycle: liveness, input words, register flips,
-                // and per-fault window-movement detection. Flips mutate
-                // stored state (not masks), so they fire at their own
-                // window's start whether or not the masks are rebuilt below.
+                // One pass over the lanes: liveness, input words, register
+                // flips at their window's first cycle, and the net/pin
+                // masks of every open window. Flips mutate stored state,
+                // so the mask clear never undoes them.
+                sim.clear_faults();
                 input_words.fill([0; W]);
                 for m in slot_live.iter_mut() {
                     *m = [0; W];
                 }
                 let mut live_words = [0u64; W];
-                let mut live = 0usize;
-                let mut windows_moved = cycle == 0;
                 for lane in 0..lanes {
                     let slot = lane_scen[lane];
                     let sc = &scens[slot].sc;
@@ -744,7 +617,6 @@ fn run_waves<T: FaultTarget, const W: usize>(
                         // already terminal — skip driving and faulting it.
                         continue;
                     }
-                    live += 1;
                     let bit = lane_mask::<W>(lane);
                     for k in 0..W {
                         live_words[k] |= bit[k];
@@ -761,87 +633,16 @@ fn run_waves<T: FaultTarget, const W: usize>(
                     let overrides = work.windows(base + done + lane);
                     for (j, &f) in faults.iter().enumerate() {
                         let w = sc.fault_window(overrides, j);
-                        if matches!(f.site, FaultSite::Register(_)) {
-                            if w.flip_cycle() == cycle {
-                                arm_lanes(&mut sim, f, bit);
-                            }
-                        } else if !windows_moved && w.armed_at(cycle) != w.armed_at(cycle - 1) {
-                            // This live lane's net/pin window opened or
-                            // closed since the previous cycle.
-                            windows_moved = true;
+                        let fires = match f.site {
+                            FaultSite::Register(_) => w.flip_cycle() == cycle,
+                            _ => w.armed_at(cycle),
+                        };
+                        if fires {
+                            arm_lanes(&mut sim, f, bit);
                         }
                     }
                 }
-                if live == 0 {
-                    // Every lane's verdict is settled: skip the wave's
-                    // remaining cycles outright.
-                    stats.skipped += (wave_cycles - cycle) as u64;
-                    break;
-                }
-                // Pass 2: rebuild the net/pin fault masks only when the armed
-                // set can have changed — the live set moved, or some live
-                // lane's fault window opened or closed since the previous
-                // cycle (each fault of a group tracks its own window).
-                // All-`Permanent` waves with a stable live set arm their
-                // masks exactly once; every other stepped cycle elides the
-                // clear-and-re-arm sweep.
-                if windows_moved || prev_live != Some(live_words) {
-                    stats.rebuilds += 1;
-                    sim.clear_faults();
-                    for lane in 0..lanes {
-                        let sc = &scens[lane_scen[lane]].sc;
-                        if cycle >= sc.cycles() || verdicts[lane] == Outcome::Detected {
-                            continue;
-                        }
-                        let bit = lane_mask::<W>(lane);
-                        let (_, faults) = work.item(base + done + lane);
-                        let overrides = work.windows(base + done + lane);
-                        for (j, &f) in faults.iter().enumerate() {
-                            if !matches!(f.site, FaultSite::Register(_))
-                                && sc.fault_window(overrides, j).armed_at(cycle)
-                            {
-                                arm_lanes(&mut sim, f, bit);
-                            }
-                        }
-                    }
-                } else {
-                    stats.elided_rebuilds += 1;
-                }
-                prev_live = Some(live_words);
-                if sim.has_faults() {
-                    sim.step_into(&input_words, &mut out_words);
-                } else {
-                    // Incremental re-simulation: with no masks armed
-                    // (register-flip campaigns, pre-/post-window cycles of
-                    // transient schedules) every lane is a fault-free run plus
-                    // a sparse state divergence, so the settle can skip every
-                    // op whose inputs sit on the baseline in all live lanes.
-                    // Any wave scenario's trace serves as the reference point
-                    // — lanes from other scenarios simply seed divergence at
-                    // the sources — so use the slot with the most live lanes.
-                    let slot = slot_live
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|(_, m)| m.iter().map(|w| w.count_ones()).sum::<u32>())
-                        .map(|(i, _)| i)
-                        .expect("a live lane exists");
-                    let entry = &mut scens[slot];
-                    let trace = entry.baseline.get_or_insert_with(|| {
-                        baseline_trace(&mut base_sim, &entry.sc, compiled.len())
-                    });
-                    sim.step_into_pruned(
-                        &input_words,
-                        &trace[cycle],
-                        live_words,
-                        &mut activity,
-                        &mut out_words,
-                    );
-                    if cone_sizes.enabled() {
-                        // Cone size = ops actually re-evaluated this cycle.
-                        // The count pass runs only with a recorder installed.
-                        cone_sizes.observe(activity.iter().filter(|&&a| a).count() as u64);
-                    }
-                }
+                sim.step_into(&input_words, &mut out_words);
                 stats.stepped += 1;
                 match &oracle {
                     Some(oracle) => {
@@ -1135,12 +936,11 @@ mod tests {
     /// All lanes of every wave fold to `Detected` on their very first
     /// classified cycle (SCFI detects single register flips immediately:
     /// the corrupted codeword is invalid, so the next state is ERROR).
-    /// With the fault window at cycle 0 the executor must early-exit each
-    /// wave after one stepped edge — a 4× cycle cut on depth-4 walks —
-    /// while the verdicts stay identical to the scalar reference that
-    /// steps every scheduled cycle.
+    /// The wave keeps stepping its dead lanes through the rest of each
+    /// depth-4 walk, and the verdicts stay identical to the scalar
+    /// reference.
     #[test]
-    fn waves_detecting_on_cycle_zero_early_exit() {
+    fn waves_detecting_on_cycle_zero_match_scalar() {
         use crate::campaign::run_item_scalar;
 
         let f = target_fsm();
@@ -1156,12 +956,7 @@ mod tests {
         let mut sim = scfi_netlist::Simulator::new(t.module());
         let mut outputs = Vec::new();
         for lane_words in [1usize, 2, 4] {
-            let (outcomes, stats) = execute_counting(&t, &work, 1, lane_words);
-            let waves = work.len().div_ceil(LANES * lane_words) as u64;
-            assert_eq!(
-                stats.stepped, waves,
-                "lane_words {lane_words}: every wave must stop after one edge"
-            );
+            let outcomes = execute(&t, &work, 1, lane_words);
             for (i, &verdict) in outcomes.iter().enumerate() {
                 let (s, group) = work.item(i);
                 let sc = t.scenario(s);
@@ -1179,10 +974,7 @@ mod tests {
     /// windows: item `i` glitches cycle `(i / 64) % 4` of the same depth-4
     /// walk, so lanes in word 0 arm at cycle 0 while lanes in word 3 arm
     /// at cycle 3. The per-word fault re-arm schedule must keep them
-    /// independent and match the scalar reference item for item; the
-    /// stepped-edge count must still undercut the naive 4-cycles-per-wave
-    /// schedule (no lane can fold before its window opens, so each wave
-    /// runs exactly as long as its latest window).
+    /// independent and match the scalar reference item for item.
     #[test]
     fn w4_wave_with_independent_windows_per_word_matches_scalar() {
         use crate::campaign::run_item_scalar;
@@ -1199,14 +991,7 @@ mod tests {
                 work.push(s, std::slice::from_ref(fault));
             }
         }
-        let (outcomes, stats) = execute_counting(&t, &work, 1, 4);
-        let waves = work.len().div_ceil(LANES * 4) as u64;
-        assert!(
-            stats.stepped < 4 * waves,
-            "mixed windows must still skip trailing cycles: {} vs naive {}",
-            stats.stepped,
-            4 * waves
-        );
+        let outcomes = execute(&t, &work, 1, 4);
         let mut sim = scfi_netlist::Simulator::new(t.module());
         let mut outputs = Vec::new();
         for (i, &verdict) in outcomes.iter().enumerate() {
@@ -1220,14 +1005,12 @@ mod tests {
         }
     }
 
-    /// An all-`Permanent` multi-cycle campaign on a target with no
-    /// detection mechanism: the live set never moves and no fault window
-    /// opens or closes, so every wave must arm its masks exactly once —
-    /// while the verdicts stay identical to the scalar reference. The
-    /// same walks under `Transient` windows must rebuild more than once
-    /// per wave (window open + close edges).
+    /// Multi-cycle campaigns on a target with no detection mechanism, so
+    /// no lane dies early: all-`Permanent` windows armed on every cycle,
+    /// and `Transient` windows in the middle of the walk that open and
+    /// close. Both match the scalar reference item for item.
     #[test]
-    fn permanent_waves_rebuild_masks_once() {
+    fn permanent_and_transient_windows_match_scalar_without_detection() {
         use crate::campaign::run_item_scalar;
         use crate::target::{FaultTiming, ProtocolScenario, UnprotectedTarget};
         use scfi_fsm::lower_unprotected;
@@ -1248,39 +1031,25 @@ mod tests {
                 .collect();
             UnprotectedTarget::with_scenarios(&f, &lowered, scenarios)
         };
-        let t = build(&|_| FaultTiming::Permanent);
-        let faults = fault_list(&t, &CampaignConfig::new());
-        let work = crate::campaign::exhaustive_work(&t, &faults);
-        let (outcomes, stats) = execute_counting(&t, &work, 1, 2);
-        let waves = work.len().div_ceil(LANES * 2) as u64;
-        assert_eq!(
-            stats.rebuilds, waves,
-            "all-Permanent waves must arm their masks exactly once"
-        );
-        assert_eq!(stats.stepped, depth as u64 * waves);
-        let mut sim = scfi_netlist::Simulator::new(t.module());
-        let mut outputs = Vec::new();
-        for (i, &verdict) in outcomes.iter().enumerate() {
-            let (s, group) = work.item(i);
-            let sc = t.scenario(s);
-            assert_eq!(
-                verdict,
-                run_item_scalar(&t, &mut sim, s, &sc, group, work.windows(i), &mut outputs),
-                "item {i}"
-            );
+        for t in [
+            build(&|_| FaultTiming::Permanent),
+            build(&|i| FaultTiming::Transient(1 + i % (depth - 1))),
+        ] {
+            let faults = fault_list(&t, &CampaignConfig::new());
+            let work = crate::campaign::exhaustive_work(&t, &faults);
+            let outcomes = execute(&t, &work, 1, 2);
+            let mut sim = scfi_netlist::Simulator::new(t.module());
+            let mut outputs = Vec::new();
+            for (i, &verdict) in outcomes.iter().enumerate() {
+                let (s, group) = work.item(i);
+                let sc = t.scenario(s);
+                assert_eq!(
+                    verdict,
+                    run_item_scalar(&t, &mut sim, s, &sc, group, work.windows(i), &mut outputs),
+                    "item {i}"
+                );
+            }
         }
-        // Transient windows in the middle of the walk open *and* close, so
-        // the same campaign must rebuild at least twice per wave.
-        let t2 = build(&|i| FaultTiming::Transient(1 + i % (depth - 1)));
-        let work2 = crate::campaign::exhaustive_work(&t2, &faults);
-        let (_, stats2) = execute_counting(&t2, &work2, 1, 2);
-        let waves2 = work2.len().div_ceil(LANES * 2) as u64;
-        assert!(
-            stats2.rebuilds >= 2 * waves2,
-            "transient windows must rebuild on open and close: {} rebuilds over {} waves",
-            stats2.rebuilds,
-            waves2
-        );
     }
 
     /// Two faults of one group striking different steps of the same walk
@@ -1337,10 +1106,9 @@ mod tests {
 
     /// Per-item window overrides ([`WorkList::push_scheduled`]) behave as
     /// if the scenario carried those windows: wave verdicts match the
-    /// scalar reference, and cycles where no live window moves skip the
-    /// mask rebuild (the re-arm-elision counter fires).
+    /// scalar reference.
     #[test]
-    fn window_overrides_match_scalar_and_elide_rebuilds() {
+    fn window_overrides_match_scalar() {
         use crate::campaign::run_item_scalar;
         use crate::target::{FaultTiming, ProtocolScenario};
 
@@ -1365,9 +1133,7 @@ mod tests {
         let faults = fault_list(&t, &CampaignConfig::new());
         let mut work = WorkList::with_capacity(faults.len());
         for pair in faults.chunks(2) {
-            // Every fault glitches cycle 2, so cycles 0–1 run mask-free:
-            // cycle 1 neither opens a window nor moves the live set, and
-            // must elide its rebuild.
+            // Every fault glitches cycle 2, so cycles 0–1 run mask-free.
             let windows = vec![FaultTiming::Transient(2); pair.len()];
             work.push_scheduled(0, pair, &windows);
         }
@@ -1381,12 +1147,10 @@ mod tests {
             })
             .collect();
         for lane_words in [1, 2, 4] {
-            let (packed, stats) = execute_counting(&t, &work, 1, lane_words);
-            assert_eq!(packed, scalar, "lane_words {lane_words}");
-            let waves = work.len().div_ceil(LANES * lane_words) as u64;
             assert_eq!(
-                stats.elided_rebuilds, waves,
-                "lane_words {lane_words}: cycle 1 of every wave must keep its masks"
+                execute(&t, &work, 1, lane_words),
+                scalar,
+                "lane_words {lane_words}"
             );
         }
     }
@@ -1425,7 +1189,7 @@ mod tests {
         let f = target_fsm();
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
         // Multi-window waves (per-fault schedules) must keep the oracle
-        // path hot too — per-fault arming affects only the mask rebuilds,
+        // path hot too — per-fault arming affects only the fault masks,
         // never the classification path.
         let per_fault: Vec<ProtocolScenario> = h
             .cfg()

@@ -2,32 +2,27 @@
 //!
 //! The conformance suites prove that every wave width reproduces the
 //! scalar reference report. They cannot see a change that keeps the
-//! report but does more work: a lost cycle skip, a mask sweep that is no
-//! longer elided, a cone that re-simulates more gates. Each row below
-//! records what one campaign did, as a recording [`Telemetry`] handle saw
-//! it, and any drift fails:
+//! report but does more work: more waves for the same work list, more
+//! clock edges per wave, or a classification path that falls back to
+//! per-lane extraction. Each row below records what one campaign did, as
+//! a recording [`Telemetry`] handle saw it, and any drift fails:
 //!
 //! * `waves` and `injections` guard the work list and its packing into
 //!   `64 · W`-lane waves (`scfi_campaign_{waves,injections}_total`).
-//! * `stepped` and `skipped` guard the wave-level early exit: clock edges
-//!   simulated, and scheduled edges dropped because every lane had
-//!   settled (`scfi_campaign_cycles_{stepped,skipped}_total`).
-//! * `rebuilds` and `elided` guard re-arm elision: stepped cycles that
-//!   cleared and re-armed the fault masks, and those that kept them
-//!   (`scfi_campaign_mask_rebuild{s,_elisions}_total`).
+//! * `stepped` guards the clock edges simulated: each wave steps its
+//!   longest scenario (`scfi_campaign_cycles_stepped_total`).
 //! * `fast` and `fallback` guard the classification path: cycles
 //!   classified word-parallel through the target's oracle, and cycles
 //!   that fell back to per-lane extraction
 //!   (`scfi_campaign_oracle_{fastpath,fallback}_cycles_total`).
-//! * `cones` and `cone_gates` guard incremental re-simulation: the count
-//!   and sum of `scfi_campaign_resim_cone_gates`, the gates re-evaluated
-//!   per pruned cycle. This histogram is the recorder's one live sink on
-//!   the wave path; every other series is flushed once per run.
 //!
-//! The rows cover the exhaustive map grid ({aes_control, adc_ctrl_fsm,
-//! i2c_fsm} × N ∈ {2, 3, 4}), depth-4 secure-boot walks, a scenario-dense
-//! depth-1 campaign and windowed M = 3 draws over fuzzed depth-4 walks,
-//! each at W ∈ {1, 2, 4}. Every count is host-independent: workers run
+//! Every series is flushed once per run. The rows cover the exhaustive
+//! map grid ({aes_control, adc_ctrl_fsm, i2c_fsm} × N ∈ {2, 3, 4}),
+//! depth-4 secure-boot walks, a scenario-dense depth-1 campaign and
+//! windowed M = 3 draws over fuzzed depth-4 walks, each at W ∈ {1, 2, 4},
+//! plus one W = 4 register-flip campaign over depth-16 aes_control walks,
+//! whose waves settle long before their last edge. Every count is
+//! host-independent: workers run
 //! contiguous blocks of whole waves, so each row is asserted at one
 //! thread and at one thread per CPU. An armed [`RunControl`] must change
 //! nothing but its own admission counter.
@@ -55,12 +50,15 @@ enum Shape {
     /// One depth-1 `Transient(0)` scenario per CFG edge, register flips
     /// only: the most distinct scenarios per wave.
     Dense,
+    /// Exhaustive register-flip campaign over depth-16 CFG walks (seed
+    /// `0xB007_5EED`): long fault-free prefixes and suffixes.
+    Deep,
     /// 6,000 draws of M = 3 faults, each on its own sampled window, over
     /// fuzzed depth-4 walks (seed `0x5CF1_F022`).
     Multi,
 }
 
-use Shape::{Dense, Map, Multi, Walks};
+use Shape::{Deep, Dense, Map, Multi, Walks};
 
 /// The wave-engine work one campaign did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,91 +66,70 @@ struct Work {
     waves: u64,
     injections: u64,
     stepped: u64,
-    skipped: u64,
-    rebuilds: u64,
-    elided: u64,
     fast: u64,
     fallback: u64,
-    cones: u64,
-    cone_gates: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
-const fn work(
-    waves: u64,
-    injections: u64,
-    stepped: u64,
-    skipped: u64,
-    rebuilds: u64,
-    elided: u64,
-    fast: u64,
-    fallback: u64,
-    cones: u64,
-    cone_gates: u64,
-) -> Work {
+const fn work(waves: u64, injections: u64, stepped: u64, fast: u64, fallback: u64) -> Work {
     Work {
         waves,
         injections,
         stepped,
-        skipped,
-        rebuilds,
-        elided,
         fast,
         fallback,
-        cones,
-        cone_gates,
     }
 }
 
 /// `(fsm, N, shape, lane words, recorded work)`; every FSM is SCFI-hardened.
 #[rustfmt::skip]
 const PINS: &[(&str, usize, Shape, usize, Work)] = &[
-    //                                    waves   inject stepped   skip rebuild  elided    fast  fb   cones      gates
-    ("aes_control",     2, Map,   1, work(   28,    1750,     28,     0,     28,      0,     28,  0,      0,         0)),
-    ("aes_control",     2, Map,   2, work(   14,    1750,     14,     0,     14,      0,     14,  0,      0,         0)),
-    ("aes_control",     2, Map,   4, work(    7,    1750,      7,     0,      7,      0,      7,  0,      0,         0)),
-    ("aes_control",     3, Map,   1, work(   44,    2786,     44,     0,     44,      0,     44,  0,      0,         0)),
-    ("aes_control",     3, Map,   2, work(   22,    2786,     22,     0,     22,      0,     22,  0,      0,         0)),
-    ("aes_control",     3, Map,   4, work(   11,    2786,     11,     0,     11,      0,     11,  0,      0,         0)),
-    ("aes_control",     4, Map,   1, work(   51,    3234,     51,     0,     51,      0,     51,  0,      0,         0)),
-    ("aes_control",     4, Map,   2, work(   26,    3234,     26,     0,     26,      0,     26,  0,      0,         0)),
-    ("aes_control",     4, Map,   4, work(   13,    3234,     13,     0,     13,      0,     13,  0,      0,         0)),
-    ("adc_ctrl_fsm",    2, Map,   1, work(  115,    7350,    115,     0,    115,      0,    115,  0,      0,         0)),
-    ("adc_ctrl_fsm",    2, Map,   2, work(   58,    7350,     58,     0,     58,      0,     58,  0,      0,         0)),
-    ("adc_ctrl_fsm",    2, Map,   4, work(   29,    7350,     29,     0,     29,      0,     29,  0,      0,         0)),
-    ("adc_ctrl_fsm",    3, Map,   1, work(  155,    9900,    155,     0,    155,      0,    155,  0,      0,         0)),
-    ("adc_ctrl_fsm",    3, Map,   2, work(   78,    9900,     78,     0,     78,      0,     78,  0,      0,         0)),
-    ("adc_ctrl_fsm",    3, Map,   4, work(   39,    9900,     39,     0,     39,      0,     39,  0,      0,         0)),
-    ("adc_ctrl_fsm",    4, Map,   1, work(  180,   11460,    180,     0,    180,      0,    180,  0,      1,        99)),
-    ("adc_ctrl_fsm",    4, Map,   2, work(   90,   11460,     90,     0,     90,      0,     90,  0,      0,         0)),
-    ("adc_ctrl_fsm",    4, Map,   4, work(   45,   11460,     45,     0,     45,      0,     45,  0,      0,         0)),
-    ("i2c_fsm",         2, Map,   1, work(  612,   39146,    612,     0,    612,      0,    612,  0,      0,         0)),
-    ("i2c_fsm",         2, Map,   2, work(  306,   39146,    306,     0,    306,      0,    306,  0,      0,         0)),
-    ("i2c_fsm",         2, Map,   4, work(  153,   39146,    153,     0,    153,      0,    153,  0,      0,         0)),
-    ("i2c_fsm",         3, Map,   1, work(  832,   53206,    832,     0,    832,      0,    832,  0,      0,         0)),
-    ("i2c_fsm",         3, Map,   2, work(  416,   53206,    416,     0,    416,      0,    416,  0,      0,         0)),
-    ("i2c_fsm",         3, Map,   4, work(  208,   53206,    208,     0,    208,      0,    208,  0,      0,         0)),
-    ("i2c_fsm",         4, Map,   1, work(  887,   56758,    887,     0,    887,      0,    887,  0,      0,         0)),
-    ("i2c_fsm",         4, Map,   2, work(  444,   56758,    444,     0,    444,      0,    444,  0,      0,         0)),
-    ("i2c_fsm",         4, Map,   4, work(  222,   56758,    222,     0,    222,      0,    222,  0,      0,         0)),
-    ("secure_boot_fsm", 2, Walks, 1, work(  199,   12692,    796,     0,    555,    241,    796,  0,    529,      5128)),
-    ("secure_boot_fsm", 2, Walks, 2, work(  100,   12692,    400,     0,    309,     91,    400,  0,    228,      3965)),
-    ("secure_boot_fsm", 2, Walks, 4, work(   50,   12692,    200,     0,    181,     19,    200,  0,     78,      2344)),
-    ("i2c_fsm",         2, Dense, 1, work(    7,     444,      7,     0,      7,      0,      7,  0,      7,       945)),
-    ("i2c_fsm",         2, Dense, 2, work(    4,     444,      4,     0,      4,      0,      4,  0,      4,       549)),
-    ("i2c_fsm",         2, Dense, 4, work(    2,     444,      2,     0,      2,      0,      2,  0,      2,       267)),
-    ("aes_control",     2, Multi, 1, work(   94,    6000,    376,     0,    376,      0,    376,  0,      0,         0)),
-    ("aes_control",     2, Multi, 2, work(   47,    6000,    188,     0,    188,      0,    188,  0,      0,         0)),
-    ("aes_control",     2, Multi, 4, work(   24,    6000,     96,     0,     96,      0,     96,  0,      0,         0)),
-    ("aes_control",     3, Multi, 1, work(   94,    6000,    376,     0,    376,      0,    376,  0,      0,         0)),
-    ("aes_control",     3, Multi, 2, work(   47,    6000,    188,     0,    188,      0,    188,  0,      0,         0)),
-    ("aes_control",     3, Multi, 4, work(   24,    6000,     96,     0,     96,      0,     96,  0,      0,         0)),
-    ("adc_ctrl_fsm",    2, Multi, 1, work(   94,    6000,    376,     0,    376,      0,    376,  0,      0,         0)),
-    ("adc_ctrl_fsm",    2, Multi, 2, work(   47,    6000,    188,     0,    188,      0,    188,  0,      0,         0)),
-    ("adc_ctrl_fsm",    2, Multi, 4, work(   24,    6000,     96,     0,     96,      0,     96,  0,      0,         0)),
-    ("adc_ctrl_fsm",    3, Multi, 1, work(   94,    6000,    376,     0,    376,      0,    376,  0,      0,         0)),
-    ("adc_ctrl_fsm",    3, Multi, 2, work(   47,    6000,    188,     0,    188,      0,    188,  0,      0,         0)),
-    ("adc_ctrl_fsm",    3, Multi, 4, work(   24,    6000,     96,     0,     96,      0,     96,  0,      0,         0)),
+    //                                    waves   inject stepped   fast  fb
+    ("aes_control",     2, Map,   1, work(   28,    1750,     28,     28,  0)),
+    ("aes_control",     2, Map,   2, work(   14,    1750,     14,     14,  0)),
+    ("aes_control",     2, Map,   4, work(    7,    1750,      7,      7,  0)),
+    ("aes_control",     3, Map,   1, work(   44,    2786,     44,     44,  0)),
+    ("aes_control",     3, Map,   2, work(   22,    2786,     22,     22,  0)),
+    ("aes_control",     3, Map,   4, work(   11,    2786,     11,     11,  0)),
+    ("aes_control",     4, Map,   1, work(   51,    3234,     51,     51,  0)),
+    ("aes_control",     4, Map,   2, work(   26,    3234,     26,     26,  0)),
+    ("aes_control",     4, Map,   4, work(   13,    3234,     13,     13,  0)),
+    ("adc_ctrl_fsm",    2, Map,   1, work(  115,    7350,    115,    115,  0)),
+    ("adc_ctrl_fsm",    2, Map,   2, work(   58,    7350,     58,     58,  0)),
+    ("adc_ctrl_fsm",    2, Map,   4, work(   29,    7350,     29,     29,  0)),
+    ("adc_ctrl_fsm",    3, Map,   1, work(  155,    9900,    155,    155,  0)),
+    ("adc_ctrl_fsm",    3, Map,   2, work(   78,    9900,     78,     78,  0)),
+    ("adc_ctrl_fsm",    3, Map,   4, work(   39,    9900,     39,     39,  0)),
+    ("adc_ctrl_fsm",    4, Map,   1, work(  180,   11460,    180,    180,  0)),
+    ("adc_ctrl_fsm",    4, Map,   2, work(   90,   11460,     90,     90,  0)),
+    ("adc_ctrl_fsm",    4, Map,   4, work(   45,   11460,     45,     45,  0)),
+    ("i2c_fsm",         2, Map,   1, work(  612,   39146,    612,    612,  0)),
+    ("i2c_fsm",         2, Map,   2, work(  306,   39146,    306,    306,  0)),
+    ("i2c_fsm",         2, Map,   4, work(  153,   39146,    153,    153,  0)),
+    ("i2c_fsm",         3, Map,   1, work(  832,   53206,    832,    832,  0)),
+    ("i2c_fsm",         3, Map,   2, work(  416,   53206,    416,    416,  0)),
+    ("i2c_fsm",         3, Map,   4, work(  208,   53206,    208,    208,  0)),
+    ("i2c_fsm",         4, Map,   1, work(  887,   56758,    887,    887,  0)),
+    ("i2c_fsm",         4, Map,   2, work(  444,   56758,    444,    444,  0)),
+    ("i2c_fsm",         4, Map,   4, work(  222,   56758,    222,    222,  0)),
+    ("secure_boot_fsm", 2, Walks, 1, work(  199,   12692,    796,    796,  0)),
+    ("secure_boot_fsm", 2, Walks, 2, work(  100,   12692,    400,    400,  0)),
+    ("secure_boot_fsm", 2, Walks, 4, work(   50,   12692,    200,    200,  0)),
+    ("i2c_fsm",         2, Dense, 1, work(    7,     444,      7,      7,  0)),
+    ("i2c_fsm",         2, Dense, 2, work(    4,     444,      4,      4,  0)),
+    ("i2c_fsm",         2, Dense, 4, work(    2,     444,      2,      2,  0)),
+    ("aes_control",     2, Multi, 1, work(   94,    6000,    376,    376,  0)),
+    ("aes_control",     2, Multi, 2, work(   47,    6000,    188,    188,  0)),
+    ("aes_control",     2, Multi, 4, work(   24,    6000,     96,     96,  0)),
+    ("aes_control",     3, Multi, 1, work(   94,    6000,    376,    376,  0)),
+    ("aes_control",     3, Multi, 2, work(   47,    6000,    188,    188,  0)),
+    ("aes_control",     3, Multi, 4, work(   24,    6000,     96,     96,  0)),
+    ("adc_ctrl_fsm",    2, Multi, 1, work(   94,    6000,    376,    376,  0)),
+    ("adc_ctrl_fsm",    2, Multi, 2, work(   47,    6000,    188,    188,  0)),
+    ("adc_ctrl_fsm",    2, Multi, 4, work(   24,    6000,     96,     96,  0)),
+    ("adc_ctrl_fsm",    3, Multi, 1, work(   94,    6000,    376,    376,  0)),
+    ("adc_ctrl_fsm",    3, Multi, 2, work(   47,    6000,    188,    188,  0)),
+    ("adc_ctrl_fsm",    3, Multi, 4, work(   24,    6000,     96,     96,  0)),
+    ("aes_control",     2, Deep,  4, work(    4,     896,     64,     64,  0)),
 ];
 
 fn hardened(fsm: &str, level: usize) -> HardenedFsm {
@@ -167,6 +144,7 @@ fn target(h: &HardenedFsm, shape: Shape) -> ScfiTarget<'_> {
     match shape {
         Map => ScfiTarget::new(h),
         Walks => ScfiTarget::with_protocol(h, 4, 0xB007_5EED),
+        Deep => ScfiTarget::with_protocol(h, 16, 0xB007_5EED),
         Dense => ScfiTarget::with_scenarios(
             h,
             (0..h.cfg().edges().len())
@@ -180,7 +158,7 @@ fn target(h: &HardenedFsm, shape: Shape) -> ScfiTarget<'_> {
 fn config(shape: Shape, lane_words: usize, threads: usize) -> CampaignConfig {
     let config = match shape {
         Map | Walks => CampaignConfig::new().with_register_flips(),
-        Dense => CampaignConfig::new().effects(vec![]).with_register_flips(),
+        Dense | Deep => CampaignConfig::new().effects(vec![]).with_register_flips(),
         Multi => CampaignConfig::new()
             .with_register_flips()
             .with_fault_windows(),
@@ -196,20 +174,12 @@ fn recorded(
     let telemetry = Telemetry::recording();
     let report = campaign(&config.telemetry(telemetry.clone()));
     let count = |name: &str| telemetry.counter(name).get();
-    let cones = telemetry
-        .histogram("scfi_campaign_resim_cone_gates")
-        .snapshot();
     let work = Work {
         waves: count("scfi_campaign_waves_total"),
         injections: count("scfi_campaign_injections_total"),
         stepped: count("scfi_campaign_cycles_stepped_total"),
-        skipped: count("scfi_campaign_cycles_skipped_total"),
-        rebuilds: count("scfi_campaign_mask_rebuilds_total"),
-        elided: count("scfi_campaign_mask_rebuild_elisions_total"),
         fast: count("scfi_campaign_oracle_fastpath_cycles_total"),
         fallback: count("scfi_campaign_oracle_fallback_cycles_total"),
-        cones: cones.count,
-        cone_gates: cones.sum,
     };
     (report, work)
 }
@@ -221,7 +191,7 @@ fn run(fsm: &str, level: usize, shape: Shape, lane_words: usize, threads: usize)
     let config = config(shape, lane_words, threads);
     recorded(config, |c| match shape {
         Multi => run_multi_fault(&target, 3, 6000, c),
-        Map | Walks | Dense => run_exhaustive(&target, c),
+        Map | Walks | Dense | Deep => run_exhaustive(&target, c),
     })
     .1
 }

@@ -45,11 +45,6 @@ impl LoweredFsm {
         &self.module
     }
 
-    /// Consumes the lowering, returning the netlist.
-    pub fn into_module(self) -> Module {
-        self.module
-    }
-
     /// Width of the binary state register.
     pub fn state_bits(&self) -> usize {
         self.state_bits

@@ -289,11 +289,6 @@ impl ModuleBuilder {
         self.outputs.push((name.into(), net));
     }
 
-    /// Names a net for debugging/export.
-    pub fn name_net(&mut self, net: NetId, name: impl Into<String>) {
-        self.cells[net.index()].name = Some(name.into());
-    }
-
     // ----- word-level helpers ------------------------------------------------
 
     /// AND-reduces a list of nets as a balanced tree. Empty list → const 1.
@@ -333,21 +328,6 @@ impl ModuleBuilder {
             level = next;
         }
         level[0]
-    }
-
-    /// Bitwise XOR of two equal-width words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn xor_word(&mut self, a: &[NetId], b: &[NetId]) -> Vec<NetId> {
-        assert_eq!(a.len(), b.len(), "word width mismatch");
-        a.iter().zip(b).map(|(&x, &y)| self.xor2(x, y)).collect()
-    }
-
-    /// ANDs every bit of `word` with the single net `en`.
-    pub fn mask_word(&mut self, word: &[NetId], en: NetId) -> Vec<NetId> {
-        word.iter().map(|&w| self.and2(w, en)).collect()
     }
 
     /// Word-level 2:1 mux.

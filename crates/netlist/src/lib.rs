@@ -51,11 +51,9 @@ mod ir;
 mod packed;
 mod sim;
 mod stats;
-mod vcd;
 
 pub use builder::ModuleBuilder;
 pub use ir::{Cell, CellId, CellKind, Module, NetId, ValidateError};
 pub use packed::{extract_lane, lane_mask, PackedNetlist, PackedSimulator, LANES};
 pub use sim::Simulator;
 pub use stats::ModuleStats;
-pub use vcd::VcdRecorder;

@@ -649,136 +649,6 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
         }
     }
 
-    /// Baseline-pruned combinational settle: like
-    /// [`PackedSimulator::eval_comb`], but skips every op whose inputs
-    /// hold the fault-free baseline in all *live* lanes — the incremental
-    /// re-simulation of fault campaigns, the concrete twin of the symbolic
-    /// engine's cone pruning.
-    ///
-    /// `base[n]` is the fault-free Boolean of net `n` for this cycle (the
-    /// same in every lane — a scalar reference trace). `live` masks the
-    /// lanes whose values matter; `activity` is caller-owned scratch,
-    /// resized and refilled here (one flag per net: does any live lane
-    /// differ from the baseline?).
-    ///
-    /// Activity is seeded at the sources (inputs and registers diverging
-    /// from `base` in a live lane) and propagated through the topological
-    /// sweep; an op with no active input writes the baseline splat instead
-    /// of computing, and a computed op that *reconverges* with the
-    /// baseline (XOR cancellation, a masking AND/OR) cuts its cone right
-    /// there. Live lanes therefore read exactly the values
-    /// [`PackedSimulator::eval_comb`] would produce; dead lanes hold the
-    /// baseline, which campaign executors never read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any fault is armed (pruning reasons about the fault-free
-    /// dataflow only — callers gate on [`PackedSimulator::has_faults`];
-    /// note that register-bit flips mutate stored state rather than arming
-    /// a fault, so flip-seeded divergence is handled by the register
-    /// seeds), if `inputs` does not match the module's input count, or if
-    /// `base` does not cover every net.
-    pub fn eval_comb_pruned(
-        &mut self,
-        inputs: &[[u64; W]],
-        base: &[bool],
-        live: [u64; W],
-        activity: &mut Vec<bool>,
-    ) {
-        assert_eq!(
-            inputs.len(),
-            self.net.inputs.len(),
-            "input count mismatch: got {}, module has {}",
-            inputs.len(),
-            self.net.inputs.len()
-        );
-        assert_eq!(base.len(), self.net.n_nets, "baseline net-count mismatch");
-        assert!(
-            !self.has_faults(),
-            "pruned evaluation requires a fault-free mask state"
-        );
-        activity.clear();
-        activity.resize(self.net.n_nets, false);
-        let base_word = |b: bool| if b { !0u64 } else { 0u64 };
-        let diverges = |w: &[u64; W], bw: u64| {
-            let mut diff = 0u64;
-            for k in 0..W {
-                diff |= (w[k] ^ bw) & live[k];
-            }
-            diff != 0
-        };
-        // Phase 0: sources. Constants always equal the baseline; inputs
-        // and registers seed activity wherever a live lane diverges.
-        for (i, &w) in inputs.iter().enumerate() {
-            let n = self.net.inputs[i] as usize;
-            self.values[n] = w;
-            activity[n] = diverges(&w, base_word(base[n]));
-        }
-        for &(n, w) in &self.net.consts {
-            self.values[n as usize] = splat(w);
-        }
-        for (ri, &n) in self.net.reg_nets.iter().enumerate() {
-            let n = n as usize;
-            let w = self.reg_state[ri];
-            self.values[n] = w;
-            activity[n] = diverges(&w, base_word(base[n]));
-        }
-        // Phase 1: topological sweep over the activity frontier.
-        for op in &self.net.ops {
-            let act = match op.arity {
-                1 => activity[op.a as usize],
-                2 => activity[op.a as usize] | activity[op.b as usize],
-                _ => activity[op.a as usize] | activity[op.b as usize] | activity[op.c as usize],
-            };
-            let n = op.out as usize;
-            let bw = base_word(base[n]);
-            if !act {
-                self.values[n] = splat(bw);
-                continue;
-            }
-            let a = self.values[op.a as usize];
-            let b = self.values[op.b as usize];
-            let c = self.values[op.c as usize];
-            let mut raw = [0u64; W];
-            for k in 0..W {
-                raw[k] = match op.kind {
-                    OP_BUF => a[k],
-                    OP_NOT => !a[k],
-                    OP_AND => a[k] & b[k],
-                    OP_OR => a[k] | b[k],
-                    OP_XOR => a[k] ^ b[k],
-                    OP_NAND => !(a[k] & b[k]),
-                    OP_NOR => !(a[k] | b[k]),
-                    OP_XNOR => !(a[k] ^ b[k]),
-                    _ => (a[k] & c[k]) | (!a[k] & b[k]), // mux
-                };
-            }
-            self.values[n] = raw;
-            activity[n] = diverges(&raw, bw);
-        }
-    }
-
-    /// Advances one clock cycle through the baseline-pruned settle of
-    /// [`PackedSimulator::eval_comb_pruned`]: prune, sample outputs into
-    /// `outputs`, commit registers.
-    ///
-    /// # Panics
-    ///
-    /// As [`PackedSimulator::eval_comb_pruned`].
-    pub fn step_into_pruned(
-        &mut self,
-        inputs: &[[u64; W]],
-        base: &[bool],
-        live: [u64; W],
-        activity: &mut Vec<bool>,
-        outputs: &mut Vec<[u64; W]>,
-    ) {
-        self.eval_comb_pruned(inputs, base, live, activity);
-        self.sample_outputs_into(outputs);
-        self.commit_registers();
-        self.cycle += 1;
-    }
-
     /// Samples the output ports into `out` (cleared first); `out[i]`
     /// carries the lane wave of output port `i`.
     pub fn sample_outputs_into(&self, out: &mut Vec<[u64; W]>) {
@@ -1022,99 +892,5 @@ mod tests {
             extract_lane(&out, 70, &mut bits);
             assert_eq!(bits, expect_clean, "cycle {cycle}: clean lane");
         }
-    }
-
-    /// Per-cycle fault-free baseline of every net, as the campaign wave
-    /// executor computes it: registers hold start-of-cycle state, then one
-    /// combinational settle. Advances the reference one cycle.
-    fn baseline_nets(reference: &mut Simulator<'_>, inputs: &[bool], n_nets: usize) -> Vec<bool> {
-        reference.eval_comb(inputs);
-        let base = (0..n_nets)
-            .map(|n| reference.peek(crate::NetId(n as u32)))
-            .collect();
-        reference.commit_registers();
-        base
-    }
-
-    /// The baseline-pruned settle must reproduce `eval_comb` bit-for-bit
-    /// in every live lane: divergence seeded by a register-bit flip (state
-    /// mutation, not an armed fault) and by an input lane straying from
-    /// the reference stream both propagate through the activity frontier.
-    #[test]
-    fn pruned_step_matches_full_step_on_diverged_lanes() {
-        let m = counter();
-        let compiled = PackedNetlist::compile(&m);
-        let mut full = PackedSimulator::<2>::new(&compiled);
-        let mut pruned = PackedSimulator::<2>::new(&compiled);
-        // Lane 70 (word 1) starts from a flipped register bit; lane 5
-        // (word 0) drives a diverging input stream on cycles 1 and 2.
-        full.flip_register(m.registers()[1], lane_mask(70));
-        pruned.flip_register(m.registers()[1], lane_mask(70));
-        assert!(!pruned.has_faults(), "flips mutate state, not masks");
-
-        let mut reference = Simulator::new(&m);
-        let live = [!0u64; 2];
-        let (mut out_full, mut out_pruned, mut activity) = (Vec::new(), Vec::new(), Vec::new());
-        for cycle in 0..4 {
-            let base = baseline_nets(&mut reference, &[true], compiled.len());
-            let lane5 = lane_mask::<2>(5);
-            let w0 = if cycle == 1 || cycle == 2 {
-                !0 ^ lane5[0]
-            } else {
-                !0u64
-            };
-            let inputs = [[w0, !0u64]];
-            full.step_into(&inputs, &mut out_full);
-            pruned.step_into_pruned(&inputs, &base, live, &mut activity, &mut out_pruned);
-            assert_eq!(out_full, out_pruned, "cycle {cycle}: outputs");
-            assert_eq!(
-                full.register_words(),
-                pruned.register_words(),
-                "cycle {cycle}: committed state"
-            );
-        }
-    }
-
-    /// Lanes outside `live` cannot wake the activity frontier: with the
-    /// only divergence in a dead lane, the pruned settle reports zero
-    /// activity and every live lane reads the baseline.
-    #[test]
-    fn pruned_eval_ignores_divergence_in_dead_lanes() {
-        let m = counter();
-        let compiled = PackedNetlist::compile(&m);
-        let mut sim = PackedSimulator::<1>::new(&compiled);
-        sim.flip_register(m.registers()[0], lane_mask(9));
-        let mut reference = Simulator::new(&m);
-        let base = baseline_nets(&mut reference, &[true], compiled.len());
-        let live = [!0u64 ^ lane_mask::<1>(9)[0]];
-        let mut activity = Vec::new();
-        sim.eval_comb_pruned(&[[!0u64]], &base, live, &mut activity);
-        assert!(
-            activity.iter().all(|&a| !a),
-            "dead-lane divergence woke the frontier"
-        );
-        let mut out = Vec::new();
-        sim.sample_outputs_into(&mut out);
-        let expect = reference.sample_outputs();
-        for (port, &word) in out.iter().enumerate() {
-            let want = if expect[port] { live[0] } else { 0 };
-            assert_eq!(
-                word[0] & live[0],
-                want,
-                "output {port}: live lanes off baseline"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "fault-free mask state")]
-    fn pruned_eval_rejects_armed_faults() {
-        let m = counter();
-        let compiled = PackedNetlist::compile(&m);
-        let mut sim = PackedSimulator::<1>::new(&compiled);
-        sim.set_net_flip(m.registers()[0].net(), lane_mask(0));
-        let base = vec![false; compiled.len()];
-        let mut activity = Vec::new();
-        sim.eval_comb_pruned(&[[0]], &base, [!0], &mut activity);
     }
 }

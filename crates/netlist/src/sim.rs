@@ -321,12 +321,6 @@ impl<'m> Simulator<'m> {
         self.pin_stuck.insert((cell.0, pin as u8), value);
     }
 
-    /// Removes any fault on a pin.
-    pub fn clear_pin_fault(&mut self, cell: CellId, pin: usize) {
-        self.pin_flip.remove(&(cell.0, pin as u8));
-        self.pin_stuck.remove(&(cell.0, pin as u8));
-    }
-
     /// Removes all armed faults.
     pub fn clear_faults(&mut self) {
         self.net_flip.clear();

@@ -314,6 +314,17 @@ impl JobSpec {
         // believes it requested.
         match kind {
             JobKind::Analyze => {
+                let inputs = fsm.signals().len();
+                if config == ConfigKind::Unprotected && inputs > UnprotectedTarget::MAX_SIGNALS {
+                    return Err(ApiError::bad_request(
+                        "bad_fsm",
+                        format!(
+                            "an unprotected analyze job enumerates every input word, so the \
+                             FSM may have at most {} inputs (it has {inputs})",
+                            UnprotectedTarget::MAX_SIGNALS
+                        ),
+                    ));
+                }
                 if joint || max_active.is_some() || field_bool(doc, "all_gates")? {
                     return Err(ApiError::bad_request(
                         "bad_knobs",
@@ -760,6 +771,16 @@ mod tests {
         Json::Str(DEMO.to_string()).encode()
     }
 
+    /// A two-state FSM with `inputs` control signals, as a JSON string.
+    fn wide_dsl_lit(inputs: usize) -> String {
+        let names: Vec<String> = (0..inputs).map(|i| format!("i{i}")).collect();
+        let dsl = format!(
+            "fsm wide {{ inputs {}; state A {{ if i0 -> B; }} state B {{ goto A; }} }}",
+            names.join(", ")
+        );
+        Json::Str(dsl).encode()
+    }
+
     #[test]
     fn suite_names_resolve_and_unknown_is_404() {
         let s = spec(r#"{"kind": "certify", "suite": "aes_control"}"#).unwrap();
@@ -771,6 +792,10 @@ mod tests {
 
     #[test]
     fn unknown_fields_and_bad_values_are_typed_400s() {
+        let too_wide = format!(
+            r#"{{"kind": "analyze", "config": "unprotected", "fsm": {}}}"#,
+            wide_dsl_lit(UnprotectedTarget::MAX_SIGNALS + 1)
+        );
         for (body, code) in [
             (
                 r#"{"kind": "analyze", "suite": "aes_control", "turbo": true}"#,
@@ -854,6 +879,7 @@ mod tests {
                 "bad_field",
             ),
             (r#"[1, 2]"#, "bad_body"),
+            (too_wide.as_str(), "bad_fsm"),
         ] {
             let e = spec(body).expect_err(body);
             assert_eq!(e.code, code, "body: {body} → {e:?}");
@@ -865,6 +891,35 @@ mod tests {
                 Some(e.code)
             );
         }
+    }
+
+    /// Only the unprotected analyze target enumerates input words: its
+    /// SCFI and redundancy twins, and certify jobs on every config, accept
+    /// an FSM past the limit, and the unprotected one accepts the limit.
+    #[test]
+    fn wide_fsms_are_refused_only_by_unprotected_analyze() {
+        let wide = wide_dsl_lit(UnprotectedTarget::MAX_SIGNALS + 1);
+        for (kind, config) in [
+            ("analyze", "scfi"),
+            ("analyze", "redundancy"),
+            ("certify", "scfi"),
+            ("certify", "redundancy"),
+            ("certify", "unprotected"),
+        ] {
+            let body = format!(r#"{{"kind": "{kind}", "config": "{config}", "fsm": {wide}}}"#);
+            let s = spec(&body).unwrap_or_else(|e| panic!("{kind} {config}: {e:?}"));
+            assert_eq!(s.fsm.signals().len(), UnprotectedTarget::MAX_SIGNALS + 1);
+        }
+        let at_limit = format!(
+            r#"{{"kind": "analyze", "config": "unprotected", "fsm": {}}}"#,
+            wide_dsl_lit(UnprotectedTarget::MAX_SIGNALS)
+        );
+        spec(&at_limit).expect("the limit itself is accepted");
+        let e = spec(&format!(
+            r#"{{"kind": "analyze", "config": "unprotected", "fsm": {wide}}}"#
+        ))
+        .unwrap_err();
+        assert!(e.message.contains("at most 20 inputs"), "{e:?}");
     }
 
     #[test]

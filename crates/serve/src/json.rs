@@ -73,15 +73,6 @@ impl Json {
         }
     }
 
-    /// Any number as `f64`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(n) => Some(*n as f64),
-            Json::Float(x) => Some(*x),
-            _ => None,
-        }
-    }
-
     /// The element list, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {

@@ -457,7 +457,7 @@ fn run_one(registry: &Registry, job: &Job) {
             inner.state = JobState::Failed;
             inner.error = Some(format!(
                 "model preparation panicked: {}",
-                panic_text(&payload)
+                panic_text(payload)
             ));
             inner.finished_at = Some(Instant::now());
             return;
@@ -514,13 +514,16 @@ fn run_one(registry: &Registry, job: &Job) {
         }
         Err(payload) => {
             inner.state = JobState::Failed;
-            inner.error = Some(format!("job panicked: {}", panic_text(&payload)));
+            inner.error = Some(format!("job panicked: {}", panic_text(payload)));
         }
     }
     inner.finished_at = Some(Instant::now());
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic. The payload is taken by value: a
+/// `&Box<dyn Any>` coerces to `&dyn Any` as the box itself, and no
+/// downcast of the box finds the message inside it.
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -974,6 +977,17 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![1, 2, 3]);
         assert_eq!(q.depth(), 0);
+    }
+
+    #[test]
+    fn panic_text_reads_the_caught_message() {
+        let caught = |f: fn()| catch_unwind(f).expect_err("the closure panics");
+        assert_eq!(panic_text(caught(|| panic!("boom"))), "boom");
+        assert_eq!(panic_text(caught(|| panic!("{}", 7))), "7");
+        assert_eq!(
+            panic_text(caught(|| std::panic::panic_any(7u8))),
+            "non-string panic payload"
+        );
     }
 
     #[test]

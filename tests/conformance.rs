@@ -222,9 +222,10 @@ fn assert_engines_agree<T: FaultTarget>(target: &T, config: &CampaignConfig, wha
 /// (unprotected, redundancy, SCFI) and every protection level N ∈
 /// {2, 3, 4}, the bit-parallel packed engine must reproduce the scalar
 /// engine's `CampaignReport` aggregates exactly — the same exhaustive
-/// gate-output flip campaign, injection for injection. Two more inputs
+/// gate-output flip campaign, injection for injection. Three more inputs
 /// cover fault spaces the matrix leaves out: gate-output flips without
-/// register flips, and one depth-1 scenario per CFG edge.
+/// register flips, one depth-1 scenario per CFG edge, and register flips
+/// over depth-16 walks, whose waves settle long before their last cycle.
 #[test]
 fn packed_campaign_engine_matches_scalar_on_every_table1_fsm() {
     let config = CampaignConfig::new().with_register_flips();
@@ -271,6 +272,17 @@ fn packed_campaign_engine_matches_scalar_on_every_table1_fsm() {
         &ScfiTarget::with_scenarios(&h, scenarios),
         &CampaignConfig::new().effects(vec![]).with_register_flips(),
         "i2c_fsm SCFI N=2 scenario-dense depth-1",
+    );
+
+    // Deep walks: each register flip strikes one step of a depth-16 walk,
+    // so every lane runs a long fault-free prefix, and the lanes SCFI
+    // detects at once ride out the rest of the walk dead.
+    let aes = scfi_opentitan::by_name("aes_control").expect("suite entry");
+    let h = harden(&aes.fsm, &ScfiConfig::new(2)).expect("harden");
+    assert_engines_agree(
+        &ScfiTarget::with_protocol(&h, 16, 0xB007_5EED),
+        &CampaignConfig::new().effects(vec![]).with_register_flips(),
+        "aes_control SCFI N=2 depth-16 walks",
     );
 }
 
