@@ -9,19 +9,20 @@
 //!   security"): area vs diffusion-layer escape rate as `e` grows.
 
 use scfi_core::{harden, PadPolicy, ScfiConfig};
-use scfi_faultsim::{run_exhaustive, CampaignConfig, FaultEffect, ScfiTarget};
+use scfi_faultsim::{CampaignConfig, FaultEffect, ScfiTarget, VulnerabilityMap};
 use scfi_mds::{Lowering, MdsSpec};
 use scfi_stdcell::Library;
 
 fn diffusion_escape(h: &scfi_core::HardenedFsm) -> f64 {
-    let report = run_exhaustive(
+    let report = VulnerabilityMap::analyze(
         &ScfiTarget::new(h),
         &CampaignConfig::new()
             .effects(vec![FaultEffect::Flip])
             .region(h.regions().diffusion.clone())
             .with_pin_faults()
             .threads(2),
-    );
+    )
+    .summary();
     report.hijack_rate()
 }
 
@@ -120,12 +121,13 @@ fn print_ablations() {
     for (label, config) in configs {
         let h = harden(&fsm, &config).expect("harden");
         let area = lib.map(h.module()).area_ge();
-        let whole = run_exhaustive(
+        let whole = VulnerabilityMap::analyze(
             &ScfiTarget::new(&h),
             &CampaignConfig::new()
                 .effects(vec![FaultEffect::Flip])
                 .threads(2),
-        );
+        )
+        .summary();
         println!(
             "{:<28} {:>10.0} {:>12} {:>13.3}%",
             label,

@@ -10,8 +10,8 @@
 
 use scfi_core::{harden, redundancy, ScfiConfig};
 use scfi_faultsim::{
-    paper_success_probability, run_multi_fault, CampaignConfig, RedundancyTarget, ScfiTarget,
-    UnprotectedTarget,
+    paper_success_probability, try_run_multi_fault, CampaignConfig, RedundancyTarget, RunControl,
+    ScfiTarget, UnprotectedTarget,
 };
 use scfi_fsm::lower_unprotected;
 
@@ -32,12 +32,14 @@ fn print_sweep() {
     let unprot_target = UnprotectedTarget::new(fsm, &lowered);
     let mut row = format!("{:<22}", "unprotected");
     for m in 1..=4 {
-        let r = run_multi_fault(
+        let r = try_run_multi_fault(
             &unprot_target,
             m,
             RUNS,
             &CampaignConfig::new().seed(100 + m as u64),
-        );
+            &RunControl::unlimited(),
+        )
+        .expect("an unlimited campaign completes");
         row.push_str(&format!(" {:>7.2}%", 100.0 * r.hijack_rate()));
     }
     println!("{row}");
@@ -47,12 +49,14 @@ fn print_sweep() {
         let target = RedundancyTarget::new(&red);
         let mut row = format!("{:<22}", format!("redundancy N={n}"));
         for m in 1..=4 {
-            let r = run_multi_fault(
+            let r = try_run_multi_fault(
                 &target,
                 m,
                 RUNS,
                 &CampaignConfig::new().seed(200 + (10 * n + m) as u64),
-            );
+                &RunControl::unlimited(),
+            )
+            .expect("an unlimited campaign completes");
             row.push_str(&format!(" {:>7.2}%", 100.0 * r.hijack_rate()));
         }
         println!("{row}");
@@ -63,12 +67,14 @@ fn print_sweep() {
         let target = ScfiTarget::new(&hardened);
         let mut row = format!("{:<22}", format!("SCFI N={n}"));
         for m in 1..=4 {
-            let r = run_multi_fault(
+            let r = try_run_multi_fault(
                 &target,
                 m,
                 RUNS,
                 &CampaignConfig::new().seed(300 + (10 * n + m) as u64),
-            );
+                &RunControl::unlimited(),
+            )
+            .expect("an unlimited campaign completes");
             row.push_str(&format!(" {:>7.2}%", 100.0 * r.hijack_rate()));
         }
         println!(

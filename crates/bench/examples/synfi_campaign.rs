@@ -8,7 +8,7 @@
 //! landing on a *valid* wrong codeword.
 
 use scfi_bench::synfi_experiment;
-use scfi_faultsim::{run_exhaustive, CampaignConfig, FaultEffect, ScfiTarget, UnprotectedTarget};
+use scfi_faultsim::{CampaignConfig, FaultEffect, ScfiTarget, UnprotectedTarget, VulnerabilityMap};
 use scfi_fsm::lower_unprotected;
 
 fn print_synfi() {
@@ -32,17 +32,19 @@ fn print_synfi() {
 
     // Context: the same fault model against the whole protected module and
     // against the unprotected FSM.
-    let full = run_exhaustive(
+    let full = VulnerabilityMap::analyze(
         &ScfiTarget::new(&hardened),
         &CampaignConfig::new().effects(vec![FaultEffect::Flip]),
-    );
+    )
+    .summary();
     println!("whole protected module, gate-output flips: {full}");
     let fsm = hardened.fsm().clone();
     let lowered = lower_unprotected(&fsm).expect("lowering");
-    let unprot = run_exhaustive(
+    let unprot = VulnerabilityMap::analyze(
         &UnprotectedTarget::new(&fsm, &lowered),
         &CampaignConfig::new().effects(vec![FaultEffect::Flip]),
-    );
+    )
+    .summary();
     println!("unprotected FSM, same fault model:        {unprot}");
     println!(
         "protection factor: {:.0}x fewer escapes per injection\n",

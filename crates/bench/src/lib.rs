@@ -14,7 +14,7 @@
 //! * [`geometric_mean`] — the Table 1 summary row.
 
 use scfi_core::{harden, redundancy, HardenedFsm, PadPolicy, ScfiConfig};
-use scfi_faultsim::{run_exhaustive, CampaignConfig, CampaignReport, FaultEffect, ScfiTarget};
+use scfi_faultsim::{CampaignConfig, CampaignReport, FaultEffect, ScfiTarget, VulnerabilityMap};
 use scfi_fsm::lower_unprotected;
 use scfi_opentitan::BenchFsm;
 use scfi_stdcell::Library;
@@ -184,13 +184,14 @@ pub fn synfi_experiment() -> (HardenedFsm, CampaignReport) {
         let target = ScfiTarget::new(&hardened);
         // Packed wave engine, one worker per CPU (the CampaignConfig
         // default); results are deterministic regardless of thread count.
-        run_exhaustive(
+        VulnerabilityMap::analyze(
             &target,
             &CampaignConfig::new()
                 .effects(vec![FaultEffect::Flip])
                 .region(hardened.regions().diffusion.clone())
                 .with_pin_faults(),
         )
+        .summary()
     };
     (hardened, report)
 }

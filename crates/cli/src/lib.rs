@@ -31,7 +31,7 @@ use std::str::FromStr;
 
 use scfi_core::{HardenedFsm, PadPolicy, ScfiConfig};
 use scfi_faultsim::{
-    try_run_exhaustive, try_run_multi_fault, Backend, CampaignError, FaultTarget, ScfiTarget,
+    try_run_multi_fault, Backend, CampaignError, CampaignReport, FaultTarget, ScfiTarget,
     StopReason, VulnerabilityMap,
 };
 use scfi_fsm::{parse_fsm, Fsm};
@@ -525,36 +525,37 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
             target.scenario_count()
         );
     }
-    if map_format {
+    if let Some(m) = multi {
+        let report = try_run_multi_fault(&target, m, runs, &config, &control)
+            .map_err(|e| campaign_error(e, out))?;
+        write_summary(out, &report, hardened);
+    } else {
         let map = VulnerabilityMap::try_analyze(&target, &config, &control)
             .map_err(|e| campaign_error(e, out))?;
-        match spec.format {
-            Format::Csv => write_sites_csv(out, hardened.module(), &map),
-            Format::Json => write_sites_json(out, hardened.module(), &map),
-        }
-    } else {
-        // `--rank` runs the campaign once, as a map, and takes the
-        // summary line from its totals.
-        let mut ranking = None;
-        let report = match multi {
-            Some(m) => try_run_multi_fault(&target, m, runs, &config, &control),
-            None if rank => VulnerabilityMap::try_analyze(&target, &config, &control)
-                .map(|map| ranking.insert(map).summary()),
-            None => try_run_exhaustive(&target, &config, &control),
-        }
-        .map_err(|e| campaign_error(e, out))?;
-        let _ = writeln!(out, "{report}");
-        let _ = writeln!(
-            out,
-            "analytic success probability (paper formula): {:.3e}",
-            scfi_faultsim::paper_success_probability(hardened)
-        );
-        if let Some(map) = ranking {
-            let _ = writeln!(out, "{map}");
+        match format {
+            Some(Format::Csv) => write_sites_csv(out, hardened.module(), &map),
+            Some(Format::Json) => write_sites_json(out, hardened.module(), &map),
+            None => {
+                write_summary(out, &map.summary(), hardened);
+                if rank {
+                    let _ = writeln!(out, "{map}");
+                }
+            }
         }
     }
     stats.emit(out)?;
     Ok(())
+}
+
+/// The text report of `scfi analyze`: the campaign's totals and the
+/// paper's analytic success probability.
+fn write_summary(out: &mut String, report: &CampaignReport, hardened: &HardenedFsm) {
+    let _ = writeln!(out, "{report}");
+    let _ = writeln!(
+        out,
+        "analytic success probability (paper formula): {:.3e}",
+        scfi_faultsim::paper_success_probability(hardened)
+    );
 }
 
 /// Converts a campaign failure into its exit code, writing the completed
@@ -1091,6 +1092,49 @@ mod tests {
         ]);
         assert!(out.contains("cells"));
         let _ = std::fs::remove_file(path);
+    }
+
+    /// Every exhaustive output reads one vulnerability map: the text
+    /// summary's counts are the sums over the JSON sites, and `--rank`
+    /// prints the text report first, then the ranking.
+    #[test]
+    fn analyze_text_rank_and_json_read_one_map() {
+        use scfi_serve::json::{parse, Json};
+        let path =
+            std::env::temp_dir().join(format!("scfi_cli_one_map_{}.dsl", std::process::id()));
+        std::fs::write(&path, run_ok(&["suite", "aes_control"])).expect("writable temp dir");
+        let base = [
+            "analyze",
+            path.to_str().expect("utf8"),
+            "--level",
+            "3",
+            "--stuck-at",
+        ];
+        let text = run_ok(&base);
+        let ranked = run_ok(&[&base[..], &["--rank"]].concat());
+        let json = run_ok(&[&base[..], &["--format", "json"]].concat());
+        let _ = std::fs::remove_file(path);
+
+        let doc = parse(&json).expect("the map is a JSON document");
+        let sites = doc.get("sites").and_then(Json::as_arr).expect("sites");
+        let sum = |key: &str| -> u64 {
+            sites
+                .iter()
+                .map(|site| site.get(key).and_then(Json::as_u64).expect("count"))
+                .sum()
+        };
+        let (masked, detected, hijacked) = (sum("masked"), sum("detected"), sum("hijacked"));
+        assert!(hijacked > 0, "the fixture must attribute hijacks");
+        let summary = format!(
+            "{} injections: {masked} masked, {detected} detected, {hijacked} hijacked (",
+            masked + detected + hijacked
+        );
+        assert!(text.starts_with(&summary), "{summary}\nvs\n{text}");
+        assert_eq!(text.lines().count(), 2, "{text}");
+        assert!(
+            ranked.starts_with(&text) && ranked.len() > text.len(),
+            "--rank must extend the text report:\n{ranked}"
+        );
     }
 
     #[test]

@@ -270,19 +270,6 @@ impl Codebook {
         self.words.iter().position(|w| w == word)
     }
 
-    /// Nearest-codeword decode: the symbol minimizing Hamming distance,
-    /// with the distance. Ties resolve to the lowest index.
-    pub fn decode_nearest(&self, word: &BitVec) -> (usize, usize) {
-        let mut best = (0usize, usize::MAX);
-        for (i, w) in self.words.iter().enumerate() {
-            let dist = w.hamming_distance(word);
-            if dist < best.1 {
-                best = (i, dist);
-            }
-        }
-        best
-    }
-
     /// The smallest pairwise distance actually present (≥
     /// [`Codebook::min_distance`] for a verified book).
     pub fn actual_min_distance(&self) -> usize {
@@ -359,14 +346,11 @@ mod tests {
         let code = CodeSpec::new(6, 3).build().unwrap();
         for i in 0..6 {
             assert_eq!(code.decode(code.word(i)), Some(i));
-            let (sym, dist) = code.decode_nearest(code.word(i));
-            assert_eq!((sym, dist), (i, 0));
         }
-        // A single bit flip decodes nearest to the original at d >= 3.
+        // A single bit flip is no codeword at d >= 3.
         let mut flipped = code.word(2).clone();
         flipped.set(0, !flipped.get(0));
         assert_eq!(code.decode(&flipped), None);
-        assert_eq!(code.decode_nearest(&flipped), (2, 1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Pluggable campaign execution backends.
 //!
 //! A [`CampaignBackend`] is the execution contract behind every campaign
-//! driver: compile the target's netlist once, run a [`WorkList`] of
+//! entry point: compile the target's netlist once, run a [`WorkList`] of
 //! `(scenario, faults)` items, and return **one [`Outcome`] per item, in
 //! item order** — deterministically, independent of thread count, batching
 //! or internal lane order. Everything above the backend (aggregation,
@@ -20,7 +20,7 @@
 //!   words, `W` ∈ {1, 2, 4} from [`CampaignConfig::lane_words`]: 64–256
 //!   injections per netlist pass with word-parallel classification.
 //!
-//! Campaign drivers pick the backend from
+//! Campaigns pick the backend from
 //! [`CampaignConfig::backend`](CampaignConfig::backend); the CLI exposes
 //! the same choice as `scfi analyze --backend scalar|packed`.
 
@@ -30,7 +30,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use scfi_netlist::{Simulator, LANES};
 
 use crate::campaign::{run_item_scalar, CampaignConfig, Outcome};
-use crate::control::{CampaignError, RunControl, StopReason};
+use crate::control::{panic_message, CampaignError, RunControl, StopReason};
 use crate::target::{FaultTarget, Scenario};
 use crate::wave::{self, RunOutput, WorkList};
 
@@ -111,24 +111,6 @@ pub trait CampaignBackend {
         config: &CampaignConfig,
         control: &RunControl,
     ) -> Result<Vec<Outcome>, CampaignError>;
-
-    /// Runs every item of `work` against `target`, returning slot-ordered
-    /// outcomes. Thin wrapper over [`try_execute`](Self::try_execute)
-    /// with an unlimited [`RunControl`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`CampaignError`] description if a wave panics
-    /// (the caught payload is embedded in the message).
-    fn execute<T: FaultTarget>(
-        &self,
-        target: &T,
-        work: &WorkList,
-        config: &CampaignConfig,
-    ) -> Vec<Outcome> {
-        self.try_execute(target, work, config, &RunControl::unlimited())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 /// The scalar reference backend: one [`Simulator`] per worker thread,
@@ -136,8 +118,7 @@ pub trait CampaignBackend {
 /// written straight into their work-list slots.
 ///
 /// Strictly slower than the wave backend; it exists as the differential
-/// oracle (and for debugging single injections with
-/// [`Simulator::peek`]).
+/// oracle: its slot-ordered outcome vector is the campaign semantics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ScalarBackend;
 
@@ -215,10 +196,7 @@ impl CampaignBackend for ScalarBackend {
                     for slot in &mut out[done..done + chunk] {
                         *slot = None;
                     }
-                    panics.push((
-                        start + done..start + done + chunk,
-                        wave::panic_message(payload),
-                    ));
+                    panics.push((start + done..start + done + chunk, panic_message(payload)));
                     sim.clear_faults();
                     cached = None;
                 }

@@ -183,19 +183,11 @@ impl CampaignConfig {
     /// # Panics
     ///
     /// Panics with the [`CampaignError::InvalidLaneWords`] description if
-    /// `w` is not 1, 2 or 4; use [`try_lane_words`](Self::try_lane_words)
-    /// to validate instead.
+    /// `w` is not 1, 2 or 4 ([`LaneWidth::new`] validates without
+    /// panicking).
     pub fn lane_words(mut self, w: usize) -> Self {
         self.lane_words = LaneWidth::new(w).unwrap_or_else(|e| panic!("{e}"));
         self
-    }
-
-    /// [`lane_words`](Self::lane_words) as a fallible validation:
-    /// rejects widths outside {1, 2, 4} with
-    /// [`CampaignError::InvalidLaneWords`] instead of panicking.
-    pub fn try_lane_words(mut self, w: usize) -> Result<Self, CampaignError> {
-        self.lane_words = LaneWidth::new(w)?;
-        Ok(self)
     }
 
     /// Seed for sampled campaigns.
@@ -225,11 +217,6 @@ impl CampaignConfig {
     pub fn with_fault_windows(mut self) -> Self {
         self.fault_windows = true;
         self
-    }
-
-    /// Whether multi-fault campaigns draw per-fault arming windows.
-    pub fn fault_windows_enabled(&self) -> bool {
-        self.fault_windows
     }
 
     /// Restricts the campaign to `module`'s FT1 register fault space:
@@ -368,11 +355,6 @@ impl fmt::Display for CampaignReport {
             100.0 * self.coverage()
         )
     }
-}
-
-/// Enumerates the fault list for a target under a config.
-pub(crate) fn fault_list<T: FaultTarget>(target: &T, config: &CampaignConfig) -> Vec<Fault> {
-    enumerate_faults(target.module(), config)
 }
 
 /// Enumerates every injectable fault of `module` under `config`'s fault
@@ -564,8 +546,7 @@ pub(crate) fn aggregate(
 
 /// Runs a work list under `control` on the backend selected by
 /// [`CampaignConfig::backend`]. The single dispatch point between the
-/// campaign drivers (and the vulnerability map) and the
-/// [`CampaignBackend`] implementations.
+/// campaign entry points and the [`CampaignBackend`] implementations.
 pub(crate) fn try_execute_backend<T: FaultTarget>(
     target: &T,
     work: &WorkList,
@@ -593,98 +574,6 @@ pub(crate) fn try_exhaustive_work<T: FaultTarget>(
         }
     }
     Ok(work)
-}
-
-/// [`try_exhaustive_work`], panicking on overflow.
-#[cfg(test)]
-pub(crate) fn exhaustive_work<T: FaultTarget>(target: &T, faults: &[Fault]) -> WorkList {
-    try_exhaustive_work(target, faults).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Exhaustive single-fault campaign: every scenario × every fault site ×
-/// every configured effect — the §6.4 experiment.
-///
-/// Runs on the [`CampaignBackend`] selected by [`CampaignConfig::backend`]
-/// (default: the bit-parallel packed wave engine, up to 256 injections per
-/// netlist pass, sharded across [`CampaignConfig::threads`] workers).
-/// Every backend produces injection-for-injection the same report; the
-/// workspace conformance suite pins them against each other on every
-/// Table-1 FSM at every wave width.
-///
-/// # Example
-///
-/// ```
-/// use scfi_core::{harden, ScfiConfig};
-/// use scfi_faultsim::{run_exhaustive, CampaignConfig, ScfiTarget};
-/// use scfi_fsm::parse_fsm;
-///
-/// let fsm = parse_fsm("fsm m { inputs a; state P { if a -> Q; } state Q { goto P; } }")?;
-/// let hardened = harden(&fsm, &ScfiConfig::new(2))?;
-/// let target = ScfiTarget::new(&hardened);
-/// let report = run_exhaustive(&target, &CampaignConfig::new());
-/// // Every injection lands in exactly one §6.4 bucket…
-/// assert_eq!(report.injections, report.masked + report.detected + report.hijacked);
-/// // …and the wave width never changes the report, only the throughput.
-/// let narrow = run_exhaustive(&target, &CampaignConfig::new().lane_words(1));
-/// assert_eq!(report, narrow);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn run_exhaustive<T: FaultTarget>(target: &T, config: &CampaignConfig) -> CampaignReport {
-    try_run_exhaustive(target, config, &RunControl::unlimited()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_exhaustive`] under a [`RunControl`]: the campaign can be
-/// cancelled, deadlined or injection-budgeted, and stops cleanly at the
-/// next wave boundary. On interruption the returned
-/// [`CampaignError::Interrupted`] carries a
-/// [`PartialReport`](crate::PartialReport) whose completed slots are
-/// byte-identical to the same slots of an uninterrupted run — at any
-/// thread count, on any backend. A panicking wave is isolated to its item
-/// range and surfaces as [`CampaignError::WorkerPanic`] with the rest of
-/// the campaign completed.
-///
-/// # Example
-///
-/// ```
-/// use scfi_core::{harden, ScfiConfig};
-/// use scfi_faultsim::{try_run_exhaustive, CampaignConfig, CampaignError, RunControl};
-/// use scfi_fsm::parse_fsm;
-///
-/// let fsm = parse_fsm("fsm m { inputs a; state P { if a -> Q; } state Q { goto P; } }")?;
-/// let hardened = harden(&fsm, &ScfiConfig::new(2))?;
-/// let target = scfi_faultsim::ScfiTarget::new(&hardened);
-///
-/// // Unlimited control behaves exactly like `run_exhaustive`…
-/// let full = try_run_exhaustive(&target, &CampaignConfig::new(), &RunControl::unlimited())?;
-///
-/// // …while an exhausted injection budget yields the completed prefix.
-/// let control = RunControl::unlimited().with_injection_budget(64);
-/// let err = try_run_exhaustive(&target, &CampaignConfig::new(), &control).unwrap_err();
-/// let CampaignError::Interrupted { partial, .. } = err else { panic!("interrupted") };
-/// assert!(partial.completed <= 64);
-/// assert_eq!(partial.total(), full.injections);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn try_run_exhaustive<T: FaultTarget>(
-    target: &T,
-    config: &CampaignConfig,
-    control: &RunControl,
-) -> Result<CampaignReport, CampaignError> {
-    let faults = fault_list(target, config);
-    let work = try_exhaustive_work(target, &faults)?;
-    let outcomes = try_execute_backend(target, &work, config, control)?;
-    Ok(aggregate(&work, outcomes.into_iter().enumerate()))
-}
-
-/// [`run_exhaustive`] forced onto the [`ScalarBackend`] — the differential
-/// oracle the wave backend is pinned against (and the engine of choice
-/// when debugging single injections with
-/// [`Simulator::peek`](scfi_netlist::Simulator::peek)).
-pub fn run_exhaustive_scalar<T: FaultTarget>(
-    target: &T,
-    config: &CampaignConfig,
-) -> CampaignReport {
-    run_exhaustive(target, &config.clone().backend(Backend::Scalar))
 }
 
 /// Draws the multi-fault work list: `runs` items of `faults_per_run`
@@ -741,28 +630,12 @@ fn multi_fault_work<T: FaultTarget>(
 ///
 /// Runs on the configured [`CampaignBackend`]; the fault draw stream is
 /// part of the work-list construction, not the backend, so every backend
-/// reports the same results for the same seed.
-pub fn run_multi_fault<T: FaultTarget>(
-    target: &T,
-    faults_per_run: usize,
-    runs: usize,
-    config: &CampaignConfig,
-) -> CampaignReport {
-    try_run_multi_fault(
-        target,
-        faults_per_run,
-        runs,
-        config,
-        &RunControl::unlimited(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_multi_fault`] under a [`RunControl`] — the controlled twin, with
-/// the same interruption and panic-isolation contract as
-/// [`try_run_exhaustive`]: the completed slots of the
-/// [`PartialReport`](crate::PartialReport) are byte-identical to the same
-/// slots of an uninterrupted run with the same seed.
+/// reports the same results for the same seed. The campaign runs under
+/// `control` with the interruption and panic-isolation contract of
+/// [`VulnerabilityMap::try_analyze`](crate::VulnerabilityMap::try_analyze):
+/// the completed slots of the [`PartialReport`](crate::PartialReport) are
+/// byte-identical to the same slots of an uninterrupted run with the same
+/// seed.
 pub fn try_run_multi_fault<T: FaultTarget>(
     target: &T,
     faults_per_run: usize,
@@ -770,7 +643,7 @@ pub fn try_run_multi_fault<T: FaultTarget>(
     config: &CampaignConfig,
     control: &RunControl,
 ) -> Result<CampaignReport, CampaignError> {
-    let faults = fault_list(target, config);
+    let faults = enumerate_faults(target.module(), config);
     if faults.is_empty() || target.scenario_count() == 0 {
         return Ok(CampaignReport::empty());
     }
@@ -786,26 +659,11 @@ pub fn try_run_multi_fault<T: FaultTarget>(
     Ok(aggregate(&work, outcomes.into_iter().enumerate()))
 }
 
-/// [`run_multi_fault`] forced onto the [`ScalarBackend`] (same seeded draw
-/// stream, scalar simulator).
-pub fn run_multi_fault_scalar<T: FaultTarget>(
-    target: &T,
-    faults_per_run: usize,
-    runs: usize,
-    config: &CampaignConfig,
-) -> CampaignReport {
-    run_multi_fault(
-        target,
-        faults_per_run,
-        runs,
-        &config.clone().backend(Backend::Scalar),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::target::{RedundancyTarget, ScfiTarget, UnprotectedTarget};
+    use crate::VulnerabilityMap;
     use scfi_core::{harden, redundancy, ScfiConfig};
     use scfi_fsm::{lower_unprotected, parse_fsm, Fsm};
 
@@ -819,12 +677,34 @@ mod tests {
         .unwrap()
     }
 
+    /// The exhaustive campaign's totals.
+    fn exhaustive<T: FaultTarget>(target: &T, config: &CampaignConfig) -> CampaignReport {
+        VulnerabilityMap::analyze(target, config).summary()
+    }
+
+    /// The exhaustive campaign's slot-ordered outcome vector on the
+    /// configured backend.
+    fn exhaustive_outcomes<T: FaultTarget>(target: &T, config: &CampaignConfig) -> Vec<Outcome> {
+        let faults = enumerate_faults(target.module(), config);
+        let work = try_exhaustive_work(target, &faults).unwrap();
+        try_execute_backend(target, &work, config, &RunControl::unlimited()).unwrap()
+    }
+
+    fn multi_fault<T: FaultTarget>(
+        target: &T,
+        m: usize,
+        runs: usize,
+        config: &CampaignConfig,
+    ) -> CampaignReport {
+        try_run_multi_fault(target, m, runs, config, &RunControl::unlimited()).unwrap()
+    }
+
     #[test]
     fn exhaustive_flip_campaign_on_scfi_has_low_escape_rate() {
         let f = fsm();
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
         let t = ScfiTarget::new(&h);
-        let report = run_exhaustive(&t, &CampaignConfig::new());
+        let report = exhaustive(&t, &CampaignConfig::new());
         assert!(report.injections > 100);
         assert_eq!(
             report.injections,
@@ -842,7 +722,7 @@ mod tests {
         let f = fsm();
         let lowered = lower_unprotected(&f).unwrap();
         let t = UnprotectedTarget::new(&f, &lowered);
-        let report = run_exhaustive(&t, &CampaignConfig::new().with_register_flips());
+        let report = exhaustive(&t, &CampaignConfig::new().with_register_flips());
         assert!(
             report.hijack_rate() > 0.1,
             "unprotected FSM must be easy to hijack: {report}"
@@ -854,8 +734,8 @@ mod tests {
         let f = fsm();
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
         let lowered = lower_unprotected(&f).unwrap();
-        let scfi = run_exhaustive(&ScfiTarget::new(&h), &CampaignConfig::new());
-        let unprot = run_exhaustive(
+        let scfi = exhaustive(&ScfiTarget::new(&h), &CampaignConfig::new());
+        let unprot = exhaustive(
             &UnprotectedTarget::new(&f, &lowered),
             &CampaignConfig::new(),
         );
@@ -871,7 +751,7 @@ mod tests {
             let regs = h.module().registers();
             regs[0].0..regs[regs.len() - 1].0 + 1
         };
-        let report = run_exhaustive(
+        let report = exhaustive(
             &t,
             &CampaignConfig::new()
                 .effects(vec![])
@@ -888,7 +768,7 @@ mod tests {
         let r = redundancy(&f, 2).unwrap();
         let t = RedundancyTarget::new(&r);
         let regs = r.module().registers();
-        let report = run_exhaustive(
+        let report = exhaustive(
             &t,
             &CampaignConfig::new()
                 .effects(vec![])
@@ -904,7 +784,7 @@ mod tests {
         let f = fsm();
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
         let t = ScfiTarget::new(&h);
-        let report = run_exhaustive(
+        let report = exhaustive(
             &t,
             &CampaignConfig::new().effects(vec![FaultEffect::Stuck0, FaultEffect::Stuck1]),
         );
@@ -917,8 +797,8 @@ mod tests {
         let f = fsm();
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
         let t = ScfiTarget::new(&h);
-        let seq = run_exhaustive(&t, &CampaignConfig::new().threads(1));
-        let par = run_exhaustive(&t, &CampaignConfig::new().threads(2));
+        let seq = exhaustive(&t, &CampaignConfig::new().threads(1));
+        let par = exhaustive(&t, &CampaignConfig::new().threads(2));
         assert_eq!(seq.injections, par.injections);
         assert_eq!(seq.masked, par.masked);
         assert_eq!(seq.detected, par.detected);
@@ -930,8 +810,8 @@ mod tests {
         let f = fsm();
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
         let t = ScfiTarget::new(&h);
-        let full = run_exhaustive(&t, &CampaignConfig::new());
-        let diff = run_exhaustive(
+        let full = exhaustive(&t, &CampaignConfig::new());
+        let diff = exhaustive(
             &t,
             &CampaignConfig::new().region(h.regions().diffusion.clone()),
         );
@@ -944,7 +824,7 @@ mod tests {
         let f = fsm();
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
         let t = ScfiTarget::new(&h);
-        let report = run_multi_fault(&t, 3, 500, &CampaignConfig::new().seed(99));
+        let report = multi_fault(&t, 3, 500, &CampaignConfig::new().seed(99));
         assert_eq!(report.injections, 500);
         // Multi-fault attacks may escape occasionally but detection must
         // dominate among effective faults.
@@ -956,8 +836,8 @@ mod tests {
         let f = fsm();
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
         let t = ScfiTarget::new(&h);
-        let a = run_multi_fault(&t, 2, 200, &CampaignConfig::new().seed(5));
-        let b = run_multi_fault(&t, 2, 200, &CampaignConfig::new().seed(5));
+        let a = multi_fault(&t, 2, 200, &CampaignConfig::new().seed(5));
+        let b = multi_fault(&t, 2, 200, &CampaignConfig::new().seed(5));
         assert_eq!(a, b);
     }
 
@@ -967,9 +847,10 @@ mod tests {
         let _ = CampaignConfig::new().lane_words(3);
     }
 
-    /// The public fault enumeration and the internal campaign fault list
-    /// are the same space — what the symbolic certifier enumerates is
-    /// site-for-site what the campaigns inject.
+    /// The public fault enumeration is the space the exhaustive campaign
+    /// injects — what the symbolic certifier enumerates is site-for-site
+    /// what the campaigns inject: every fault once per scenario, and
+    /// exactly the enumerated cells in the map.
     #[test]
     fn enumerate_faults_matches_the_campaign_fault_space() {
         let f = fsm();
@@ -983,10 +864,18 @@ mod tests {
                 .with_register_flips(),
             CampaignConfig::new().region(h.regions().diffusion.clone()),
         ] {
-            assert_eq!(
-                fault_list(&t, &config),
-                enumerate_faults(h.module(), &config)
-            );
+            let faults = enumerate_faults(h.module(), &config);
+            let map = VulnerabilityMap::analyze(&t, &config);
+            assert_eq!(map.total_injections(), t.scenario_count() * faults.len());
+            let mut cells: Vec<u32> = faults
+                .iter()
+                .map(|f| match f.site {
+                    FaultSite::CellOutput(c) | FaultSite::Pin(c, _) | FaultSite::Register(c) => c.0,
+                })
+                .collect();
+            cells.sort_unstable();
+            cells.dedup();
+            assert_eq!(map.sites().map(|(c, _)| c.0).collect::<Vec<_>>(), cells);
         }
     }
 
@@ -994,9 +883,8 @@ mod tests {
     fn pin_faults_expand_the_fault_list() {
         let f = fsm();
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
-        let t = ScfiTarget::new(&h);
-        let plain = fault_list(&t, &CampaignConfig::new());
-        let with_pins = fault_list(&t, &CampaignConfig::new().with_pin_faults());
+        let plain = enumerate_faults(h.module(), &CampaignConfig::new());
+        let with_pins = enumerate_faults(h.module(), &CampaignConfig::new().with_pin_faults());
         assert!(with_pins.len() > 2 * plain.len());
     }
 
@@ -1010,7 +898,7 @@ mod tests {
         let h2 = harden(&f, &ScfiConfig::new(2).selector_rails(2)).unwrap();
         let rate = |h: &scfi_core::HardenedFsm| {
             let r = h.regions();
-            run_exhaustive(
+            exhaustive(
                 &ScfiTarget::new(h),
                 &CampaignConfig::new()
                     .region(r.pattern_match.start..r.modifier_select.end)
@@ -1031,7 +919,7 @@ mod tests {
         let f = fsm();
         let h = harden(&f, &ScfiConfig::new(2).adaptive_mds(true)).unwrap();
         assert!(h.mds().width() < 32, "small FSM must get a small matrix");
-        let report = run_exhaustive(&ScfiTarget::new(&h), &CampaignConfig::new());
+        let report = exhaustive(&ScfiTarget::new(&h), &CampaignConfig::new());
         // Branch number drops with the smaller matrix; detection must
         // still dominate.
         assert!(report.coverage() > 0.8, "{report}");
@@ -1041,6 +929,22 @@ mod tests {
     /// engines record the first 64 hijacks in work-list order).
     fn assert_reports_identical(packed: &CampaignReport, scalar: &CampaignReport, what: &str) {
         assert_eq!(packed, scalar, "{what}: packed and scalar reports differ");
+    }
+
+    /// Slot-for-slot comparison of the exhaustive outcome vectors of the
+    /// packed engine and the single-threaded scalar reference.
+    fn assert_exhaustive_engines_agree<T: FaultTarget>(
+        target: &T,
+        config: &CampaignConfig,
+        what: &str,
+    ) {
+        let reference = config.clone().backend(Backend::Scalar).threads(1);
+        let scalar = exhaustive_outcomes(target, &reference);
+        assert!(!scalar.is_empty(), "{what}: empty campaign");
+        assert!(
+            exhaustive_outcomes(target, config) == scalar,
+            "{what}: packed and scalar outcomes differ"
+        );
     }
 
     #[test]
@@ -1063,9 +967,7 @@ mod tests {
             CampaignConfig::new().region(h.regions().diffusion.clone()),
         ];
         for (i, config) in configs.iter().enumerate() {
-            let packed = run_exhaustive(&t, config);
-            let scalar = run_exhaustive_scalar(&t, &config.clone().threads(1));
-            assert_reports_identical(&packed, &scalar, &format!("config {i}"));
+            assert_exhaustive_engines_agree(&t, config, &format!("config {i}"));
         }
     }
 
@@ -1077,18 +979,10 @@ mod tests {
         let config = CampaignConfig::new()
             .with_register_flips()
             .with_pin_faults();
-        assert_reports_identical(
-            &run_exhaustive(&unprot, &config),
-            &run_exhaustive_scalar(&unprot, &config),
-            "unprotected",
-        );
+        assert_exhaustive_engines_agree(&unprot, &config, "unprotected");
         let r = redundancy(&f, 3).unwrap();
         let red = RedundancyTarget::new(&r);
-        assert_reports_identical(
-            &run_exhaustive(&red, &config),
-            &run_exhaustive_scalar(&red, &config),
-            "redundancy",
-        );
+        assert_exhaustive_engines_agree(&red, &config, "redundancy");
     }
 
     #[test]
@@ -1099,8 +993,8 @@ mod tests {
         for seed in [1, 42, 0xFA17] {
             let config = CampaignConfig::new().with_register_flips().seed(seed);
             assert_reports_identical(
-                &run_multi_fault(&t, 3, 300, &config),
-                &run_multi_fault_scalar(&t, 3, 300, &config),
+                &multi_fault(&t, 3, 300, &config),
+                &multi_fault(&t, 3, 300, &config.clone().backend(Backend::Scalar)),
                 &format!("seed {seed}"),
             );
         }
@@ -1119,15 +1013,14 @@ mod tests {
                 .with_register_flips()
                 .with_fault_windows()
                 .seed(seed);
-            assert!(config.fault_windows_enabled());
-            let packed = run_multi_fault(&t, 3, 300, &config);
+            let packed = multi_fault(&t, 3, 300, &config);
             assert_eq!(packed.injections, 300);
             assert_reports_identical(
                 &packed,
-                &run_multi_fault_scalar(&t, 3, 300, &config),
+                &multi_fault(&t, 3, 300, &config.clone().backend(Backend::Scalar)),
                 &format!("windowed seed {seed}"),
             );
-            assert_eq!(packed, run_multi_fault(&t, 3, 300, &config));
+            assert_eq!(packed, multi_fault(&t, 3, 300, &config));
         }
     }
 
@@ -1143,11 +1036,11 @@ mod tests {
             .with_register_flips()
             .with_fault_windows()
             .seed(7);
-        let packed = run_multi_fault(&t, 2, 200, &config);
+        let packed = multi_fault(&t, 2, 200, &config);
         for backend in Backend::ALL {
             assert_reports_identical(
                 &packed,
-                &run_multi_fault(&t, 2, 200, &config.clone().backend(backend)),
+                &multi_fault(&t, 2, 200, &config.clone().backend(backend)),
                 backend.name(),
             );
         }
@@ -1177,7 +1070,7 @@ mod tests {
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
         let t = ScfiTarget::new(&h);
         // An empty fault list produces the canonical empty report.
-        let report = run_multi_fault(&t, 1, 100, &CampaignConfig::new().effects(vec![]));
+        let report = multi_fault(&t, 1, 100, &CampaignConfig::new().effects(vec![]));
         assert_eq!(report.injections, 0);
         assert_eq!(report.hijack_rate(), 0.0);
         assert_eq!(report.coverage(), 1.0);
@@ -1195,10 +1088,13 @@ mod tests {
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
         let t = ScfiTarget::new(&h);
         let config = CampaignConfig::new().seed(7);
-        let packed = run_multi_fault(&t, 0, 50, &config);
+        let packed = multi_fault(&t, 0, 50, &config);
         assert_eq!(packed.injections, 50);
         assert_eq!(packed.masked, 50);
-        assert_eq!(packed, run_multi_fault_scalar(&t, 0, 50, &config));
+        assert_eq!(
+            packed,
+            multi_fault(&t, 0, 50, &config.clone().backend(Backend::Scalar))
+        );
     }
 
     /// Direct regression for the historical `faults[0]` panic: a hijack
@@ -1249,13 +1145,10 @@ mod tests {
         for depth in [2, 4] {
             let t = ScfiTarget::with_protocol(&h, depth, 0xB007);
             let config = CampaignConfig::new().with_register_flips();
-            let packed = run_exhaustive(&t, &config);
-            let scalar = run_exhaustive_scalar(&t, &config);
-            assert_eq!(packed, scalar, "depth {depth}");
-            assert!(packed.injections > 0);
+            assert_exhaustive_engines_agree(&t, &config, &format!("depth {depth}"));
             // Multi-fault sampling over the protocol space too.
-            let pm = run_multi_fault(&t, 2, 300, &config);
-            let sm = run_multi_fault_scalar(&t, 2, 300, &config);
+            let pm = multi_fault(&t, 2, 300, &config);
+            let sm = multi_fault(&t, 2, 300, &config.clone().backend(Backend::Scalar));
             assert_eq!(pm, sm, "multi-fault depth {depth}");
         }
     }
@@ -1266,7 +1159,7 @@ mod tests {
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
         let t = ScfiTarget::with_protocol(&h, 3, 1);
         let regs = h.module().registers();
-        let report = run_exhaustive(
+        let report = exhaustive(
             &t,
             &CampaignConfig::new()
                 .effects(vec![])

@@ -365,6 +365,20 @@ impl fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
+/// The message of a caught panic payload: the text a
+/// [`CampaignError::WorkerPanic`] carries. The payload is taken by value:
+/// a `&Box<dyn Any>` coerces to `&dyn Any` as the box itself, and no
+/// downcast of the box finds the message inside it.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,5 +487,16 @@ mod tests {
         let msg = panic.to_string();
         assert!(msg.contains("64..128"), "{msg}");
         assert!(msg.contains("has no cycles"), "{msg}");
+    }
+
+    #[test]
+    fn panic_message_reads_the_caught_message() {
+        let caught = |f: fn()| std::panic::catch_unwind(f).expect_err("the closure panics");
+        assert_eq!(panic_message(caught(|| panic!("boom"))), "boom");
+        assert_eq!(panic_message(caught(|| panic!("{}", 7))), "7");
+        assert_eq!(
+            panic_message(caught(|| std::panic::panic_any(7u8))),
+            "non-string panic payload"
+        );
     }
 }

@@ -28,9 +28,12 @@
 //!    the paper counts as a successful attack (32 / 7644 = 0.42 % in
 //!    §6.4).
 //!
-//! Campaigns run exhaustively over every (edge × site × effect) triple
-//! ([`run_exhaustive`]) or as seeded random multi-fault samples
-//! ([`run_multi_fault`]), in parallel across threads by default.
+//! A campaign has one entry point per shape, each run under a
+//! [`RunControl`] and in parallel across threads by default: the
+//! exhaustive campaign over every (scenario × site × effect) triple is
+//! [`VulnerabilityMap::try_analyze`] (its [`summary`](VulnerabilityMap::summary)
+//! gives the totals), and the seeded random multi-fault sample is
+//! [`try_run_multi_fault`].
 //!
 //! # Campaign backends
 //!
@@ -48,37 +51,40 @@
 //!   masks re-armed every cycle, and word-parallel trajectory
 //!   classification ([`WaveOracle`]).
 //!
-//! Backends are pure throughput trade-offs: every backend produces
-//! injection-for-injection identical reports, deterministic and
-//! independent of thread count, wave boundaries and lane order — the
-//! workspace conformance suite pins them against each other on every
-//! Table-1 FSM at every width and thread count.
+//! Backends are pure throughput trade-offs: every backend produces the
+//! same slot-ordered outcome vector, deterministic and independent of
+//! thread count, wave boundaries and lane order — the workspace
+//! conformance suite pins the packed engine against the scalar reference
+//! slot for slot on every Table-1 FSM at every width and thread count.
 //!
 //! # Execution control
 //!
-//! Long campaigns are interruptible: [`try_run_exhaustive`],
-//! [`try_run_multi_fault`] and [`VulnerabilityMap::try_analyze`] thread a
-//! [`RunControl`] handle (cancellation token, wall-clock deadline,
-//! injection budget) through the backend, checked once per wave. An
+//! Long campaigns are interruptible: [`VulnerabilityMap::try_analyze`]
+//! and [`try_run_multi_fault`] thread a [`RunControl`] handle
+//! (cancellation token, wall-clock deadline, injection budget) through
+//! the backend, checked once per wave. An
 //! interrupted run returns [`CampaignError::Interrupted`] carrying a
 //! [`PartialReport`] whose completed slots are byte-identical to the same
 //! slots of an uninterrupted run, at any thread count on any backend; a
 //! worker panic poisons only its own wave's item range
-//! ([`CampaignError::WorkerPanic`]) while every other wave completes.
+//! ([`CampaignError::WorkerPanic`], whose message is the
+//! [`panic_message`] of the caught payload) while every other wave
+//! completes.
 //!
 //! # Example
 //!
 //! ```
 //! use scfi_core::{harden, ScfiConfig};
-//! use scfi_faultsim::{CampaignConfig, FaultEffect, ScfiTarget, run_exhaustive};
+//! use scfi_faultsim::{CampaignConfig, FaultEffect, ScfiTarget, VulnerabilityMap};
 //! use scfi_fsm::parse_fsm;
 //!
 //! let fsm = parse_fsm("fsm m { inputs a; state P { if a -> Q; } state Q { goto P; } }")?;
 //! let hardened = harden(&fsm, &ScfiConfig::new(2))?;
-//! let report = run_exhaustive(
+//! let report = VulnerabilityMap::analyze(
 //!     &ScfiTarget::new(&hardened),
 //!     &CampaignConfig::new().effects(vec![FaultEffect::Flip]),
-//! );
+//! )
+//! .summary();
 //! assert!(report.injections > 0);
 //! assert_eq!(report.injections, report.masked + report.detected + report.hijacked);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -96,11 +102,10 @@ mod wave;
 
 pub use backend::{Backend, CampaignBackend, PackedBackend, ScalarBackend};
 pub use campaign::{
-    arm, enumerate_faults, run_exhaustive, run_exhaustive_scalar, run_multi_fault,
-    run_multi_fault_scalar, try_run_exhaustive, try_run_multi_fault, CampaignConfig,
-    CampaignReport, Fault, FaultEffect, FaultRecord, FaultSite, Outcome,
+    arm, enumerate_faults, try_run_multi_fault, CampaignConfig, CampaignReport, Fault, FaultEffect,
+    FaultRecord, FaultSite, Outcome,
 };
-pub use control::{CampaignError, LaneWidth, PartialReport, RunControl, StopReason};
+pub use control::{panic_message, CampaignError, LaneWidth, PartialReport, RunControl, StopReason};
 pub use oracle::{AlertModel, WaveOracle};
 pub use target::{
     adversarial_walks, fuzzed_protocol_scenarios, protocol_scenarios, FaultSchedule, FaultTarget,

@@ -55,7 +55,9 @@ use scfi_netlist::{extract_lane, lane_mask, PackedNetlist, PackedSimulator, LANE
 use scfi_telemetry::Telemetry;
 
 use crate::campaign::{Fault, FaultEffect, FaultSite, Outcome};
-use crate::control::{CampaignError, LaneWidth, PartialReport, RunControl, StopReason};
+use crate::control::{
+    panic_message, CampaignError, LaneWidth, PartialReport, RunControl, StopReason,
+};
 use crate::target::{FaultTarget, FaultTiming, Scenario};
 
 /// A flat `(scenario, faults)` work list: item `i` injects the fault group
@@ -64,9 +66,10 @@ use crate::target::{FaultTarget, FaultTiming, Scenario};
 ///
 /// This is the unit of work a [`CampaignBackend`](crate::CampaignBackend)
 /// executes: backends return one [`Outcome`] per item, in item order.
-/// Campaign drivers build scenario-major lists (all faults of scenario 0,
-/// then scenario 1, …), which the wave executor exploits; correctness does
-/// not depend on the ordering.
+/// The exhaustive campaign builds a scenario-major list (all faults of
+/// scenario 0, then scenario 1, …), which the wave executor exploits and
+/// the vulnerability map's fold relies on; the executor's correctness
+/// does not depend on the ordering.
 #[derive(Clone, Debug)]
 pub struct WorkList {
     scenarios: Vec<u32>,
@@ -281,17 +284,6 @@ pub(crate) struct RunOutput {
     pub outcomes: Vec<Option<Outcome>>,
     pub stopped: Option<StopReason>,
     pub panics: Vec<(Range<usize>, String)>,
-}
-
-/// Extracts a printable message from a caught panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Folds a [`RunOutput`] into the backend result contract: a complete
@@ -745,7 +737,7 @@ fn run_waves<T: FaultTarget, const W: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{fault_list, CampaignConfig};
+    use crate::campaign::{enumerate_faults, try_exhaustive_work, CampaignConfig};
     use crate::target::ScfiTarget;
     use scfi_core::{harden, ScfiConfig};
     use scfi_fsm::parse_fsm;
@@ -815,8 +807,8 @@ mod tests {
         let f = target_fsm();
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
         let t = ScfiTarget::new(&h);
-        let faults = fault_list(&t, &CampaignConfig::new().with_register_flips());
-        let work = crate::campaign::exhaustive_work(&t, &faults);
+        let faults = enumerate_faults(t.module(), &CampaignConfig::new().with_register_flips());
+        let work = try_exhaustive_work(&t, &faults).unwrap();
         let one = execute(&t, &work, 1, 1);
         assert_eq!(one.len(), work.len());
         for threads in [1, 4] {
@@ -878,7 +870,7 @@ mod tests {
             }
         }
         let t = ScfiTarget::with_scenarios(&h, scenarios);
-        let faults = fault_list(&t, &CampaignConfig::new().with_register_flips());
+        let faults = enumerate_faults(t.module(), &CampaignConfig::new().with_register_flips());
         // Interleave scenarios (fault-major) so one wave holds every
         // trajectory length — the opposite of the scenario-major layout.
         let mut work = WorkList::with_capacity(faults.len() * t.scenario_count());
@@ -1035,8 +1027,8 @@ mod tests {
             build(&|_| FaultTiming::Permanent),
             build(&|i| FaultTiming::Transient(1 + i % (depth - 1))),
         ] {
-            let faults = fault_list(&t, &CampaignConfig::new());
-            let work = crate::campaign::exhaustive_work(&t, &faults);
+            let faults = enumerate_faults(t.module(), &CampaignConfig::new());
+            let work = try_exhaustive_work(&t, &faults).unwrap();
             let outcomes = execute(&t, &work, 1, 2);
             let mut sim = scfi_netlist::Simulator::new(t.module());
             let mut outputs = Vec::new();
@@ -1079,7 +1071,7 @@ mod tests {
             })
             .collect();
         let t = ScfiTarget::with_scenarios(&h, scenarios);
-        let faults = fault_list(&t, &CampaignConfig::new().with_register_flips());
+        let faults = enumerate_faults(t.module(), &CampaignConfig::new().with_register_flips());
         let mut work = WorkList::with_capacity(t.scenario_count() * faults.len() / 2);
         for s in 0..t.scenario_count() {
             for pair in faults.chunks(2) {
@@ -1130,7 +1122,7 @@ mod tests {
             &h,
             vec![ProtocolScenario::uniform(walk, FaultTiming::Permanent)],
         );
-        let faults = fault_list(&t, &CampaignConfig::new());
+        let faults = enumerate_faults(t.module(), &CampaignConfig::new());
         let mut work = WorkList::with_capacity(faults.len());
         for pair in faults.chunks(2) {
             // Every fault glitches cycle 2, so cycles 0–1 run mask-free.
@@ -1212,13 +1204,13 @@ mod tests {
             ScfiTarget::with_scenarios(&h, per_fault),
         ] {
             assert!(t.wave_oracle().is_some());
-            let faults = fault_list(
-                &t,
+            let faults = enumerate_faults(
+                t.module(),
                 &CampaignConfig::new()
                     .with_register_flips()
                     .with_pin_faults(),
             );
-            let work = crate::campaign::exhaustive_work(&t, &faults);
+            let work = try_exhaustive_work(&t, &faults).unwrap();
             for lane_words in [1, 4] {
                 let with_oracle = execute(&t, &work, 1, lane_words);
                 let fallback = execute(&NoOracle(&t), &work, 1, lane_words);

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use scfi_faultsim::{
     CampaignBackend, CampaignConfig, Fault, FaultEffect, FaultSchedule, FaultSite, FaultTarget,
-    FaultTiming, Outcome, PackedBackend, ScalarBackend, Scenario, WorkList,
+    FaultTiming, Outcome, PackedBackend, RunControl, ScalarBackend, Scenario, WorkList,
 };
 use scfi_netlist::{CellId, Module, ModuleBuilder, NetId};
 
@@ -231,19 +231,27 @@ proptest! {
             work.push_scheduled(s, group, &windows);
         }
 
-        let reference = ScalarBackend.execute(&target, &work, &CampaignConfig::new().threads(1));
+        let control = RunControl::unlimited();
+        let reference = ScalarBackend
+            .try_execute(&target, &work, &CampaignConfig::new().threads(1), &control)
+            .expect("uninterrupted run");
         prop_assert_eq!(reference.len(), work.len());
 
         let threaded = CampaignConfig::new().threads(threads);
         prop_assert_eq!(
-            &ScalarBackend.execute(&target, &work, &threaded),
+            &ScalarBackend
+                .try_execute(&target, &work, &threaded, &control)
+                .expect("uninterrupted run"),
             &reference,
             "scalar backend, {} threads",
             threads
         );
         for lane_words in [1usize, 2, 4] {
+            let config = threaded.clone().lane_words(lane_words);
             prop_assert_eq!(
-                &PackedBackend.execute(&target, &work, &threaded.clone().lane_words(lane_words)),
+                &PackedBackend
+                    .try_execute(&target, &work, &config, &control)
+                    .expect("uninterrupted run"),
                 &reference,
                 "packed backend W={}, {} threads",
                 lane_words,

@@ -280,7 +280,14 @@ fn a_poisoned_scenario_fails_its_waves_and_nothing_else() {
     let clean = SyntheticTarget::new(None);
     let faults = fault_space(clean.module());
     let work = work_list(&clean, &faults);
-    let reference = ScalarBackend.execute(&clean, &work, &CampaignConfig::new().threads(1));
+    let reference = ScalarBackend
+        .try_execute(
+            &clean,
+            &work,
+            &CampaignConfig::new().threads(1),
+            &RunControl::unlimited(),
+        )
+        .expect("a clean target runs to completion");
 
     let poisoned = SyntheticTarget::new(Some(poison));
     for pick in 0..PICKS {

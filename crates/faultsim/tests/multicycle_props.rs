@@ -2,15 +2,17 @@
 //! packed wave engine against the scalar reference over random protocol
 //! depths, walk seeds, fault models, transient fault windows and wave
 //! widths (64/128/256 lanes), on all three §6.1 target configurations.
-//! The scalar engine is the oracle; any divergence in any aggregate
-//! (including the recorded hijack-example groups) fails the case.
+//! The scalar engine is the oracle; any divergence in any slot of an
+//! exhaustive outcome vector, or in any multi-fault aggregate (including
+//! the recorded hijack-example groups), fails the case.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use scfi_core::{harden, redundancy, ScfiConfig};
 use scfi_faultsim::{
-    run_exhaustive, run_exhaustive_scalar, run_multi_fault, run_multi_fault_scalar, CampaignConfig,
-    FaultEffect, FaultSchedule, FaultTiming, ProtocolScenario, RedundancyTarget, ScfiTarget,
-    UnprotectedTarget,
+    enumerate_faults, try_run_multi_fault, Backend, CampaignBackend, CampaignConfig, FaultEffect,
+    FaultSchedule, FaultTarget, FaultTiming, PackedBackend, ProtocolScenario, RedundancyTarget,
+    RunControl, ScalarBackend, ScfiTarget, UnprotectedTarget, WorkList,
 };
 use scfi_fsm::{lower_unprotected, parse_fsm, Fsm};
 
@@ -54,6 +56,49 @@ fn config(
     c
 }
 
+/// The packed engine returns the scalar reference's outcome for every
+/// slot of the exhaustive work list (every scenario × every enumerated
+/// fault, scenario-major).
+fn exhaustive_engines_agree<T: FaultTarget>(
+    target: &T,
+    config: &CampaignConfig,
+) -> Result<(), TestCaseError> {
+    let faults = enumerate_faults(target.module(), config);
+    let mut work = WorkList::with_capacity(target.scenario_count() * faults.len());
+    for s in 0..target.scenario_count() {
+        for f in &faults {
+            work.push(s, std::slice::from_ref(f));
+        }
+    }
+    let control = RunControl::unlimited();
+    let packed = PackedBackend.try_execute(target, &work, config, &control);
+    let scalar = ScalarBackend.try_execute(target, &work, config, &control);
+    prop_assert_eq!(packed.expect("packed run"), scalar.expect("scalar run"));
+    Ok(())
+}
+
+/// The seeded multi-fault campaign reports the same on the packed engine
+/// and on the scalar reference, fault draw for fault draw.
+fn multi_fault_engines_agree<T: FaultTarget>(
+    target: &T,
+    faults_per_run: usize,
+    runs: usize,
+    config: &CampaignConfig,
+) -> Result<(), TestCaseError> {
+    let run = |config: &CampaignConfig| {
+        try_run_multi_fault(
+            target,
+            faults_per_run,
+            runs,
+            config,
+            &RunControl::unlimited(),
+        )
+        .expect("uninterrupted multi-fault campaign")
+    };
+    prop_assert_eq!(run(config), run(&config.clone().backend(Backend::Scalar)));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -73,15 +118,15 @@ proptest! {
         let cfg = config(effects_pick, pins, regs, threads, width_pick, 1);
         let h = harden(&f, &ScfiConfig::new(2)).expect("harden");
         let t = ScfiTarget::with_protocol(&h, depth, walk_seed);
-        prop_assert_eq!(run_exhaustive(&t, &cfg), run_exhaustive_scalar(&t, &cfg));
+        exhaustive_engines_agree(&t, &cfg)?;
 
         let r = redundancy(&f, 2).expect("redundancy");
         let t = RedundancyTarget::with_protocol(&r, depth, walk_seed);
-        prop_assert_eq!(run_exhaustive(&t, &cfg), run_exhaustive_scalar(&t, &cfg));
+        exhaustive_engines_agree(&t, &cfg)?;
 
         let lowered = lower_unprotected(&f).expect("lowering");
         let t = UnprotectedTarget::with_protocol(&f, &lowered, depth, walk_seed);
-        prop_assert_eq!(run_exhaustive(&t, &cfg), run_exhaustive_scalar(&t, &cfg));
+        exhaustive_engines_agree(&t, &cfg)?;
     }
 
     /// Seeded multi-fault sampling over the protocol scenario space agrees
@@ -99,10 +144,7 @@ proptest! {
         let cfg = config(0, false, true, 0, width_pick, draw_seed);
         let h = harden(&f, &ScfiConfig::new(2)).expect("harden");
         let t = ScfiTarget::with_protocol(&h, depth, walk_seed);
-        prop_assert_eq!(
-            run_multi_fault(&t, faults_per_run, runs, &cfg),
-            run_multi_fault_scalar(&t, faults_per_run, runs, &cfg)
-        );
+        multi_fault_engines_agree(&t, faults_per_run, runs, &cfg)?;
     }
 
     /// Hand-built walks with every fault-window placement (including
@@ -135,7 +177,7 @@ proptest! {
         }
         let t = ScfiTarget::with_scenarios(&h, scenarios);
         let cfg = config(effects_pick, false, true, 1, width_pick, 1);
-        prop_assert_eq!(run_exhaustive(&t, &cfg), run_exhaustive_scalar(&t, &cfg));
+        exhaustive_engines_agree(&t, &cfg)?;
     }
 
     /// Per-fault schedules ([`FaultSchedule::PerFault`]) over hand-built
@@ -171,12 +213,9 @@ proptest! {
         }
         let t = ScfiTarget::with_scenarios(&h, scenarios);
         let cfg = config(effects_pick, false, regs, threads, width_pick, 1);
-        prop_assert_eq!(run_exhaustive(&t, &cfg), run_exhaustive_scalar(&t, &cfg));
+        exhaustive_engines_agree(&t, &cfg)?;
         // Multi-fault groups spread over the per-fault windows too.
-        prop_assert_eq!(
-            run_multi_fault(&t, 3, 150, &cfg),
-            run_multi_fault_scalar(&t, 3, 150, &cfg)
-        );
+        multi_fault_engines_agree(&t, 3, 150, &cfg)?;
     }
 
     /// Sampled per-fault *window draws* (`with_fault_windows`) and
@@ -198,25 +237,16 @@ proptest! {
             .with_fault_windows();
         let h = harden(&f, &ScfiConfig::new(2)).expect("harden");
         let t = ScfiTarget::with_fuzzed_protocol(&h, depth, walk_seed);
-        prop_assert_eq!(run_exhaustive(&t, &cfg), run_exhaustive_scalar(&t, &cfg));
-        prop_assert_eq!(
-            run_multi_fault(&t, faults_per_run, runs, &cfg),
-            run_multi_fault_scalar(&t, faults_per_run, runs, &cfg)
-        );
+        exhaustive_engines_agree(&t, &cfg)?;
+        multi_fault_engines_agree(&t, faults_per_run, runs, &cfg)?;
 
         let r = redundancy(&f, 2).expect("redundancy");
         let t = RedundancyTarget::with_fuzzed_protocol(&r, depth, walk_seed);
-        prop_assert_eq!(
-            run_multi_fault(&t, faults_per_run, runs, &cfg),
-            run_multi_fault_scalar(&t, faults_per_run, runs, &cfg)
-        );
+        multi_fault_engines_agree(&t, faults_per_run, runs, &cfg)?;
 
         let lowered = lower_unprotected(&f).expect("lowering");
         let t = UnprotectedTarget::with_fuzzed_protocol(&f, &lowered, depth, walk_seed);
-        prop_assert_eq!(run_exhaustive(&t, &cfg), run_exhaustive_scalar(&t, &cfg));
-        prop_assert_eq!(
-            run_multi_fault(&t, faults_per_run, runs, &cfg),
-            run_multi_fault_scalar(&t, faults_per_run, runs, &cfg)
-        );
+        exhaustive_engines_agree(&t, &cfg)?;
+        multi_fault_engines_agree(&t, faults_per_run, runs, &cfg)?;
     }
 }

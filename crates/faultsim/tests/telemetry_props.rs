@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use scfi_core::{harden, ScfiConfig};
 use scfi_faultsim::{
-    try_run_exhaustive, try_run_multi_fault, Backend, CampaignConfig, FaultEffect, RunControl,
-    ScfiTarget, VulnerabilityMap,
+    try_run_multi_fault, Backend, CampaignConfig, FaultEffect, RunControl, ScfiTarget,
+    VulnerabilityMap,
 };
 use scfi_fsm::parse_fsm;
 use scfi_telemetry::Telemetry;
@@ -42,14 +42,13 @@ fn config_for(
 }
 
 /// Renders every campaign product for one configuration: the exhaustive
-/// report, the ranked vulnerability map, and a multi-fault protocol
+/// summary, the ranked vulnerability map, and a multi-fault protocol
 /// report — the full observable output surface.
 fn render_all(target: &ScfiTarget<'_>, config: &CampaignConfig) -> String {
     let control = RunControl::unlimited();
-    let report = try_run_exhaustive(target, config, &control).expect("uninterrupted campaign");
     let map = VulnerabilityMap::try_analyze(target, config, &control).expect("uninterrupted map");
     let multi = try_run_multi_fault(target, 2, 50, config, &control).expect("uninterrupted multi");
-    format!("{report}\n{map}\n{multi}")
+    format!("{}\n{map}\n{multi}", map.summary())
 }
 
 proptest! {

@@ -36,8 +36,8 @@ use std::time::Duration;
 
 use scfi_core::{harden, HardenedFsm, ScfiConfig};
 use scfi_faultsim::{
-    run_exhaustive, run_multi_fault, try_run_exhaustive, CampaignConfig, CampaignReport,
-    FaultTiming, ProtocolScenario, RunControl, ScfiTarget,
+    try_run_multi_fault, CampaignConfig, FaultTiming, ProtocolScenario, RunControl, ScfiTarget,
+    VulnerabilityMap,
 };
 use scfi_telemetry::Telemetry;
 
@@ -167,10 +167,7 @@ fn config(shape: Shape, lane_words: usize, threads: usize) -> CampaignConfig {
 }
 
 /// Runs `campaign` under a fresh recording handle and reads back its work.
-fn recorded(
-    config: CampaignConfig,
-    campaign: impl FnOnce(&CampaignConfig) -> CampaignReport,
-) -> (CampaignReport, Work) {
+fn recorded<R>(config: CampaignConfig, campaign: impl FnOnce(&CampaignConfig) -> R) -> (R, Work) {
     let telemetry = Telemetry::recording();
     let report = campaign(&config.telemetry(telemetry.clone()));
     let count = |name: &str| telemetry.counter(name).get();
@@ -190,8 +187,13 @@ fn run(fsm: &str, level: usize, shape: Shape, lane_words: usize, threads: usize)
     let target = target(&h, shape);
     let config = config(shape, lane_words, threads);
     recorded(config, |c| match shape {
-        Multi => run_multi_fault(&target, 3, 6000, c),
-        Map | Walks | Dense | Deep => run_exhaustive(&target, c),
+        Multi => {
+            try_run_multi_fault(&target, 3, 6000, c, &RunControl::unlimited())
+                .expect("an unlimited campaign completes");
+        }
+        Map | Walks | Dense | Deep => {
+            VulnerabilityMap::analyze(&target, c);
+        }
     })
     .1
 }
@@ -224,7 +226,7 @@ fn campaign_work_matches_the_recorded_counts() {
 
 /// An armed control — a deadline and an injection budget, neither ever
 /// reached — admits every wave exactly once and changes nothing else:
-/// the same report and the same work as the unarmed row.
+/// the same map and the same work as the unarmed row.
 #[test]
 fn an_armed_control_admits_every_injection_and_changes_no_work() {
     let (fsm, level, lane_words) = ("i2c_fsm", 4, 4);
@@ -236,18 +238,22 @@ fn an_armed_control_admits_every_injection_and_changes_no_work() {
     let target = target(&h, Map);
     for threads in [1, cpus()] {
         let config = config(Map, lane_words, threads);
-        let plain = run_exhaustive(&target, &config);
+        let plain = VulnerabilityMap::analyze(&target, &config);
         let control = RunControl::unlimited()
             .with_deadline(Duration::from_secs(3600))
             .with_injection_budget(u64::MAX / 2);
         let (armed, work) = recorded(config, |c| {
-            try_run_exhaustive(&target, c, &control).expect("an unreached control never trips")
+            VulnerabilityMap::try_analyze(&target, c, &control)
+                .expect("an unreached control never trips")
         });
-        assert_eq!(armed, plain, "threads={threads}: the armed report differs");
+        assert!(
+            armed.sites().eq(plain.sites()),
+            "threads={threads}: the armed map differs"
+        );
         assert_eq!(work, pinned, "threads={threads}: the armed work differs");
         assert_eq!(
             control.admitted(),
-            armed.injections as u64,
+            armed.total_injections() as u64,
             "threads={threads}: every injection is admitted exactly once"
         );
     }

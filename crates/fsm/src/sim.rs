@@ -69,11 +69,6 @@ impl<'f> FsmSimulator<'f> {
         self.cycle = 0;
     }
 
-    /// Forces the current state (for lock-step scenarios).
-    pub fn set_state(&mut self, s: StateId) {
-        self.state = s;
-    }
-
     /// Advances one step and returns the new state.
     ///
     /// # Panics
@@ -158,8 +153,5 @@ mod tests {
         sim.reset();
         assert_eq!(sim.state(), f.reset_state());
         assert_eq!(sim.cycle(), 0);
-        let yellow = f.state_by_name("YELLOW").unwrap();
-        sim.set_state(yellow);
-        assert_eq!(sim.state(), yellow);
     }
 }

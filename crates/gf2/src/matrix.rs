@@ -115,11 +115,6 @@ impl BitMatrix {
         &self.data[r]
     }
 
-    /// Extracts column `c` as a vector.
-    pub fn col(&self, c: usize) -> BitVec {
-        BitVec::from_bools(&(0..self.rows).map(|r| self.get(r, c)).collect::<Vec<_>>())
-    }
-
     /// Returns `true` if every entry is zero.
     pub fn is_zero(&self) -> bool {
         self.data.iter().all(BitVec::is_zero)

@@ -140,20 +140,6 @@ impl Gf2Poly {
         acc
     }
 
-    /// Modular exponentiation `self^k mod modulus`.
-    pub fn pow_mod(self, mut k: u64, modulus: Gf2Poly) -> Gf2Poly {
-        let mut base = self.rem(modulus);
-        let mut acc = Gf2Poly::ONE.rem(modulus);
-        while k > 0 {
-            if k & 1 == 1 {
-                acc = acc.mul_mod(base, modulus);
-            }
-            base = base.mul_mod(base, modulus);
-            k >>= 1;
-        }
-        acc
-    }
-
     /// Greatest common divisor (monic by construction over GF(2)).
     pub fn gcd(self, other: Gf2Poly) -> Gf2Poly {
         let (mut a, mut b) = (self, other);
@@ -345,14 +331,6 @@ mod tests {
         let b = Gf2Poly::from_coeffs(0x83);
         // Known AES example: 0x57 * 0x83 = 0xC1 in GF(2^8)/0x11B.
         assert_eq!(a.mul_mod(b, m).coeffs(), 0xC1);
-    }
-
-    #[test]
-    fn pow_mod_fermat() {
-        // In GF(2^8), a^(2^8 - 1) = 1 for nonzero a.
-        let m = Gf2Poly::from_coeffs(AES_POLY);
-        let a = Gf2Poly::from_coeffs(0x53);
-        assert_eq!(a.pow_mod(255, m), Gf2Poly::ONE);
     }
 
     #[test]

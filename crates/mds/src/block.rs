@@ -153,37 +153,6 @@ impl BlockMatrix {
         }
         best
     }
-
-    /// Samples `iters` random nonzero inputs and returns the minimum
-    /// observed `symbol_weight(x) + symbol_weight(M·x)`.
-    ///
-    /// This is an *upper bound* on the branch number; it is useful as a
-    /// cheap sanity check that sampled inputs never violate the MDS bound.
-    /// # Panics
-    ///
-    /// Panics if `k·l > 64` (the sampler draws 64-bit words).
-    pub fn branch_number_sampled(&self, seed: u64, iters: usize) -> usize {
-        let n = self.k * self.l;
-        assert!(n <= 64, "sampler supports at most 64-bit inputs");
-        let m = self.expand();
-        let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let mut state = seed.max(1);
-        let mut best = usize::MAX;
-        for _ in 0..iters {
-            // xorshift64* PRNG — deterministic, dependency-free.
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let bits = state.wrapping_mul(0x2545F4914F6CDD1D) & mask;
-            if bits == 0 {
-                continue;
-            }
-            let x = BitVec::from_u64(bits, n);
-            let w = self.symbol_weight(&x) + self.symbol_weight(&m.mul_vec(&x));
-            best = best.min(w);
-        }
-        best
-    }
 }
 
 impl fmt::Debug for BlockMatrix {
@@ -254,12 +223,6 @@ mod tests {
     #[test]
     fn aes_branch_number_is_five() {
         assert_eq!(aes_mixcolumns().branch_number_single_symbol(), 5);
-    }
-
-    #[test]
-    fn sampled_branch_number_never_below_five_for_mds() {
-        let m = aes_mixcolumns();
-        assert!(m.branch_number_sampled(42, 2000) >= 5);
     }
 
     #[test]

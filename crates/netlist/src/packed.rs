@@ -460,12 +460,6 @@ impl<'p, const W: usize> PackedSimulator<'p, W> {
         }
     }
 
-    /// Reads the settled lane wave of an arbitrary net (valid after a
-    /// step or an explicit [`PackedSimulator::eval_comb`]).
-    pub fn peek(&self, net: NetId) -> [u64; W] {
-        self.values[net.index()]
-    }
-
     // ----- fault plumbing ------------------------------------------------
 
     fn touch(&mut self, net: u32) {

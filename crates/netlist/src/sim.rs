@@ -221,16 +221,8 @@ impl<'m> Simulator<'m> {
         }
     }
 
-    /// Samples the output ports after [`Simulator::eval_comb`].
-    pub fn sample_outputs(&self) -> Vec<bool> {
-        let mut out = Vec::with_capacity(self.module.outputs().len());
-        self.sample_outputs_into(&mut out);
-        out
-    }
-
-    /// Samples the output ports into `out` (cleared first) without
-    /// allocating — the campaign-loop variant of
-    /// [`Simulator::sample_outputs`].
+    /// Samples the output ports after [`Simulator::eval_comb`] into `out`
+    /// (cleared first) without allocating.
     pub fn sample_outputs_into(&self, out: &mut Vec<bool>) {
         out.clear();
         out.extend(
@@ -251,12 +243,6 @@ impl<'m> Simulator<'m> {
             let v = self.read_pin(r.0, 0, m.cell(r).pins[0]);
             self.reg_state[i] = v;
         }
-    }
-
-    /// Reads the settled value of an arbitrary net (valid after a step or
-    /// an explicit [`Simulator::eval_comb`]).
-    pub fn peek(&self, net: NetId) -> bool {
-        self.values[net.index()]
     }
 
     /// Current stored register values, in `module.registers()` order.
@@ -440,20 +426,6 @@ mod tests {
         let mut sim = Simulator::new(&m);
         sim.flip_register(m.registers()[1]); // q1 ^= 1 while in state 00
         assert_eq!(sim.step(&[]), vec![false, true]); // now reads 2
-    }
-
-    #[test]
-    fn peek_reads_internal_nets() {
-        let mut b = ModuleBuilder::new("peek");
-        let a = b.input("a");
-        let n = b.not(a);
-        let y = b.not(n);
-        b.output("y", y);
-        let m = b.finish().unwrap();
-        let mut sim = Simulator::new(&m);
-        sim.step(&[true]);
-        assert!(!sim.peek(n));
-        assert!(sim.peek(y));
     }
 
     #[test]

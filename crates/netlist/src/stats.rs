@@ -90,11 +90,6 @@ impl ModuleStats {
         self.counts.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// Total cells including ports and constants.
-    pub fn total_cells(&self) -> usize {
-        self.n_cells
-    }
-
     /// Combinational + sequential gates (everything except input ports and
     /// constants).
     pub fn gate_count(&self) -> usize {
@@ -164,7 +159,6 @@ mod tests {
         assert_eq!(s.gate_count(), 5); // 3 xor + 1 and + 1 dff
         assert_eq!(s.input_count(), 4);
         assert_eq!(s.output_count(), 1);
-        assert!(s.total_cells() >= 9);
     }
 
     #[test]
@@ -183,7 +177,6 @@ mod tests {
     fn empty_module_stats() {
         let b = ModuleBuilder::new("empty");
         let s = ModuleStats::of(&b.finish().unwrap());
-        assert_eq!(s.total_cells(), 0);
         assert_eq!(s.depth(), 0);
         assert_eq!(s.gate_count(), 0);
     }

@@ -57,14 +57,6 @@ impl Json {
         }
     }
 
-    /// The integer payload, if this is an integer-valued number.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The integer payload as unsigned, if integral and non-negative.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -511,6 +503,6 @@ mod tests {
     #[test]
     fn duplicate_keys_keep_last_on_lookup() {
         let v = parse(r#"{"a": 1, "a": 2}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_i64(), Some(2));
+        assert_eq!(v.get("a").unwrap().as_u64(), Some(2));
     }
 }

@@ -14,23 +14,23 @@
 //! | `GET /v1/healthz`        | Liveness, queue depth, cache counters    |
 //!
 //! Every connection handles one request (`Connection: close`).
-//! Submissions land in a bounded sharded queue drained by a fixed worker
+//! Submissions land in a bounded FIFO queue drained by a fixed worker
 //! pool; a full queue answers `429` with `Retry-After` instead of
 //! accepting unbounded work. Each job runs under its own [`RunControl`]
 //! (deadline armed at run start, injection budget, cancel token) and is
 //! wrapped in [`std::panic::catch_unwind`] — a poisoned job fails alone,
 //! the server keeps serving.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use scfi_faultsim::{RunControl, StopReason};
+use scfi_faultsim::{panic_message, RunControl, StopReason};
 use scfi_telemetry::Telemetry;
 
 use crate::cache::CompileCache;
@@ -133,111 +133,68 @@ impl Job {
     }
 }
 
-/// A bounded multi-shard FIFO: submissions round-robin across shards,
-/// workers drain their own shard first and steal from the others, and a
-/// shared length counter enforces the global bound (full ⇒ `429`).
-///
-/// Workers block on a condvar instead of polling: a push signals one
-/// waiter, so an idle server burns no CPU and a submission starts running
-/// with signal latency instead of a fixed poll interval.
-struct ShardedQueue {
-    shards: Vec<Mutex<std::collections::VecDeque<Arc<Job>>>>,
-    len: AtomicUsize,
+/// A bounded FIFO of queued jobs: a full queue refuses the push (`429`).
+/// Workers block on the condvar instead of polling: a push wakes one
+/// waiter, so an idle server burns no CPU and a submission starts
+/// running with signal latency instead of a fixed poll interval.
+struct JobQueue {
+    jobs: Mutex<VecDeque<Arc<Job>>>,
     capacity: usize,
-    next: AtomicUsize,
-    /// Guards nothing — pairs with `signal` for the work-arrival wait.
-    signal_lock: Mutex<()>,
-    signal: Condvar,
+    ready: Condvar,
 }
 
-impl ShardedQueue {
-    fn new(shards: usize, capacity: usize) -> ShardedQueue {
-        ShardedQueue {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(std::collections::VecDeque::new()))
-                .collect(),
-            len: AtomicUsize::new(0),
+impl JobQueue {
+    fn new(capacity: usize) -> JobQueue {
+        JobQueue {
+            jobs: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
-            next: AtomicUsize::new(0),
-            signal_lock: Mutex::new(()),
-            signal: Condvar::new(),
+            ready: Condvar::new(),
         }
     }
 
     /// Enqueues the job, or hands it back when the queue is at capacity.
     fn push(&self, job: Arc<Job>) -> Result<(), Arc<Job>> {
-        // Reserve a length slot first so concurrent submitters can never
-        // jointly exceed the capacity.
-        let mut len = self.len.load(Ordering::Relaxed);
-        loop {
-            if len >= self.capacity {
-                return Err(job);
-            }
-            match self
-                .len
-                .compare_exchange_weak(len, len + 1, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(actual) => len = actual,
-            }
+        let mut jobs = self.jobs.lock().expect("job queue");
+        if jobs.len() >= self.capacity {
+            return Err(job);
         }
-        let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[shard]
-            .lock()
-            .expect("queue shard")
-            .push_back(job);
-        // Take the signal lock before notifying so a worker that found the
-        // queue empty either sees the new depth in its locked re-check or
-        // is already parked in `wait` and receives this notification —
-        // the push can never fall into the gap between the two.
-        let _guard = self.signal_lock.lock().expect("queue signal");
-        self.signal.notify_one();
+        jobs.push_back(job);
+        self.ready.notify_one();
         Ok(())
     }
 
-    /// Parks the calling worker until work may be available (or the wait
-    /// times out as a liveness backstop). `should_stop` is re-checked
-    /// under the signal lock so a shutdown broadcast is never missed.
-    fn wait_for_work(&self, should_stop: impl Fn() -> bool) {
-        let guard = self.signal_lock.lock().expect("queue signal");
-        if should_stop() || self.depth() > 0 {
-            return;
+    /// Blocks until a job arrives and returns it, or returns `None` once
+    /// `stop` is set. The flag is read under the queue lock, and
+    /// [`wake_all`](Self::wake_all) notifies under it, so a shutdown
+    /// broadcast is never missed.
+    fn pop(&self, stop: &AtomicBool) -> Option<Arc<Job>> {
+        let mut jobs = self.jobs.lock().expect("job queue");
+        loop {
+            if stop.load(Ordering::Relaxed) {
+                return None;
+            }
+            if let Some(job) = jobs.pop_front() {
+                return Some(job);
+            }
+            jobs = self.ready.wait(jobs).expect("job queue");
         }
-        let _ = self
-            .signal
-            .wait_timeout(guard, Duration::from_millis(250))
-            .expect("queue signal");
     }
 
     /// Wakes every parked worker (shutdown broadcast).
     fn wake_all(&self) {
-        let _guard = self.signal_lock.lock().expect("queue signal");
-        self.signal.notify_all();
-    }
-
-    /// Pops from `home` first, then steals round-robin from the rest.
-    fn pop(&self, home: usize) -> Option<Arc<Job>> {
-        let n = self.shards.len();
-        for i in 0..n {
-            let shard = (home + i) % n;
-            let job = self.shards[shard].lock().expect("queue shard").pop_front();
-            if let Some(job) = job {
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
+        let _jobs = self.jobs.lock().expect("job queue");
+        self.ready.notify_all();
     }
 
     fn depth(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.jobs.lock().expect("job queue").len()
     }
 }
 
 struct Registry {
     jobs: Mutex<HashMap<u64, Arc<Job>>>,
     next_id: AtomicU64,
-    queue: ShardedQueue,
+    queue: JobQueue,
     cache: CompileCache,
     shutdown: AtomicBool,
     options: ServerOptions,
@@ -312,7 +269,7 @@ impl Server {
         let registry = Arc::new(Registry {
             jobs: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
-            queue: ShardedQueue::new(options.workers, options.queue_capacity),
+            queue: JobQueue::new(options.queue_capacity),
             cache: CompileCache::new(options.cache_capacity),
             shutdown: AtomicBool::new(false),
             options,
@@ -320,9 +277,9 @@ impl Server {
         });
 
         let workers = (0..options.workers.max(1))
-            .map(|home| {
+            .map(|_| {
                 let registry = Arc::clone(&registry);
-                std::thread::spawn(move || worker_loop(&registry, home))
+                std::thread::spawn(move || worker_loop(&registry))
             })
             .collect();
 
@@ -405,14 +362,8 @@ fn accept_loop(listener: TcpListener, registry: &Arc<Registry>) {
     }
 }
 
-fn worker_loop(registry: &Arc<Registry>, home: usize) {
-    while !registry.shutdown.load(Ordering::Relaxed) {
-        let Some(job) = registry.queue.pop(home) else {
-            registry
-                .queue
-                .wait_for_work(|| registry.shutdown.load(Ordering::Relaxed));
-            continue;
-        };
+fn worker_loop(registry: &Arc<Registry>) {
+    while let Some(job) = registry.queue.pop(&registry.shutdown) {
         run_one(registry, &job);
     }
 }
@@ -457,7 +408,7 @@ fn run_one(registry: &Registry, job: &Job) {
             inner.state = JobState::Failed;
             inner.error = Some(format!(
                 "model preparation panicked: {}",
-                panic_text(payload)
+                panic_message(payload)
             ));
             inner.finished_at = Some(Instant::now());
             return;
@@ -514,23 +465,10 @@ fn run_one(registry: &Registry, job: &Job) {
         }
         Err(payload) => {
             inner.state = JobState::Failed;
-            inner.error = Some(format!("job panicked: {}", panic_text(payload)));
+            inner.error = Some(format!("job panicked: {}", panic_message(payload)));
         }
     }
     inner.finished_at = Some(Instant::now());
-}
-
-/// The message of a caught panic. The payload is taken by value: a
-/// `&Box<dyn Any>` coerces to `&dyn Any` as the box itself, and no
-/// downcast of the box finds the message inside it.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -953,8 +891,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sharded_queue_bounds_and_steals() {
-        let q = ShardedQueue::new(2, 3);
+    fn job_queue_bounds_orders_and_stops() {
+        let q = JobQueue::new(3);
         let job = |id| {
             Arc::new(Job::new(
                 id,
@@ -964,30 +902,30 @@ mod tests {
                 .unwrap(),
             ))
         };
-        assert!(q.push(job(1)).is_ok());
-        assert!(q.push(job(2)).is_ok());
-        assert!(q.push(job(3)).is_ok());
+        for id in 1..=3 {
+            assert!(q.push(job(id)).is_ok());
+        }
         assert!(q.push(job(4)).is_err(), "capacity 3 refuses the 4th");
         assert_eq!(q.depth(), 3);
-        // Worker 1's home shard may be empty — stealing still drains all.
-        let mut seen = vec![];
-        while let Some(j) = q.pop(1) {
-            seen.push(j.id);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, vec![1, 2, 3]);
+        let running = AtomicBool::new(false);
+        let order: Vec<u64> = (0..3).map(|_| q.pop(&running).unwrap().id).collect();
+        assert_eq!(order, vec![1, 2, 3], "first in, first out");
         assert_eq!(q.depth(), 0);
-    }
 
-    #[test]
-    fn panic_text_reads_the_caught_message() {
-        let caught = |f: fn()| catch_unwind(f).expect_err("the closure panics");
-        assert_eq!(panic_text(caught(|| panic!("boom"))), "boom");
-        assert_eq!(panic_text(caught(|| panic!("{}", 7))), "7");
-        assert_eq!(
-            panic_text(caught(|| std::panic::panic_any(7u8))),
-            "non-string panic payload"
-        );
+        // A stopped queue hands out nothing, even with a job queued. The
+        // worker thread may park before the stop or see it first; either
+        // way the broadcast must reach it (every `Server` drop in the
+        // HTTP suites also joins parked workers this way).
+        let stopped = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| q.pop(&stopped));
+            stopped.store(true, Ordering::Relaxed);
+            q.wake_all();
+            assert!(worker.join().unwrap().is_none());
+        });
+        assert!(q.push(job(5)).is_ok());
+        assert!(q.pop(&stopped).is_none());
+        assert_eq!(q.depth(), 1);
     }
 
     #[test]

@@ -301,11 +301,6 @@ impl<'l, 'm> MappedModule<'l, 'm> {
         self.library
     }
 
-    /// The drive assigned to a cell.
-    pub fn drive(&self, cell: CellId) -> Drive {
-        self.drives[cell.index()]
-    }
-
     /// Total mapped area in gate equivalents.
     pub fn area_ge(&self) -> f64 {
         self.module

@@ -139,11 +139,6 @@ impl BddRef {
     pub const FALSE: BddRef = BddRef(0);
     /// The constant-true function.
     pub const TRUE: BddRef = BddRef(1);
-
-    /// Returns `true` for the two terminal nodes.
-    pub fn is_const(self) -> bool {
-        self.0 <= 1
-    }
 }
 
 /// Internal node: branch variable plus low/high children.
@@ -854,9 +849,7 @@ mod tests {
         let mut b = Bdd::new();
         assert_eq!(b.constant(true), BddRef::TRUE);
         assert_eq!(b.constant(false), BddRef::FALSE);
-        assert!(BddRef::TRUE.is_const());
         let x = b.var(3);
-        assert!(!x.is_const());
         assert!(b.eval(x, &[false, false, false, true]));
         assert!(!b.eval(x, &[true, true, true, false]));
         let nx = b.nvar(3);

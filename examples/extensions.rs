@@ -13,7 +13,7 @@
 //! Run with `cargo run --release --example extensions`.
 
 use scfi_repro::core::{harden, ScfiConfig};
-use scfi_repro::faultsim::{run_exhaustive, CampaignConfig, ScfiTarget};
+use scfi_repro::faultsim::{CampaignConfig, ScfiTarget, VulnerabilityMap};
 use scfi_repro::stdcell::Library;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -53,18 +53,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let hardened = harden(fsm, &config)?;
         hardened.check_all_edges()?;
         let mapped = lib.map(hardened.module());
-        let whole = run_exhaustive(
+        let whole = VulnerabilityMap::analyze(
             &ScfiTarget::new(&hardened),
             &CampaignConfig::new().threads(2),
-        );
+        )
+        .summary();
         let r = hardened.regions();
-        let selector = run_exhaustive(
+        let selector = VulnerabilityMap::analyze(
             &ScfiTarget::new(&hardened),
             &CampaignConfig::new()
                 .region(r.pattern_match.start..r.modifier_select.end)
                 .with_pin_faults()
                 .threads(2),
-        );
+        )
+        .summary();
         println!(
             "{:<20} {:>9} {:>10.0} {:>12.0} {:>13.2}% {:>11.2}%",
             label,

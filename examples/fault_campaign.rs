@@ -6,7 +6,7 @@
 
 use scfi_repro::core::{harden, PadPolicy, ScfiConfig};
 use scfi_repro::faultsim::{
-    paper_success_probability, run_exhaustive, run_multi_fault, CampaignConfig, FaultEffect,
+    paper_success_probability, try_run_multi_fault, CampaignConfig, FaultEffect, RunControl,
     ScfiTarget, VulnerabilityMap,
 };
 
@@ -35,14 +35,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     println!("exhaustive transient flips (gate outputs + input pins), by stage:");
     for (name, region) in stages {
-        let report = run_exhaustive(
+        let report = VulnerabilityMap::analyze(
             &ScfiTarget::new(&hardened),
             &CampaignConfig::new()
                 .effects(vec![FaultEffect::Flip])
                 .region(region)
                 .with_pin_faults()
                 .threads(2),
-        );
+        )
+        .summary();
         println!("  {name:<16} {report}");
     }
     println!("\n(the paper's §7 'limitation' lives in the selector logic: 1-bit");
@@ -59,12 +60,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Multi-fault attacker sweep (threat model: N−1 faults anywhere).
     println!("\nsampled multi-fault attacks (whole module, 3000 runs each):");
     for m in 1..=4 {
-        let report = run_multi_fault(
+        let report = try_run_multi_fault(
             &ScfiTarget::new(&hardened),
             m,
             3000,
             &CampaignConfig::new().seed(7 + m as u64),
-        );
+            &RunControl::unlimited(),
+        )
+        .expect("an unlimited campaign completes");
         println!("  {m} simultaneous faults: {report}");
     }
     Ok(())

@@ -11,7 +11,7 @@
 
 use scfi_repro::core::{harden, ScfiConfig};
 use scfi_repro::faultsim::{
-    run_exhaustive, CampaignConfig, FaultEffect, ScfiTarget, UnprotectedTarget,
+    CampaignConfig, FaultEffect, ScfiTarget, UnprotectedTarget, VulnerabilityMap,
 };
 use scfi_repro::fsm::{lower_unprotected, parse_fsm};
 
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Unprotected: single transient flips hijack the flow. -------------
     let lowered = lower_unprotected(&fsm)?;
     let target = UnprotectedTarget::new(&fsm, &lowered);
-    let report = run_exhaustive(
+    let report = VulnerabilityMap::analyze(
         &target,
         &CampaignConfig::new()
             .effects(vec![
@@ -45,7 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ])
             .with_register_flips()
             .threads(2),
-    );
+    )
+    .summary();
     println!("unprotected netlist under exhaustive single faults:");
     println!("  {report}");
     println!("  every hijack is silent — nothing in the circuit can notice.\n");
@@ -55,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let hardened = harden(&fsm, &ScfiConfig::new(n))?;
         hardened.check_all_edges()?;
         let target = ScfiTarget::new(&hardened);
-        let report = run_exhaustive(
+        let report = VulnerabilityMap::analyze(
             &target,
             &CampaignConfig::new()
                 .effects(vec![
@@ -65,7 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ])
                 .with_register_flips()
                 .threads(2),
-        );
+        )
+        .summary();
         println!("SCFI (N = {n}) under the same campaign:");
         println!("  {report}");
     }

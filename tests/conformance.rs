@@ -18,9 +18,9 @@ mod common;
 
 use scfi_core::{harden, redundancy, ScfiConfig, ScfiError, StateDecode};
 use scfi_faultsim::{
-    enumerate_faults, run_exhaustive, run_exhaustive_scalar, CampaignConfig, FaultSite,
-    FaultTarget, FaultTiming, ProtocolScenario, RedundancyTarget, ScfiTarget, UnprotectedTarget,
-    VulnerabilityMap,
+    enumerate_faults, CampaignBackend, CampaignConfig, FaultSite, FaultTarget, FaultTiming,
+    PackedBackend, ProtocolScenario, RedundancyTarget, RunControl, ScalarBackend, ScfiTarget,
+    UnprotectedTarget, VulnerabilityMap, WorkList,
 };
 use scfi_fsm::lower_unprotected;
 use scfi_netlist::{Module, Simulator};
@@ -182,7 +182,7 @@ fn register_fault_campaign_detects_every_injection() {
         let config = CampaignConfig::new()
             .with_register_flips()
             .region(lo..hi + 1);
-        let report = run_exhaustive(&target, &config);
+        let report = VulnerabilityMap::analyze(&target, &config).summary();
         assert_eq!(
             report.injections,
             h.cfg().edges().len() * 2 * regs.len(),
@@ -202,17 +202,42 @@ fn register_fault_campaign_detects_every_injection() {
     }
 }
 
+/// The exhaustive campaign's work list: every scenario × every
+/// enumerated fault, scenario-major.
+fn exhaustive_work<T: FaultTarget>(target: &T, config: &CampaignConfig) -> WorkList {
+    let faults = enumerate_faults(target.module(), config);
+    let mut work = WorkList::with_capacity(target.scenario_count() * faults.len());
+    for s in 0..target.scenario_count() {
+        for f in &faults {
+            work.push(s, std::slice::from_ref(f));
+        }
+    }
+    work
+}
+
 /// Asserts that the packed wave engine at every lane width W ∈ {1, 2, 4}
-/// (64-, 128- and 256-lane waves) produces byte-identical
-/// `CampaignReport`s to the scalar reference for the same campaign.
+/// (64-, 128- and 256-lane waves) returns the scalar reference's
+/// slot-ordered outcome vector over the exhaustive work list.
 fn assert_engines_agree<T: FaultTarget>(target: &T, config: &CampaignConfig, what: &str) {
-    let scalar = run_exhaustive_scalar(target, config);
-    assert!(scalar.injections > 0, "{what}: empty campaign");
+    let work = exhaustive_work(target, config);
+    let control = RunControl::unlimited();
+    let scalar = ScalarBackend
+        .try_execute(target, &work, config, &control)
+        .expect("scalar run");
+    assert!(!scalar.is_empty(), "{what}: empty campaign");
     for lane_words in [1, 2, 4] {
-        let packed = run_exhaustive(target, &config.clone().lane_words(lane_words));
+        let packed = PackedBackend
+            .try_execute(
+                target,
+                &work,
+                &config.clone().lane_words(lane_words),
+                &control,
+            )
+            .expect("packed run");
+        let first = (0..scalar.len().max(packed.len())).find(|&i| packed.get(i) != scalar.get(i));
         assert_eq!(
-            packed, scalar,
-            "{what}: packed engine (W={lane_words}) diverged from the scalar reference\n  packed: {packed}\n  scalar: {scalar}"
+            first, None,
+            "{what}: packed engine (W={lane_words}) diverged from the scalar reference at this slot"
         );
     }
 }
@@ -221,8 +246,8 @@ fn assert_engines_agree<T: FaultTarget>(target: &T, config: &CampaignConfig, wha
 /// matrix: for every Table-1 FSM, every configuration of §6.1
 /// (unprotected, redundancy, SCFI) and every protection level N ∈
 /// {2, 3, 4}, the bit-parallel packed engine must reproduce the scalar
-/// engine's `CampaignReport` aggregates exactly — the same exhaustive
-/// gate-output flip campaign, injection for injection. Three more inputs
+/// engine's outcome for every slot of the same exhaustive gate-output
+/// flip campaign, injection for injection. Three more inputs
 /// cover fault spaces the matrix leaves out: gate-output flips without
 /// register flips, one depth-1 scenario per CFG edge, and register flips
 /// over depth-16 walks, whose waves settle long before their last cycle.
@@ -306,7 +331,7 @@ fn mid_protocol_register_faults_never_complete_the_walk_undetected() {
             .effects(vec![])
             .with_register_flips()
             .region(lo..hi + 1);
-        let report = run_exhaustive(&target, &config);
+        let report = VulnerabilityMap::analyze(&target, &config).summary();
         assert!(report.injections > 0, "{}: empty protocol campaign", b.name);
         assert_eq!(
             report.hijacked, 0,
@@ -334,7 +359,7 @@ fn secure_boot_multicycle_campaign_agrees_across_engines() {
 
     let lowered = lower_unprotected(&fsm).expect("lowering");
     let unprot = UnprotectedTarget::with_protocol(&fsm, &lowered, depth, seed);
-    let unprot_report = run_exhaustive(&unprot, &config);
+    let unprot_report = VulnerabilityMap::analyze(&unprot, &config).summary();
     assert_engines_agree(&unprot, &config, "secure_boot unprotected protocol");
     assert!(
         unprot_report.hijack_rate() > 0.05,
@@ -347,7 +372,7 @@ fn secure_boot_multicycle_campaign_agrees_across_engines() {
 
     let h = harden(&fsm, &ScfiConfig::new(2)).expect("harden");
     let scfi = ScfiTarget::with_protocol(&h, depth, seed);
-    let scfi_report = run_exhaustive(&scfi, &config);
+    let scfi_report = VulnerabilityMap::analyze(&scfi, &config).summary();
     assert_engines_agree(&scfi, &config, "secure_boot SCFI protocol");
     assert!(
         scfi_report.hijack_rate() < unprot_report.hijack_rate() / 2.0,
@@ -442,7 +467,7 @@ fn certification_agrees_with_exhaustive_campaigns_on_every_table1_fsm() {
         let lowered = lower_unprotected(&b.fsm).expect("lowering");
         let config = register_fault_space(lowered.module());
         let target = UnprotectedTarget::new(&b.fsm, &lowered);
-        let campaign = run_exhaustive(&target, &config);
+        let campaign = VulnerabilityMap::analyze(&target, &config).summary();
         let cert = assert_certification_agrees(
             &lowered,
             &target,
@@ -474,7 +499,7 @@ fn certification_agrees_with_exhaustive_campaigns_on_every_table1_fsm() {
             let h = harden(&b.fsm, &ScfiConfig::new(n)).expect("harden");
             let config = register_fault_space(h.module());
             let target = ScfiTarget::new(&h);
-            let campaign = run_exhaustive(&target, &config);
+            let campaign = VulnerabilityMap::analyze(&target, &config).summary();
             let cert = assert_certification_agrees(
                 &h,
                 &target,
@@ -683,7 +708,7 @@ fn joint_certification_at_one_active_fault_matches_per_site_proofs() {
 /// Table-1 FSMs at N ∈ {2, 3}.
 #[test]
 fn multiwindow_fuzzed_campaigns_agree_across_engines_and_threads() {
-    use scfi_faultsim::{run_multi_fault, run_multi_fault_scalar};
+    use scfi_faultsim::{try_run_multi_fault, Backend, CampaignReport};
     let fsm = scfi_opentitan::secure_boot_fsm();
     let depth = 3;
     let seed = 0x7E4A_0001;
@@ -697,15 +722,19 @@ fn multiwindow_fuzzed_campaigns_agree_across_engines_and_threads() {
     let scfi = ScfiTarget::with_fuzzed_protocol(&h, depth, seed);
 
     fn check<T: FaultTarget>(target: &T, m: usize, runs: usize, what: &str) {
+        let run = |config: &CampaignConfig| -> CampaignReport {
+            try_run_multi_fault(target, m, runs, config, &RunControl::unlimited())
+                .expect("uninterrupted multi-fault campaign")
+        };
         let base = CampaignConfig::new()
             .with_register_flips()
             .with_fault_windows();
-        let scalar = run_multi_fault_scalar(target, m, runs, &base);
+        let scalar = run(&base.clone().backend(Backend::Scalar));
         assert!(scalar.injections > 0, "{what}: empty campaign");
         for lane_words in [1, 2, 4] {
             for threads in [1, 3] {
                 let config = base.clone().lane_words(lane_words).threads(threads);
-                let packed = run_multi_fault(target, m, runs, &config);
+                let packed = run(&config);
                 assert_eq!(
                     packed, scalar,
                     "{what}: packed W={lane_words} threads={threads} diverged from scalar"
@@ -747,10 +776,11 @@ fn whole_module_campaign_accounting_balances() {
     let b = scfi_opentitan::by_name("otbn_controller").expect("suite entry");
     let h = harden(&b.fsm, &ScfiConfig::new(2)).expect("harden");
     let target = ScfiTarget::new(&h);
-    let report = run_exhaustive(
+    let report = VulnerabilityMap::analyze(
         &target,
         &CampaignConfig::new().with_register_flips().threads(4),
-    );
+    )
+    .summary();
     assert!(report.injections > 1000, "campaign too small: {report}");
     assert_eq!(
         report.injections,

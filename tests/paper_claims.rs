@@ -5,8 +5,8 @@
 
 use scfi_repro::core::{harden, PadPolicy, ScfiConfig};
 use scfi_repro::faultsim::{
-    paper_success_probability, run_exhaustive, CampaignConfig, FaultEffect, ScfiTarget,
-    UnprotectedTarget,
+    paper_success_probability, CampaignConfig, FaultEffect, ScfiTarget, UnprotectedTarget,
+    VulnerabilityMap,
 };
 use scfi_repro::fsm::lower_unprotected;
 use scfi_repro::netlist::ModuleStats;
@@ -95,14 +95,15 @@ fn synfi_escape_rate_shape_holds() {
         14,
         "the paper's FSM has 14 transitions"
     );
-    let report = run_exhaustive(
+    let report = VulnerabilityMap::analyze(
         &ScfiTarget::new(&hardened),
         &CampaignConfig::new()
             .effects(vec![FaultEffect::Flip])
             .region(hardened.regions().diffusion.clone())
             .with_pin_faults()
             .threads(2),
-    );
+    )
+    .summary();
     assert!(report.injections > 1000, "fault space too small: {report}");
     assert!(
         report.hijack_rate() < 0.02,
@@ -122,8 +123,9 @@ fn protection_gap_shape_holds() {
     let config = CampaignConfig::new()
         .effects(vec![FaultEffect::Flip])
         .threads(2);
-    let scfi = run_exhaustive(&ScfiTarget::new(&hardened), &config);
-    let unprot = run_exhaustive(&UnprotectedTarget::new(&fsm, &lowered), &config);
+    let scfi = VulnerabilityMap::analyze(&ScfiTarget::new(&hardened), &config).summary();
+    let unprot =
+        VulnerabilityMap::analyze(&UnprotectedTarget::new(&fsm, &lowered), &config).summary();
     assert!(
         unprot.hijack_rate() > 10.0 * scfi.hijack_rate().max(1e-6),
         "unprotected {:.3} vs SCFI {:.3}",

@@ -3,7 +3,7 @@
 
 use scfi_repro::core::{harden, redundancy, PadPolicy, ScfiConfig, StateDecode};
 use scfi_repro::faultsim::{
-    run_exhaustive, CampaignConfig, FaultEffect, RedundancyTarget, ScfiTarget,
+    CampaignConfig, FaultEffect, RedundancyTarget, ScfiTarget, VulnerabilityMap,
 };
 use scfi_repro::fsm::{lower_unprotected, parse_fsm, Fsm, FsmSimulator};
 use scfi_repro::netlist::{ModuleStats, Simulator};
@@ -117,8 +117,8 @@ fn campaigns_rank_the_three_configurations() {
     let config = CampaignConfig::new()
         .effects(vec![FaultEffect::Flip])
         .threads(2);
-    let scfi_report = run_exhaustive(&ScfiTarget::new(&hardened), &config);
-    let red_report = run_exhaustive(&RedundancyTarget::new(&red), &config);
+    let scfi_report = VulnerabilityMap::analyze(&ScfiTarget::new(&hardened), &config).summary();
+    let red_report = VulnerabilityMap::analyze(&RedundancyTarget::new(&red), &config).summary();
 
     // Both protections keep single-fault escapes rare; coverage among
     // effective faults stays high.
