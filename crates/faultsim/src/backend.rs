@@ -1,4 +1,5 @@
-//! Pluggable campaign execution backends.
+//! Pluggable campaign execution backends and the one wave scheduler
+//! behind them.
 //!
 //! A [`CampaignBackend`] is the execution contract behind every campaign
 //! entry point: compile the target's netlist once, run a [`WorkList`] of
@@ -6,10 +7,9 @@
 //! item order** — deterministically, independent of thread count, batching
 //! or internal lane order. Everything above the backend (aggregation,
 //! vulnerability maps, certification cross-checks, the CLI) is engine
-//! agnostic; everything below it is free to batch and parallelize
-//! however it likes, as long as the slot-ordered outcome vector is
-//! byte-identical across backends. The workspace differential suites pin
-//! that equivalence on every Table-1 FSM at every width and thread count.
+//! agnostic. The workspace differential suites pin that the slot-ordered
+//! outcome vector is byte-identical across backends on every Table-1 FSM
+//! at every width and thread count.
 //!
 //! Two implementations ship:
 //!
@@ -20,19 +20,24 @@
 //!   words, `W` ∈ {1, 2, 4} from [`CampaignConfig::lane_words`]: 64–256
 //!   injections per netlist pass with word-parallel classification.
 //!
-//! Campaigns pick the backend from
-//! [`CampaignConfig::backend`](CampaignConfig::backend); the CLI exposes
-//! the same choice as `scfi analyze --backend scalar|packed`.
+//! Both run under one scheduler, [`run_waves`]: the backends differ only
+//! in the per-worker body that computes one wave. Campaigns pick the
+//! backend from [`CampaignConfig::backend`](CampaignConfig::backend); the
+//! CLI exposes the same choice as `scfi analyze --backend scalar|packed`.
 
+use std::iter::Enumerate;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::slice::ChunksMut;
+use std::sync::Mutex;
 
-use scfi_netlist::{Simulator, LANES};
+use scfi_netlist::{PackedNetlist, Simulator, LANES};
+use scfi_telemetry::Telemetry;
 
 use crate::campaign::{run_item_scalar, CampaignConfig, Outcome};
-use crate::control::{panic_message, CampaignError, RunControl, StopReason};
+use crate::control::{panic_message, CampaignError, PartialReport, RunControl, StopReason};
 use crate::target::{FaultTarget, Scenario};
-use crate::wave::{self, RunOutput, WorkList};
+use crate::wave::{wave_worker, WorkList};
 
 /// Selects which [`CampaignBackend`] a campaign runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -90,17 +95,18 @@ impl std::fmt::Display for Backend {
 ///
 /// # Execution control
 ///
-/// Backends consult `control` through [`RunControl::admit`] once per wave
-/// (never per gate or per cycle) and wrap each wave in
-/// [`std::panic::catch_unwind`]. The determinism contract extends to
-/// interruption: a refused wave leaves its slots out of the
-/// [`PartialReport`](crate::PartialReport), and every slot that *did*
-/// complete is byte-identical to the same slot of an uninterrupted run —
-/// at any thread count, on any backend.
+/// Both backends run through one wave scheduler (`run_waves` in this
+/// crate), which enforces the rest of the contract. It cuts the work
+/// list into waves of fixed slots (64 items for the scalar backend,
+/// `64 · W` for the packed one) and hands them out in slot order. It asks [`RunControl::admit`] once per wave,
+/// under the same lock as the claim, and the first refusal stops all
+/// further claims. Every stop therefore completes a prefix of waves, and
+/// an injection-budget stop completes the same prefix at any thread
+/// count. Each completed slot is byte-identical to the same slot of an
+/// uninterrupted run, on any backend, and the refused waves' slots stay
+/// out of the [`PartialReport`]. Each wave runs under
+/// [`std::panic::catch_unwind`]: a panic fails only that wave's slots.
 pub trait CampaignBackend {
-    /// The backend's canonical name (for reports and diagnostics).
-    fn name(&self) -> &'static str;
-
     /// Runs `work` against `target` under `control`, returning
     /// slot-ordered outcomes — or, when interrupted or poisoned, the
     /// typed [`CampaignError`] carrying everything that completed.
@@ -128,10 +134,6 @@ pub struct ScalarBackend;
 pub struct PackedBackend;
 
 impl CampaignBackend for ScalarBackend {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
     fn try_execute<T: FaultTarget>(
         &self,
         target: &T,
@@ -139,119 +141,38 @@ impl CampaignBackend for ScalarBackend {
         config: &CampaignConfig,
         control: &RunControl,
     ) -> Result<Vec<Outcome>, CampaignError> {
-        let n = work.len();
-        let mut outcomes: Vec<Option<Outcome>> = vec![None; n];
-        if n == 0 {
-            return Ok(Vec::new());
-        }
         // Each worker owns one reusable simulator and output buffer and
         // caches the last materialized scenario, so the per-injection cost
         // is one register reset plus the scenario's simulated cycles.
-        // Items run one at a time, but control checks and panic isolation
-        // are chunked at the wave granularity ([`LANES`] items) so the
-        // scalar backend honors the same wave-boundary contract as the
-        // packed engines.
-        let telemetry = config.telemetry_handle();
-        let waves_total = telemetry.counter("scfi_campaign_waves_total");
-        let injections_total = telemetry.counter("scfi_campaign_injections_total");
-        let run_range = |start: usize,
-                         out: &mut [Option<Outcome>]|
-         -> (Option<StopReason>, Vec<(Range<usize>, String)>) {
+        let worker = || {
             let mut sim = Simulator::new(target.module());
             let mut outputs = Vec::with_capacity(target.module().outputs().len());
             let mut cached: Option<(usize, Scenario)> = None;
-            let mut stopped = None;
-            let mut panics = Vec::new();
-            let mut done = 0usize;
-            while done < out.len() {
-                let chunk = LANES.min(out.len() - done);
-                if let Err(reason) = control.admit(chunk) {
-                    stopped = Some(reason);
-                    break;
-                }
-                waves_total.inc();
-                injections_total.add(chunk as u64);
-                let wave = catch_unwind(AssertUnwindSafe(|| {
-                    for (k, slot) in out.iter_mut().enumerate().skip(done).take(chunk) {
-                        let (scenario, faults) = work.item(start + k);
-                        if cached.as_ref().map(|c| c.0) != Some(scenario) {
-                            cached = Some((scenario, target.scenario(scenario)));
-                        }
-                        let (_, sc) = cached.as_ref().expect("cached scenario");
-                        *slot = Some(run_item_scalar(
-                            target,
-                            &mut sim,
-                            scenario,
-                            sc,
-                            faults,
-                            work.windows(start + k),
-                            &mut outputs,
-                        ));
+            move |first: usize, out: &mut [Option<Outcome>]| {
+                for (i, slot) in (first..).zip(out) {
+                    let (scenario, faults) = work.item(i);
+                    if cached.as_ref().map(|c| c.0) != Some(scenario) {
+                        cached = Some((scenario, target.scenario(scenario)));
                     }
-                }));
-                if let Err(payload) = wave {
-                    // Fail the whole chunk (partially computed slots
-                    // included — a poisoned wave reports no outcomes) and
-                    // restore clean per-worker scratch for the next chunk.
-                    for slot in &mut out[done..done + chunk] {
-                        *slot = None;
-                    }
-                    panics.push((start + done..start + done + chunk, panic_message(payload)));
-                    sim.clear_faults();
-                    cached = None;
+                    let (_, sc) = cached.as_ref().expect("cached scenario");
+                    *slot = Some(run_item_scalar(
+                        target,
+                        &mut sim,
+                        scenario,
+                        sc,
+                        faults,
+                        work.windows(i),
+                        &mut outputs,
+                    ));
                 }
-                done += chunk;
             }
-            (stopped, panics)
         };
-        let threads = config.thread_count().min(n);
-        let (stopped, panics) = if threads <= 1 || n < 64 {
-            run_range(0, &mut outcomes)
-        } else {
-            // Contiguous slot ranges per worker: each writes its own
-            // disjoint outcome slice, so the result is slot-ordered by
-            // construction.
-            let per = n.div_ceil(threads);
-            let workers: Vec<_> = std::thread::scope(|scope| {
-                let handles: Vec<_> = outcomes
-                    .chunks_mut(per)
-                    .enumerate()
-                    .map(|(t, chunk)| {
-                        let run_range = &run_range;
-                        scope.spawn(move || run_range(t * per, chunk))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scalar workers catch their own panics"))
-                    .collect()
-            });
-            let mut stopped = None;
-            let mut panics = Vec::new();
-            for (s, p) in workers {
-                if stopped.is_none() {
-                    stopped = s;
-                }
-                panics.extend(p);
-            }
-            (stopped, panics)
-        };
-        wave::finish_run(
-            work,
-            RunOutput {
-                outcomes,
-                stopped,
-                panics,
-            },
-        )
+        let (threads, telemetry) = (config.thread_count(), config.telemetry_handle());
+        run_waves(work, LANES, threads, control, telemetry, worker)
     }
 }
 
 impl CampaignBackend for PackedBackend {
-    fn name(&self) -> &'static str {
-        "packed"
-    }
-
     fn try_execute<T: FaultTarget>(
         &self,
         target: &T,
@@ -259,16 +180,153 @@ impl CampaignBackend for PackedBackend {
         config: &CampaignConfig,
         control: &RunControl,
     ) -> Result<Vec<Outcome>, CampaignError> {
-        wave::try_execute(
-            target,
-            work,
-            config.thread_count(),
-            config.lane_width(),
-            config.precompiled_for(target.module()),
-            control,
-            config.telemetry_handle(),
-        )
+        // A cached compile (validated against the module shape by the
+        // config) replaces the per-run compilation; `PackedNetlist` is
+        // immutable, so sharing it across concurrent campaigns is sound.
+        let owned;
+        let compiled = match config.precompiled_for(target.module()) {
+            Some(net) => net,
+            None => {
+                owned = PackedNetlist::compile(target.module());
+                &owned
+            }
+        };
+        let width = config.lane_width();
+        let (threads, telemetry) = (config.thread_count(), config.telemetry_handle());
+        let lanes = width.lanes();
+        match width.words() {
+            1 => run_waves(work, lanes, threads, control, telemetry, || {
+                wave_worker::<T, 1>(target, compiled, work, telemetry)
+            }),
+            2 => run_waves(work, lanes, threads, control, telemetry, || {
+                wave_worker::<T, 2>(target, compiled, work, telemetry)
+            }),
+            4 => run_waves(work, lanes, threads, control, telemetry, || {
+                wave_worker::<T, 4>(target, compiled, work, telemetry)
+            }),
+            _ => unreachable!("LaneWidth admits only 1, 2 or 4 words"),
+        }
     }
+}
+
+/// The waves of one run, claimed in slot order under one lock.
+struct WaveQueue<'a> {
+    /// The outcome vector cut into waves, numbered from slot 0.
+    waves: Enumerate<ChunksMut<'a, Option<Outcome>>>,
+    /// The first refused admission; once set, no wave is claimed.
+    stopped: Option<StopReason>,
+    /// Waves admitted so far, and the injections they carry.
+    admitted: u64,
+    injections: u64,
+}
+
+/// The one wave scheduler behind both backends.
+///
+/// Cuts the slot-ordered outcome vector into waves of `wave_items` slots
+/// and runs them on up to `threads` workers (the calling thread is one of
+/// them). Each worker builds its scratch with `new_worker` when it claims
+/// its first wave, then calls it as `wave(first, out)` to compute items
+/// `first..first + out.len()` into `out`. Waves are claimed from one
+/// [`Mutex`] in slot order, and [`RunControl::admit`] is asked under the
+/// same lock, so the first refusal stops every further claim and the
+/// admitted waves are always a prefix. Each wave runs under
+/// [`catch_unwind`]: a panicking wave's slots go back to `None`, its
+/// worker's scratch is dropped and rebuilt for the worker's next wave, and
+/// every other wave still runs. The lowest poisoned wave is the one
+/// [`CampaignError::WorkerPanic`] reports. Waves and injections are
+/// counted into `telemetry` once per run.
+pub(crate) fn run_waves<F>(
+    work: &WorkList,
+    wave_items: usize,
+    threads: usize,
+    control: &RunControl,
+    telemetry: &Telemetry,
+    new_worker: impl Fn() -> F + Sync,
+) -> Result<Vec<Outcome>, CampaignError>
+where
+    F: FnMut(usize, &mut [Option<Outcome>]),
+{
+    let mut outcomes = vec![None; work.len()];
+    let workers = threads.min(work.len().div_ceil(wave_items)).max(1);
+    let queue = Mutex::new(WaveQueue {
+        waves: outcomes.chunks_mut(wave_items).enumerate(),
+        stopped: None,
+        admitted: 0,
+        injections: 0,
+    });
+    let claim = || {
+        let mut q = queue.lock().expect("no wave runs under the queue lock");
+        if q.stopped.is_some() {
+            return None;
+        }
+        let (k, out) = q.waves.next()?;
+        match control.admit(out.len()) {
+            Ok(()) => {
+                q.admitted += 1;
+                q.injections += out.len() as u64;
+                Some((k * wave_items, out))
+            }
+            Err(reason) => {
+                q.stopped = Some(reason);
+                None
+            }
+        }
+    };
+    let worker_loop = || {
+        let mut worker = None;
+        let mut panics: Vec<(Range<usize>, String)> = Vec::new();
+        while let Some((first, out)) = claim() {
+            let wave = worker.get_or_insert_with(&new_worker);
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| wave(first, out))) {
+                out.fill(None);
+                panics.push((first..first + out.len(), panic_message(payload)));
+                worker = None;
+            }
+        }
+        panics
+    };
+    let panics = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker_loop)).collect();
+        let mut panics = worker_loop();
+        for helper in helpers {
+            let caught = helper
+                .join()
+                .unwrap_or_else(|payload| resume_unwind(payload));
+            panics.extend(caught);
+        }
+        panics
+    });
+    let WaveQueue {
+        stopped,
+        admitted,
+        injections,
+        ..
+    } = queue
+        .into_inner()
+        .expect("no wave runs under the queue lock");
+    telemetry.counter("scfi_campaign_waves_total").add(admitted);
+    telemetry
+        .counter("scfi_campaign_injections_total")
+        .add(injections);
+    // A caught wave panic outranks an interruption: its data loss is
+    // unrecoverable, while an interrupted run can be resumed.
+    if let Some((item_range, message)) = panics.into_iter().min_by_key(|(r, _)| r.start) {
+        return Err(CampaignError::WorkerPanic {
+            item_range,
+            message,
+            partial: Box::new(PartialReport::from_outcomes(work, outcomes)),
+        });
+    }
+    if let Some(reason) = stopped {
+        return Err(CampaignError::Interrupted {
+            reason,
+            partial: Box::new(PartialReport::from_outcomes(work, outcomes)),
+        });
+    }
+    Ok(outcomes
+        .into_iter()
+        .map(|o| o.expect("an uninterrupted run fills every slot"))
+        .collect())
 }
 
 #[cfg(test)]
@@ -284,11 +342,5 @@ mod tests {
         assert_eq!(Backend::parse("avx1024"), None);
         assert_eq!(Backend::default(), Backend::Packed);
         assert_eq!(Backend::accepted_names(), "scalar or packed");
-    }
-
-    #[test]
-    fn trait_names_match_enum_names() {
-        assert_eq!(ScalarBackend.name(), Backend::Scalar.name());
-        assert_eq!(PackedBackend.name(), Backend::Packed.name());
     }
 }

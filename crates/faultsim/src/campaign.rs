@@ -450,7 +450,7 @@ pub fn arm(sim: &mut Simulator<'_>, fault: Fault) {
 /// * registers preloaded, then cycles stepped in schedule order;
 /// * fault `j`'s effective window is [`Scenario::fault_window`] — the work
 ///   item's per-fault override when present, the scenario's
-///   [`FaultSchedule`](crate::FaultSchedule) otherwise;
+///   [`timing`](crate::Scenario::timing) otherwise;
 /// * net/pin fault masks are rebuilt whenever any fault's window opens or
 ///   closes (and at cycle 0), so each mask is live exactly while
 ///   [`FaultTiming::armed_at`] holds for its own window;
@@ -458,8 +458,10 @@ pub fn arm(sim: &mut Simulator<'_>, fault: Fault) {
 ///   [`FaultTiming::flip_cycle`];
 /// * per-cycle classifications folded with [`Outcome::fold`].
 ///
-/// With a uniform schedule and no overrides this is step-for-step the
-/// legacy one-window loop: arm everything on window entry, clear on exit.
+/// Without overrides every fault of the group shares the scenario's
+/// window: all masks are armed when it opens and cleared when it closes.
+/// The scalar backend calls this once per item, in slot order within
+/// each wave the shared scheduler hands its worker.
 pub(crate) fn run_item_scalar<T: FaultTarget>(
     target: &T,
     sim: &mut Simulator<'_>,
@@ -474,10 +476,7 @@ pub(crate) fn run_item_scalar<T: FaultTarget>(
         "scenario {index} has no cycles" // same rejection as the wave executor
     );
     debug_assert!(
-        scenario
-            .schedule
-            .windows()
-            .iter()
+        std::iter::once(&scenario.timing)
             .chain(windows.iter().flatten())
             .all(|w| w.flip_cycle() < scenario.cycles()),
         "scenario {index}'s fault window lies past its schedule"

@@ -19,15 +19,18 @@
 //! decides *which* waves run, never *what* a wave computes — so every
 //! completed slot of a [`PartialReport`] is byte-identical to the same
 //! slot of an uninterrupted run, at any thread count, on any backend.
-//! The interruption-determinism property tests pin exactly this.
+//! Waves are admitted in slot order, so the completed waves are a prefix,
+//! and a budget stop completes the same prefix at any thread count. The
+//! interruption-determinism property tests pin exactly this.
 //!
 //! # Panic isolation
 //!
-//! Backends wrap each wave in [`std::panic::catch_unwind`]: a poisoned
-//! scenario or target panics only its own wave's item range, which is
-//! reported as [`CampaignError::WorkerPanic`] while every other wave of
-//! the campaign completes normally. The panicking wave's slots stay
-//! `None` in the partial report — they are never fabricated.
+//! The wave scheduler both backends share wraps each wave in
+//! [`std::panic::catch_unwind`]: a poisoned scenario or target panics
+//! only its own wave's item range, which is reported as
+//! [`CampaignError::WorkerPanic`] while every other wave of the campaign
+//! completes normally. The panicking wave's slots stay `None` in the
+//! partial report — they are never fabricated.
 
 use std::fmt;
 use std::ops::Range;
@@ -303,11 +306,11 @@ pub enum CampaignError {
         /// it every `Result` on the campaign path) small.
         partial: Box<PartialReport>,
     },
-    /// A worker panicked while executing one wave. Only that wave's item
-    /// range failed; every other wave of the campaign completed.
+    /// A worker panicked while executing a wave. Only the poisoned waves'
+    /// slots failed; every other wave of the campaign completed.
     WorkerPanic {
-        /// The work-list slots of the poisoned wave (left `None` in the
-        /// partial report).
+        /// The work-list slots of the lowest poisoned wave (left `None` in
+        /// the partial report, like those of any other poisoned wave).
         item_range: Range<usize>,
         /// The captured panic payload.
         message: String,

@@ -108,8 +108,8 @@ pub use campaign::{
 pub use control::{panic_message, CampaignError, LaneWidth, PartialReport, RunControl, StopReason};
 pub use oracle::{AlertModel, WaveOracle};
 pub use target::{
-    adversarial_walks, fuzzed_protocol_scenarios, protocol_scenarios, FaultSchedule, FaultTarget,
-    FaultTiming, ProtocolScenario, RedundancyTarget, Scenario, ScfiTarget, UnprotectedTarget,
+    adversarial_walks, fuzzed_protocol_scenarios, protocol_scenarios, FaultTarget, FaultTiming,
+    ProtocolScenario, RedundancyTarget, Scenario, ScfiTarget, UnprotectedTarget,
 };
 pub use vulnerability::{SiteStats, VulnerabilityMap};
 pub use wave::WorkList;

@@ -48,57 +48,6 @@ impl FaultTiming {
     }
 }
 
-/// Per-fault arming windows for a scenario's fault group — the §3 temporal
-/// attacker, who may time each of their N−1 glitches independently.
-///
-/// The legacy one-window-per-scenario model lowers to
-/// [`FaultSchedule::Uniform`] with unchanged semantics; a
-/// [`FaultSchedule::PerFault`] schedule gives fault `j` of the injected
-/// group its own [`FaultTiming`], so two glitches can strike different
-/// steps of the same protocol walk. Work items can additionally override
-/// windows per fault (see
-/// [`WorkList::push_scheduled`](crate::WorkList::push_scheduled)), which
-/// is how sampled multi-fault campaigns draw independent timings per run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FaultSchedule {
-    /// Every fault in the group shares one window.
-    Uniform(FaultTiming),
-    /// Fault `j` of the group is armed during window `j`; groups larger
-    /// than the schedule reuse its last window.
-    PerFault(Vec<FaultTiming>),
-}
-
-impl FaultSchedule {
-    /// The arming window of fault `j` of the injected group.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty [`FaultSchedule::PerFault`] schedule.
-    pub fn window(&self, fault: usize) -> FaultTiming {
-        match self {
-            FaultSchedule::Uniform(t) => *t,
-            FaultSchedule::PerFault(ws) => {
-                assert!(!ws.is_empty(), "per-fault schedule has no windows");
-                ws[fault.min(ws.len() - 1)]
-            }
-        }
-    }
-
-    /// All distinct windows of the schedule (one entry for `Uniform`).
-    pub fn windows(&self) -> &[FaultTiming] {
-        match self {
-            FaultSchedule::Uniform(t) => std::slice::from_ref(t),
-            FaultSchedule::PerFault(ws) => ws,
-        }
-    }
-}
-
-impl From<FaultTiming> for FaultSchedule {
-    fn from(t: FaultTiming) -> Self {
-        FaultSchedule::Uniform(t)
-    }
-}
-
 /// One N-cycle attack scenario: where the registers start, what drives the
 /// inputs on every cycle, and when the faults under test are live.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -108,8 +57,9 @@ pub struct Scenario {
     /// Input-port vector per cycle; `inputs.len()` is the trajectory length
     /// N ≥ 1.
     pub inputs: Vec<Vec<bool>>,
-    /// The per-fault arming windows within the schedule.
-    pub schedule: FaultSchedule,
+    /// When the injected faults are armed, unless a work item overrides
+    /// a fault's window.
+    pub timing: FaultTiming,
 }
 
 impl Scenario {
@@ -119,7 +69,7 @@ impl Scenario {
         Scenario {
             regs,
             inputs: vec![inputs],
-            schedule: FaultSchedule::Uniform(FaultTiming::Permanent),
+            timing: FaultTiming::Permanent,
         }
     }
 
@@ -129,27 +79,24 @@ impl Scenario {
     }
 
     /// The effective arming window of fault `j` of a work item: the item's
-    /// per-fault override when present, the scenario schedule otherwise.
+    /// per-fault override when present, the scenario's timing otherwise.
     pub fn fault_window(&self, overrides: &[Option<FaultTiming>], j: usize) -> FaultTiming {
-        overrides
-            .get(j)
-            .copied()
-            .flatten()
-            .unwrap_or_else(|| self.schedule.window(j))
+        overrides.get(j).copied().flatten().unwrap_or(self.timing)
     }
 }
 
 /// A multi-cycle protocol scenario over a CFG: a connected walk of edge
 /// indices (each edge's target is the next edge's source) plus the
-/// per-fault arming schedule. [`protocol_scenarios`] generates the
-/// standard campaign set; hand-written schedules can be passed to the
-/// targets' `with_scenarios` constructors directly.
+/// fault window. [`protocol_scenarios`] generates the standard campaign
+/// set; hand-written walks can be passed to the targets'
+/// `with_scenarios` constructors directly, and per-fault windows ride on
+/// the work list ([`WorkList::push_scheduled`](crate::WorkList::push_scheduled)).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProtocolScenario {
     /// Indices into [`Cfg::edges`], connected head to tail.
     pub edges: Vec<usize>,
-    /// When during the walk each fault of the injected group is armed.
-    pub schedule: FaultSchedule,
+    /// When during the walk the injected faults are armed.
+    pub timing: FaultTiming,
     /// Optional per-cycle raw-input override (adversarial input fuzzing):
     /// when present, cycle `c` drives `inputs[c]` instead of edge `c`'s
     /// representative input vector. The override must still drive the
@@ -159,19 +106,13 @@ pub struct ProtocolScenario {
 }
 
 impl ProtocolScenario {
-    /// A walk whose fault group follows `schedule`.
-    pub fn new(edges: Vec<usize>, schedule: FaultSchedule) -> Self {
+    /// A walk whose faults are armed during `timing`.
+    pub fn new(edges: Vec<usize>, timing: FaultTiming) -> Self {
         ProtocolScenario {
             edges,
-            schedule,
+            timing,
             inputs: None,
         }
-    }
-
-    /// A walk with one shared window for the whole fault group — the
-    /// legacy one-`FaultTiming`-per-scenario form.
-    pub fn uniform(edges: Vec<usize>, timing: FaultTiming) -> Self {
-        Self::new(edges, FaultSchedule::Uniform(timing))
     }
 
     /// Overrides the per-cycle input vectors (adversarial input fuzzing);
@@ -200,7 +141,7 @@ fn expand_walks(walks: Vec<Vec<usize>>) -> Vec<ProtocolScenario> {
     let mut scenarios = Vec::new();
     for walk in walks {
         for cycle in 0..walk.len() {
-            scenarios.push(ProtocolScenario::uniform(
+            scenarios.push(ProtocolScenario::new(
                 walk.clone(),
                 FaultTiming::Transient(cycle),
             ));
@@ -348,7 +289,7 @@ impl ScenarioSpace {
     }
 
     /// A protocol space; panics if a walk is empty, disconnected, times
-    /// any fault window past the walk's end, or overrides its inputs with
+    /// its fault window past the walk's end, or overrides its inputs with
     /// a schedule of the wrong length.
     fn protocol(cfg: &Cfg, scenarios: Vec<ProtocolScenario>) -> Self {
         for (i, s) in scenarios.iter().enumerate() {
@@ -360,18 +301,12 @@ impl ScenarioSpace {
                     "protocol scenario {i} is not a connected walk"
                 );
             }
-            assert!(
-                !s.schedule.windows().is_empty(),
-                "protocol scenario {i} has an empty per-fault schedule"
-            );
-            for w in s.schedule.windows() {
-                if let FaultTiming::Transient(c) = *w {
-                    assert!(
-                        c < s.edges.len(),
-                        "protocol scenario {i} arms its fault at cycle {c}, past the {}-cycle walk",
-                        s.edges.len()
-                    );
-                }
+            if let FaultTiming::Transient(c) = s.timing {
+                assert!(
+                    c < s.edges.len(),
+                    "protocol scenario {i} arms its fault at cycle {c}, past the {}-cycle walk",
+                    s.edges.len()
+                );
             }
             if let Some(inputs) = &s.inputs {
                 assert_eq!(
@@ -434,7 +369,7 @@ impl ScenarioSpace {
                         Some(fuzzed) => fuzzed.clone(),
                         None => p.edges.iter().map(|&ei| inputs_of(ei)).collect(),
                     },
-                    schedule: p.schedule.clone(),
+                    timing: p.timing,
                 }
             }
         }
@@ -846,7 +781,7 @@ impl<'a> UnprotectedTarget<'a> {
                     })
                     .collect();
                 scenarios.push(
-                    ProtocolScenario::uniform(walk.clone(), FaultTiming::Transient(cycle))
+                    ProtocolScenario::new(walk.clone(), FaultTiming::Transient(cycle))
                         .with_inputs(fuzzed),
                 );
             }
@@ -982,7 +917,7 @@ mod tests {
         for i in 0..t.scenario_count() {
             let sc = t.scenario(i);
             assert_eq!(sc.cycles(), 1);
-            assert_eq!(sc.schedule, FaultSchedule::Uniform(FaultTiming::Permanent));
+            assert_eq!(sc.timing, FaultTiming::Permanent);
             assert_eq!(sc.regs.len(), h.state_code().width());
             assert_eq!(sc.inputs[0].len(), h.cond_code().width());
         }
@@ -1058,7 +993,7 @@ mod tests {
         assert_eq!(scenarios.len(), cfg.edges().len() * depth);
         for s in &scenarios {
             assert_eq!(s.edges.len(), depth);
-            match s.schedule.window(0) {
+            match s.timing {
                 FaultTiming::Transient(c) => assert!(c < depth),
                 FaultTiming::Permanent => panic!("generator emits transient windows"),
             }
@@ -1096,10 +1031,7 @@ mod tests {
             .expect("some disconnected pair");
         let _ = ScfiTarget::with_scenarios(
             &h,
-            vec![ProtocolScenario::uniform(
-                vec![e0, e1],
-                FaultTiming::Permanent,
-            )],
+            vec![ProtocolScenario::new(vec![e0, e1], FaultTiming::Permanent)],
         );
     }
 
@@ -1110,24 +1042,8 @@ mod tests {
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
         let _ = ScfiTarget::with_scenarios(
             &h,
-            vec![ProtocolScenario::uniform(
-                vec![0],
-                FaultTiming::Transient(1),
-            )],
+            vec![ProtocolScenario::new(vec![0], FaultTiming::Transient(1))],
         );
-    }
-
-    #[test]
-    fn per_fault_schedules_window_each_fault_and_clamp() {
-        let s = FaultSchedule::PerFault(vec![FaultTiming::Transient(0), FaultTiming::Transient(2)]);
-        assert_eq!(s.window(0), FaultTiming::Transient(0));
-        assert_eq!(s.window(1), FaultTiming::Transient(2));
-        // Groups larger than the schedule reuse the last window.
-        assert_eq!(s.window(5), FaultTiming::Transient(2));
-        assert_eq!(s.windows().len(), 2);
-        let u: FaultSchedule = FaultTiming::Permanent.into();
-        assert_eq!(u.window(3), FaultTiming::Permanent);
-        assert_eq!(u.windows(), &[FaultTiming::Permanent]);
     }
 
     #[test]
@@ -1137,34 +1053,6 @@ mod tests {
         let ov = [None, Some(FaultTiming::Transient(0))];
         assert_eq!(sc.fault_window(&ov, 0), FaultTiming::Permanent);
         assert_eq!(sc.fault_window(&ov, 1), FaultTiming::Transient(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty per-fault schedule")]
-    fn empty_per_fault_schedules_are_rejected() {
-        let f = fsm();
-        let h = harden(&f, &ScfiConfig::new(2)).unwrap();
-        let _ = ScfiTarget::with_scenarios(
-            &h,
-            vec![ProtocolScenario::new(
-                vec![0],
-                FaultSchedule::PerFault(Vec::new()),
-            )],
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "past the")]
-    fn late_per_fault_windows_are_rejected() {
-        let f = fsm();
-        let h = harden(&f, &ScfiConfig::new(2)).unwrap();
-        let _ = ScfiTarget::with_scenarios(
-            &h,
-            vec![ProtocolScenario::new(
-                vec![0],
-                FaultSchedule::PerFault(vec![FaultTiming::Transient(0), FaultTiming::Transient(1)]),
-            )],
-        );
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! per-cycle input words, per-lane fault masks armed while each lane's
 //! [`FaultTiming`] window is open), and lanes are classified cycle by
 //! cycle with the per-cycle outcomes folded into a trajectory verdict
-//! per lane. Simulator scratch — the compiled netlist, value arrays,
-//! preload/output words and extraction buffers — is reused across every
-//! wave of a worker.
+//! per lane. Simulator scratch — value arrays, preload/output words and
+//! extraction buffers — is reused across every wave of a worker; the
+//! compiled netlist is shared by all workers.
 //!
 //! # Word-parallel classification
 //!
@@ -42,22 +42,19 @@
 //! classified. Reports stay byte-identical to the scalar reference; the
 //! differential suites assert this at every width.
 //!
-//! Waves are sharded across threads in contiguous blocks. The outcome of
-//! item `i` is written to slot `i` regardless of which thread, wave or
-//! lane computed it, so results are deterministic: independent of the
-//! thread count, the lane-word width, the wave boundaries and the lane
-//! order.
-
-use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! This module computes one wave at a time and nothing else. Which worker
+//! runs which wave, admission, panic isolation and the thread fan-out
+//! belong to the scheduler both backends share
+//! ([`run_waves`](crate::backend::run_waves)). The outcome of item `i` is
+//! written to slot `i` regardless of which thread, wave or lane computed
+//! it, so results are independent of the thread count, the lane-word
+//! width, the wave boundaries and the lane order.
 
 use scfi_netlist::{extract_lane, lane_mask, PackedNetlist, PackedSimulator, LANES};
 use scfi_telemetry::Telemetry;
 
 use crate::campaign::{Fault, FaultEffect, FaultSite, Outcome};
-use crate::control::{
-    panic_message, CampaignError, LaneWidth, PartialReport, RunControl, StopReason,
-};
+use crate::control::CampaignError;
 use crate::target::{FaultTarget, FaultTiming, Scenario};
 
 /// A flat `(scenario, faults)` work list: item `i` injects the fault group
@@ -78,8 +75,8 @@ pub struct WorkList {
     faults: Vec<Fault>,
     /// Per-fault arming-window overrides, parallel to `faults`: `None`
     /// falls through to the scenario's
-    /// [`FaultSchedule`](crate::FaultSchedule). Plain pushes fill `None`,
-    /// so single-window campaigns carry no per-item timing state.
+    /// [`timing`](crate::Scenario::timing). Plain pushes fill `None`, so
+    /// single-window campaigns carry no per-item timing state.
     windows: Vec<Option<FaultTiming>>,
 }
 
@@ -195,67 +192,13 @@ impl WorkList {
     }
 
     /// Item `i`'s per-fault window overrides, parallel to its fault group
-    /// (`None` entries defer to the scenario's schedule). Resolve fault
+    /// (`None` entries defer to the scenario's timing). Resolve fault
     /// `j`'s effective window with
     /// [`Scenario::fault_window`](crate::Scenario::fault_window).
     pub fn windows(&self, i: usize) -> &[Option<FaultTiming>] {
         let lo = self.offsets[i] as usize;
         let hi = self.offsets[i + 1] as usize;
         &self.windows[lo..hi]
-    }
-}
-
-/// Execution counters from a wave run. Not part of the report contract;
-/// they are flushed to telemetry once per run, and the work pins
-/// (`tests/work_pins.rs`) assert them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct WaveStats {
-    /// Waves admitted and executed.
-    waves: u64,
-    /// Injections (lanes) carried by the executed waves.
-    injections: u64,
-    /// Wave clock edges stepped.
-    stepped: u64,
-    /// Stepped cycles classified word-parallel through the target's
-    /// [`WaveOracle`](crate::WaveOracle).
-    oracle_fastpath_cycles: u64,
-    /// Stepped cycles classified through the per-lane `extract_lane`
-    /// fallback (targets without an oracle).
-    oracle_fallback_cycles: u64,
-}
-
-impl WaveStats {
-    /// Accumulates another worker's counters.
-    fn merge(&mut self, other: &WaveStats) {
-        self.waves += other.waves;
-        self.injections += other.injections;
-        self.stepped += other.stepped;
-        self.oracle_fastpath_cycles += other.oracle_fastpath_cycles;
-        self.oracle_fallback_cycles += other.oracle_fallback_cycles;
-    }
-
-    /// Flushes the counters into their telemetry series (one relaxed
-    /// `fetch_add` per series; a no-op on a disabled handle). Called once
-    /// per run, off the wave hot path.
-    fn flush(&self, telemetry: &Telemetry) {
-        if !telemetry.enabled() {
-            return;
-        }
-        telemetry
-            .counter("scfi_campaign_waves_total")
-            .add(self.waves);
-        telemetry
-            .counter("scfi_campaign_injections_total")
-            .add(self.injections);
-        telemetry
-            .counter("scfi_campaign_cycles_stepped_total")
-            .add(self.stepped);
-        telemetry
-            .counter("scfi_campaign_oracle_fastpath_cycles_total")
-            .add(self.oracle_fastpath_cycles);
-        telemetry
-            .counter("scfi_campaign_oracle_fallback_cycles_total")
-            .add(self.oracle_fallback_cycles);
     }
 }
 
@@ -277,187 +220,6 @@ fn arm_lanes<const W: usize>(sim: &mut PackedSimulator<'_, W>, fault: Fault, lan
     }
 }
 
-/// Everything one controlled run produced: slot-ordered outcomes
-/// (`None` for items whose wave never ran or panicked), the first stop
-/// reason, and any caught wave panics.
-pub(crate) struct RunOutput {
-    pub outcomes: Vec<Option<Outcome>>,
-    pub stopped: Option<StopReason>,
-    pub panics: Vec<(Range<usize>, String)>,
-}
-
-/// Folds a [`RunOutput`] into the backend result contract: a complete
-/// slot-ordered outcome vector, or the typed [`CampaignError`] carrying
-/// the completed portion. A caught wave panic outranks an interruption
-/// (its data loss is unrecoverable; an interrupted run can be resumed).
-pub(crate) fn finish_run(work: &WorkList, run: RunOutput) -> Result<Vec<Outcome>, CampaignError> {
-    let RunOutput {
-        outcomes,
-        stopped,
-        mut panics,
-    } = run;
-    if !panics.is_empty() {
-        let (item_range, message) = panics.remove(0);
-        return Err(CampaignError::WorkerPanic {
-            item_range,
-            message,
-            partial: Box::new(PartialReport::from_outcomes(work, outcomes)),
-        });
-    }
-    if let Some(reason) = stopped {
-        return Err(CampaignError::Interrupted {
-            reason,
-            partial: Box::new(PartialReport::from_outcomes(work, outcomes)),
-        });
-    }
-    Ok(outcomes
-        .into_iter()
-        .map(|o| o.expect("an uninterrupted run fills every slot"))
-        .collect())
-}
-
-/// Executes the work list on the packed engine and returns one outcome per
-/// item, in item order. `threads` worker threads share the compiled
-/// netlist; each owns its simulator and scratch. `lane_words` selects the
-/// wave width (`W` ∈ {1, 2, 4}); the outcome vector is identical for
-/// every width.
-///
-/// # Panics
-///
-/// Panics if `lane_words` is not 1, 2 or 4, or if a wave panics.
-#[cfg(test)]
-pub(crate) fn execute<T: FaultTarget>(
-    target: &T,
-    work: &WorkList,
-    threads: usize,
-    lane_words: usize,
-) -> Vec<Outcome> {
-    let width = LaneWidth::new(lane_words).unwrap_or_else(|e| panic!("{e}"));
-    try_execute(
-        target,
-        work,
-        threads,
-        width,
-        None,
-        &RunControl::unlimited(),
-        &Telemetry::off(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The controlled entry point behind the packed backend: runs
-/// under `control`, admitting one wave at a time, and returns either the
-/// complete slot-ordered outcome vector or the typed error carrying the
-/// completed portion. `precompiled`, when supplied (e.g. from a compile
-/// cache via [`CampaignConfig::precompiled`](crate::CampaignConfig::precompiled)),
-/// must be the compilation of `target.module()` and replaces the
-/// per-run [`PackedNetlist::compile`].
-pub(crate) fn try_execute<T: FaultTarget>(
-    target: &T,
-    work: &WorkList,
-    threads: usize,
-    width: LaneWidth,
-    precompiled: Option<&PackedNetlist>,
-    control: &RunControl,
-    telemetry: &Telemetry,
-) -> Result<Vec<Outcome>, CampaignError> {
-    let run = match width.words() {
-        1 => execute_waves::<T, 1>(target, work, threads, precompiled, control, telemetry),
-        2 => execute_waves::<T, 2>(target, work, threads, precompiled, control, telemetry),
-        4 => execute_waves::<T, 4>(target, work, threads, precompiled, control, telemetry),
-        _ => unreachable!("LaneWidth admits only 1, 2 or 4 words"),
-    };
-    finish_run(work, run)
-}
-
-/// Per-worker result of [`run_waves`]: counters, the first refused
-/// admission, and the item ranges of any caught wave panics.
-struct WorkerRun {
-    stats: WaveStats,
-    stopped: Option<StopReason>,
-    panics: Vec<(Range<usize>, String)>,
-}
-
-/// Monomorphized executor body for one wave width.
-fn execute_waves<T: FaultTarget, const W: usize>(
-    target: &T,
-    work: &WorkList,
-    threads: usize,
-    precompiled: Option<&PackedNetlist>,
-    control: &RunControl,
-    telemetry: &Telemetry,
-) -> RunOutput {
-    let n = work.len();
-    let mut outcomes: Vec<Option<Outcome>> = vec![None; n];
-    if n == 0 {
-        return RunOutput {
-            outcomes,
-            stopped: None,
-            panics: Vec::new(),
-        };
-    }
-    // A cached compile (validated against the module shape by the
-    // backend) replaces the per-run compilation; `PackedNetlist` is
-    // immutable, so sharing it across concurrent campaigns is sound.
-    let owned;
-    let compiled = match precompiled {
-        Some(net) => net,
-        None => {
-            owned = PackedNetlist::compile(target.module());
-            &owned
-        }
-    };
-    let wave_lanes = LANES * W;
-    let waves = n.div_ceil(wave_lanes);
-    let threads = threads.max(1).min(waves);
-    let workers: Vec<WorkerRun> = if threads <= 1 {
-        vec![run_waves::<T, W>(
-            target,
-            compiled,
-            work,
-            0,
-            &mut outcomes,
-            control,
-        )]
-    } else {
-        // Contiguous blocks of whole waves per worker; each worker writes
-        // its own disjoint outcome slice. Workers catch their own wave
-        // panics, so joins only fail on setup panics (propagated).
-        let per = waves.div_ceil(threads) * wave_lanes;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = outcomes
-                .chunks_mut(per)
-                .enumerate()
-                .map(|(t, chunk)| {
-                    scope.spawn(move || {
-                        run_waves::<T, W>(target, compiled, work, t * per, chunk, control)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("wave workers catch their own panics"))
-                .collect()
-        })
-    };
-    let mut stats = WaveStats::default();
-    let mut stopped = None;
-    let mut panics = Vec::new();
-    for w in workers {
-        stats.merge(&w.stats);
-        if stopped.is_none() {
-            stopped = w.stopped;
-        }
-        panics.extend(w.panics);
-    }
-    stats.flush(telemetry);
-    RunOutput {
-        outcomes,
-        stopped,
-        panics,
-    }
-}
-
 /// Per-wave cached scenario: the materialized schedule and the per-cycle
 /// expected landing states (word-parallel classification).
 struct SlotCache {
@@ -468,9 +230,10 @@ struct SlotCache {
     expected: Vec<usize>,
 }
 
-/// Runs the items `base..base + out.len()` of the work list, one wave of
-/// up to `64 · W` injections at a time, writing trajectory verdicts into
-/// `out` (`Some` for every completed wave).
+/// One packed worker of the shared scheduler: builds the worker's
+/// simulator and scratch, and returns the body that runs one wave —
+/// `wave(first, out)` computes the items `first..first + out.len()` (at
+/// most `64 · W`) and writes each trajectory verdict into `out`.
 ///
 /// Each wave steps `max(lane cycles)` clock edges. Fault semantics are
 /// exactly the scalar reference of
@@ -481,25 +244,16 @@ struct SlotCache {
 /// cycle is within its scenario and its folded verdict is not yet
 /// terminal ([`Outcome::Detected`] absorbs every later fold); dead lanes
 /// keep stepping with the wave but are neither driven, faulted nor
-/// classified.
-///
-/// # Execution control
-///
-/// `control` is consulted exactly once per wave, before the wave starts;
-/// a refused admission leaves the remaining slots `None` and records the
-/// stop reason. Each wave body runs under [`catch_unwind`]: a panic
-/// (poisoned scenario, broken target) fails only that wave's item range
-/// — its slots stay `None`, the simulator scratch is wiped, and the next
-/// wave rebuilds cleanly (every wave reloads registers, re-fills its
-/// verdict buffer and re-arms masks from scratch by construction).
-fn run_waves<T: FaultTarget, const W: usize>(
-    target: &T,
-    compiled: &PackedNetlist,
-    work: &WorkList,
-    base: usize,
-    out: &mut [Option<Outcome>],
-    control: &RunControl,
-) -> WorkerRun {
+/// classified. Every wave reloads registers, verdicts and masks from
+/// scratch; only the most recent scenario carries over to the worker's
+/// next wave. The stepped and classified cycles are counted into
+/// `telemetry` once per wave.
+pub(crate) fn wave_worker<'a, T: FaultTarget, const W: usize>(
+    target: &'a T,
+    compiled: &'a PackedNetlist,
+    work: &'a WorkList,
+    telemetry: &Telemetry,
+) -> impl FnMut(usize, &mut [Option<Outcome>]) + 'a {
     let wave_lanes = LANES * W;
     let oracle = target.wave_oracle();
     let mut sim = PackedSimulator::<W>::new(compiled);
@@ -516,231 +270,216 @@ fn run_waves<T: FaultTarget, const W: usize>(
     let mut verdicts = vec![Outcome::Masked; wave_lanes];
     // Per-slot masks of this cycle's live lanes, rebuilt every cycle.
     let mut slot_live: Vec<[u64; W]> = Vec::new();
-    let mut stats = WaveStats::default();
-    let mut stopped = None;
-    let mut panics: Vec<(Range<usize>, String)> = Vec::new();
-
-    let mut done = 0usize;
-    while done < out.len() {
-        let lanes = wave_lanes.min(out.len() - done);
-        // The only control check of the engine: once per wave, off the
-        // per-gate and per-cycle hot paths.
-        if let Err(reason) = control.admit(lanes) {
-            stopped = Some(reason);
-            break;
-        }
-        stats.waves += 1;
-        stats.injections += lanes as u64;
-        let wave = catch_unwind(AssertUnwindSafe(|| {
-            reg_words.fill([0; W]);
-            let mut wave_cycles = 0usize;
-            for (lane, slot_out) in lane_scen.iter_mut().enumerate().take(lanes) {
-                let (scenario, _) = work.item(base + done + lane);
-                // Scenario-major ordering means consecutive lanes almost
-                // always share the wave's most recent scenario: check the last
-                // slot first and fall back to the (short) linear scan only on
-                // a miss, so resolution stays O(1) amortized even on
-                // scenario-dense protocol campaigns.
-                let slot = if scens.last().is_some_and(|s| s.index == scenario) {
-                    scens.len() - 1
-                } else if let Some(i) = scens.iter().position(|s| s.index == scenario) {
-                    i
-                } else {
-                    let sc = target.scenario(scenario);
-                    assert!(sc.cycles() >= 1, "scenario {scenario} has no cycles");
+    let stepped = telemetry.counter("scfi_campaign_cycles_stepped_total");
+    let classified = telemetry.counter(if oracle.is_some() {
+        "scfi_campaign_oracle_fastpath_cycles_total"
+    } else {
+        "scfi_campaign_oracle_fallback_cycles_total"
+    });
+    move |first: usize, out: &mut [Option<Outcome>]| {
+        let lanes = out.len();
+        reg_words.fill([0; W]);
+        let mut wave_cycles = 0usize;
+        for (lane, slot_out) in lane_scen.iter_mut().enumerate().take(lanes) {
+            let (scenario, _) = work.item(first + lane);
+            // Scenario-major ordering means consecutive lanes almost
+            // always share the wave's most recent scenario: check the last
+            // slot first and fall back to the (short) linear scan only on
+            // a miss, so resolution stays O(1) amortized even on
+            // scenario-dense protocol campaigns.
+            let slot = if scens.last().is_some_and(|s| s.index == scenario) {
+                scens.len() - 1
+            } else if let Some(i) = scens.iter().position(|s| s.index == scenario) {
+                i
+            } else {
+                let sc = target.scenario(scenario);
+                assert!(sc.cycles() >= 1, "scenario {scenario} has no cycles");
+                assert_eq!(
+                    sc.regs.len(),
+                    reg_words.len(),
+                    "scenario register preload width mismatch"
+                );
+                for inputs in &sc.inputs {
                     assert_eq!(
-                        sc.regs.len(),
-                        reg_words.len(),
-                        "scenario register preload width mismatch"
+                        inputs.len(),
+                        input_words.len(),
+                        "scenario input width mismatch"
                     );
-                    for inputs in &sc.inputs {
-                        assert_eq!(
-                            inputs.len(),
-                            input_words.len(),
-                            "scenario input width mismatch"
-                        );
-                    }
-                    let expected = if oracle.is_some() {
-                        (0..sc.cycles())
-                            .map(|c| target.expected_state(scenario, c))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    scens.push(SlotCache {
-                        index: scenario,
-                        sc,
-                        expected,
-                    });
-                    scens.len() - 1
+                }
+                let expected = if oracle.is_some() {
+                    (0..sc.cycles())
+                        .map(|c| target.expected_state(scenario, c))
+                        .collect()
+                } else {
+                    Vec::new()
                 };
-                *slot_out = slot;
+                scens.push(SlotCache {
+                    index: scenario,
+                    sc,
+                    expected,
+                });
+                scens.len() - 1
+            };
+            *slot_out = slot;
+            let sc = &scens[slot].sc;
+            wave_cycles = wave_cycles.max(sc.cycles());
+            let bit = lane_mask::<W>(lane);
+            for (j, &v) in sc.regs.iter().enumerate() {
+                if v {
+                    for k in 0..W {
+                        reg_words[j][k] |= bit[k];
+                    }
+                }
+            }
+        }
+        sim.set_register_words(&reg_words);
+        verdicts[..lanes].fill(Outcome::Masked);
+        slot_live.clear();
+        slot_live.resize(scens.len(), [0u64; W]);
+        stepped.add(wave_cycles as u64);
+        classified.add(wave_cycles as u64);
+        for cycle in 0..wave_cycles {
+            // One pass over the lanes: liveness, input words, register
+            // flips at their window's first cycle, and the net/pin
+            // masks of every open window. Flips mutate stored state,
+            // so the mask clear never undoes them.
+            sim.clear_faults();
+            input_words.fill([0; W]);
+            for m in slot_live.iter_mut() {
+                *m = [0; W];
+            }
+            let mut live_words = [0u64; W];
+            for lane in 0..lanes {
+                let slot = lane_scen[lane];
                 let sc = &scens[slot].sc;
-                wave_cycles = wave_cycles.max(sc.cycles());
+                if cycle >= sc.cycles() || verdicts[lane] == Outcome::Detected {
+                    // Dead lane: past its trajectory, or its verdict is
+                    // already terminal — skip driving and faulting it.
+                    continue;
+                }
                 let bit = lane_mask::<W>(lane);
-                for (j, &v) in sc.regs.iter().enumerate() {
+                for k in 0..W {
+                    live_words[k] |= bit[k];
+                    slot_live[slot][k] |= bit[k];
+                }
+                for (j, &v) in sc.inputs[cycle].iter().enumerate() {
                     if v {
                         for k in 0..W {
-                            reg_words[j][k] |= bit[k];
+                            input_words[j][k] |= bit[k];
                         }
+                    }
+                }
+                let (_, faults) = work.item(first + lane);
+                let overrides = work.windows(first + lane);
+                for (j, &f) in faults.iter().enumerate() {
+                    let w = sc.fault_window(overrides, j);
+                    let fires = match f.site {
+                        FaultSite::Register(_) => w.flip_cycle() == cycle,
+                        _ => w.armed_at(cycle),
+                    };
+                    if fires {
+                        arm_lanes(&mut sim, f, bit);
                     }
                 }
             }
-            sim.set_register_words(&reg_words);
-            verdicts[..lanes].fill(Outcome::Masked);
-            slot_live.clear();
-            slot_live.resize(scens.len(), [0u64; W]);
-            for cycle in 0..wave_cycles {
-                // One pass over the lanes: liveness, input words, register
-                // flips at their window's first cycle, and the net/pin
-                // masks of every open window. Flips mutate stored state,
-                // so the mask clear never undoes them.
-                sim.clear_faults();
-                input_words.fill([0; W]);
-                for m in slot_live.iter_mut() {
-                    *m = [0; W];
-                }
-                let mut live_words = [0u64; W];
-                for lane in 0..lanes {
-                    let slot = lane_scen[lane];
-                    let sc = &scens[slot].sc;
-                    if cycle >= sc.cycles() || verdicts[lane] == Outcome::Detected {
-                        // Dead lane: past its trajectory, or its verdict is
-                        // already terminal — skip driving and faulting it.
-                        continue;
-                    }
-                    let bit = lane_mask::<W>(lane);
-                    for k in 0..W {
-                        live_words[k] |= bit[k];
-                        slot_live[slot][k] |= bit[k];
-                    }
-                    for (j, &v) in sc.inputs[cycle].iter().enumerate() {
-                        if v {
-                            for k in 0..W {
-                                input_words[j][k] |= bit[k];
-                            }
+            sim.step_into(&input_words, &mut out_words);
+            match &oracle {
+                Some(oracle) => {
+                    // Word-parallel classification: decode whole 64-lane
+                    // words against the precompiled codebook and alert
+                    // masks; only Detected/Hijack lanes are touched
+                    // (Masked is the fold identity).
+                    let regs = sim.register_words();
+                    for w in 0..W {
+                        if live_words[w] == 0 {
+                            continue;
                         }
-                    }
-                    let (_, faults) = work.item(base + done + lane);
-                    let overrides = work.windows(base + done + lane);
-                    for (j, &f) in faults.iter().enumerate() {
-                        let w = sc.fault_window(overrides, j);
-                        let fires = match f.site {
-                            FaultSite::Register(_) => w.flip_cycle() == cycle,
-                            _ => w.armed_at(cycle),
-                        };
-                        if fires {
-                            arm_lanes(&mut sim, f, bit);
-                        }
-                    }
-                }
-                sim.step_into(&input_words, &mut out_words);
-                stats.stepped += 1;
-                match &oracle {
-                    Some(oracle) => {
-                        stats.oracle_fastpath_cycles += 1;
-                        // Word-parallel classification: decode whole 64-lane
-                        // words against the precompiled codebook and alert
-                        // masks; only Detected/Hijack lanes are touched
-                        // (Masked is the fold identity).
-                        let regs = sim.register_words();
-                        for w in 0..W {
-                            if live_words[w] == 0 {
+                        let det_base = oracle.detected_word(w, regs, &out_words);
+                        for (slot, masks) in scens.iter().zip(&slot_live) {
+                            let group = masks[w];
+                            if group == 0 {
                                 continue;
                             }
-                            let det_base = oracle.detected_word(w, regs, &out_words);
-                            for (slot, masks) in scens.iter().zip(&slot_live) {
-                                let group = masks[w];
-                                if group == 0 {
-                                    continue;
-                                }
-                                let (det, hij) = oracle.classify_word(
-                                    det_base,
-                                    slot.expected[cycle],
-                                    w,
-                                    group,
-                                    regs,
-                                );
-                                let mut bits = det;
-                                while bits != 0 {
-                                    let lane = w * LANES + bits.trailing_zeros() as usize;
-                                    verdicts[lane] = Outcome::Detected;
-                                    bits &= bits - 1;
-                                }
-                                // Live lanes are never Detected, so the fold
-                                // of Hijack is Hijack.
-                                let mut bits = hij;
-                                while bits != 0 {
-                                    let lane = w * LANES + bits.trailing_zeros() as usize;
-                                    verdicts[lane] = Outcome::Hijack;
-                                    bits &= bits - 1;
-                                }
+                            let (det, hij) = oracle.classify_word(
+                                det_base,
+                                slot.expected[cycle],
+                                w,
+                                group,
+                                regs,
+                            );
+                            let mut bits = det;
+                            while bits != 0 {
+                                let lane = w * LANES + bits.trailing_zeros() as usize;
+                                verdicts[lane] = Outcome::Detected;
+                                bits &= bits - 1;
+                            }
+                            // Live lanes are never Detected, so the fold
+                            // of Hijack is Hijack.
+                            let mut bits = hij;
+                            while bits != 0 {
+                                let lane = w * LANES + bits.trailing_zeros() as usize;
+                                verdicts[lane] = Outcome::Hijack;
+                                bits &= bits - 1;
                             }
                         }
                     }
-                    None => {
-                        stats.oracle_fallback_cycles += 1;
-                        for lane in 0..lanes {
-                            let slot = lane_scen[lane];
-                            let sc = &scens[slot].sc;
-                            if cycle >= sc.cycles() || verdicts[lane] == Outcome::Detected {
-                                continue;
-                            }
-                            extract_lane(sim.register_words(), lane, &mut reg_bits);
-                            extract_lane(&out_words, lane, &mut out_bits);
-                            verdicts[lane] = verdicts[lane].fold(target.classify(
-                                scens[slot].index,
-                                cycle,
-                                &reg_bits,
-                                &out_bits,
-                            ));
+                }
+                None => {
+                    for lane in 0..lanes {
+                        let slot = lane_scen[lane];
+                        let sc = &scens[slot].sc;
+                        if cycle >= sc.cycles() || verdicts[lane] == Outcome::Detected {
+                            continue;
                         }
+                        extract_lane(sim.register_words(), lane, &mut reg_bits);
+                        extract_lane(&out_words, lane, &mut out_bits);
+                        verdicts[lane] = verdicts[lane].fold(target.classify(
+                            scens[slot].index,
+                            cycle,
+                            &reg_bits,
+                            &out_bits,
+                        ));
                     }
                 }
-            }
-        }));
-        match wave {
-            Ok(()) => {
-                for (slot, &v) in out[done..done + lanes]
-                    .iter_mut()
-                    .zip(verdicts[..lanes].iter())
-                {
-                    *slot = Some(v);
-                }
-                // Keep only the most recent scenario for the next wave.
-                if scens.len() > 1 {
-                    let last = scens.pop().expect("nonempty");
-                    scens.clear();
-                    scens.push(last);
-                }
-            }
-            Err(payload) => {
-                // Isolate the poisoned wave: record its item range (slots
-                // stay `None`), wipe the scratch it may have half-armed
-                // (fault masks, scenario caches) and continue — the next
-                // wave reloads registers, verdicts and masks from scratch
-                // by construction, so it is unaffected.
-                panics.push((base + done..base + done + lanes, panic_message(payload)));
-                sim.clear_faults();
-                scens.clear();
             }
         }
-        done += lanes;
-    }
-    WorkerRun {
-        stats,
-        stopped,
-        panics,
+        for (slot, &v) in out.iter_mut().zip(&verdicts[..lanes]) {
+            *slot = Some(v);
+        }
+        // Keep only the most recent scenario for the next wave.
+        if scens.len() > 1 {
+            let last = scens.pop().expect("nonempty");
+            scens.clear();
+            scens.push(last);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{CampaignBackend, PackedBackend};
     use crate::campaign::{enumerate_faults, try_exhaustive_work, CampaignConfig};
+    use crate::control::RunControl;
     use crate::target::ScfiTarget;
     use scfi_core::{harden, ScfiConfig};
     use scfi_fsm::parse_fsm;
+
+    /// The packed backend's outcome vector at `threads` workers and
+    /// `lane_words` words per wave.
+    fn execute<T: FaultTarget>(
+        target: &T,
+        work: &WorkList,
+        threads: usize,
+        lane_words: usize,
+    ) -> Vec<Outcome> {
+        let config = CampaignConfig::new()
+            .threads(threads)
+            .lane_words(lane_words);
+        PackedBackend
+            .try_execute(target, work, &config, &RunControl::unlimited())
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
 
     fn target_fsm() -> scfi_fsm::Fsm {
         parse_fsm(
@@ -863,7 +602,7 @@ mod tests {
                 edges.push(cfg.out_edge_indices(at)[0]);
             }
             for window in 0..len {
-                scenarios.push(ProtocolScenario::uniform(
+                scenarios.push(ProtocolScenario::new(
                     edges.clone(),
                     FaultTiming::Transient(window),
                 ));
@@ -907,7 +646,7 @@ mod tests {
         let mut scenarios = Vec::new();
         for walk in &walks {
             for _ in 0..items_per_walk {
-                scenarios.push(ProtocolScenario::uniform(
+                scenarios.push(ProtocolScenario::new(
                     walk.clone(),
                     FaultTiming::Transient(window(scenarios.len()) % 4),
                 ));
@@ -1019,7 +758,7 @@ mod tests {
             let scenarios: Vec<ProtocolScenario> = walks
                 .iter()
                 .enumerate()
-                .map(|(i, w)| ProtocolScenario::uniform(w.clone(), timing(i)))
+                .map(|(i, w)| ProtocolScenario::new(w.clone(), timing(i)))
                 .collect();
             UnprotectedTarget::with_scenarios(&f, &lowered, scenarios)
         };
@@ -1044,14 +783,14 @@ mod tests {
         }
     }
 
-    /// Two faults of one group striking different steps of the same walk
-    /// ([`FaultSchedule::PerFault`]): the wave executor's per-lane×per-fault
-    /// arm/re-arm masks must match the scalar reference item for item, at
-    /// every width.
+    /// Two faults of one group striking different steps of the same walk,
+    /// each on its own work-list window override: the wave executor's
+    /// per-lane×per-fault arm/re-arm masks must match the scalar reference
+    /// item for item, at every width.
     #[test]
     fn per_fault_schedules_match_scalar_at_every_width() {
         use crate::campaign::run_item_scalar;
-        use crate::target::{FaultSchedule, FaultTiming, ProtocolScenario};
+        use crate::target::ProtocolScenario;
 
         let f = target_fsm();
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
@@ -1059,23 +798,18 @@ mod tests {
             .cfg()
             .random_walks(4, 3)
             .into_iter()
-            .enumerate()
-            .map(|(i, walk)| {
-                ProtocolScenario::new(
-                    walk,
-                    FaultSchedule::PerFault(vec![
-                        FaultTiming::Transient(i % 4),
-                        FaultTiming::Transient((i + 2) % 4),
-                    ]),
-                )
-            })
+            .map(|walk| ProtocolScenario::new(walk, FaultTiming::Permanent))
             .collect();
         let t = ScfiTarget::with_scenarios(&h, scenarios);
         let faults = enumerate_faults(t.module(), &CampaignConfig::new().with_register_flips());
         let mut work = WorkList::with_capacity(t.scenario_count() * faults.len() / 2);
         for s in 0..t.scenario_count() {
+            let windows = [
+                FaultTiming::Transient(s % 4),
+                FaultTiming::Transient((s + 2) % 4),
+            ];
             for pair in faults.chunks(2) {
-                work.push(s, pair);
+                work.push_scheduled(s, pair, &windows[..pair.len()]);
             }
         }
         let mut sim = scfi_netlist::Simulator::new(t.module());
@@ -1120,7 +854,7 @@ mod tests {
         // its own drawn window via overrides.
         let t = ScfiTarget::with_scenarios(
             &h,
-            vec![ProtocolScenario::uniform(walk, FaultTiming::Permanent)],
+            vec![ProtocolScenario::new(walk, FaultTiming::Permanent)],
         );
         let faults = enumerate_faults(t.module(), &CampaignConfig::new());
         let mut work = WorkList::with_capacity(faults.len());
@@ -1176,41 +910,47 @@ mod tests {
             // wave_oracle deliberately left at the default None.
         }
 
-        use crate::target::{FaultSchedule, FaultTiming, ProtocolScenario};
+        use crate::target::ProtocolScenario;
 
         let f = target_fsm();
         let h = harden(&f, &ScfiConfig::new(2)).unwrap();
-        // Multi-window waves (per-fault schedules) must keep the oracle
-        // path hot too — per-fault arming affects only the fault masks,
-        // never the classification path.
-        let per_fault: Vec<ProtocolScenario> = h
-            .cfg()
-            .random_walks(3, 5)
-            .into_iter()
-            .enumerate()
-            .map(|(i, walk)| {
-                ProtocolScenario::new(
-                    walk,
-                    FaultSchedule::PerFault(vec![
-                        FaultTiming::Transient(i % 3),
-                        FaultTiming::Transient((i + 1) % 3),
-                    ]),
-                )
-            })
-            .collect();
-        for t in [
-            ScfiTarget::new(&h),
-            ScfiTarget::with_protocol(&h, 3, 9),
-            ScfiTarget::with_scenarios(&h, per_fault),
+        let config = CampaignConfig::new()
+            .with_register_flips()
+            .with_pin_faults();
+        let exhaustive = |t| {
+            let faults = enumerate_faults(FaultTarget::module(&t), &config);
+            let work = try_exhaustive_work(&t, &faults).unwrap();
+            (t, work)
+        };
+        // Multi-window waves (a distinct window override per fault of each
+        // pair) must keep the oracle path hot too — per-fault arming
+        // affects only the fault masks, never the classification path.
+        let per_fault = {
+            let walks = h.cfg().random_walks(3, 5);
+            let scenarios = walks
+                .into_iter()
+                .map(|walk| ProtocolScenario::new(walk, FaultTiming::Permanent))
+                .collect();
+            let t = ScfiTarget::with_scenarios(&h, scenarios);
+            let faults = enumerate_faults(t.module(), &config);
+            let mut work = WorkList::with_capacity(t.scenario_count() * faults.len() / 2);
+            for s in 0..t.scenario_count() {
+                let windows = [
+                    FaultTiming::Transient(s % 3),
+                    FaultTiming::Transient((s + 1) % 3),
+                ];
+                for pair in faults.chunks(2) {
+                    work.push_scheduled(s, pair, &windows[..pair.len()]);
+                }
+            }
+            (t, work)
+        };
+        for (t, work) in [
+            exhaustive(ScfiTarget::new(&h)),
+            exhaustive(ScfiTarget::with_protocol(&h, 3, 9)),
+            per_fault,
         ] {
             assert!(t.wave_oracle().is_some());
-            let faults = enumerate_faults(
-                t.module(),
-                &CampaignConfig::new()
-                    .with_register_flips()
-                    .with_pin_faults(),
-            );
-            let work = try_exhaustive_work(&t, &faults).unwrap();
             for lane_words in [1, 4] {
                 let with_oracle = execute(&t, &work, 1, lane_words);
                 let fallback = execute(&NoOracle(&t), &work, 1, lane_words);

@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 use scfi_faultsim::{
-    CampaignBackend, CampaignConfig, Fault, FaultEffect, FaultSchedule, FaultSite, FaultTarget,
-    FaultTiming, Outcome, PackedBackend, RunControl, ScalarBackend, Scenario, WorkList,
+    CampaignBackend, CampaignConfig, Fault, FaultEffect, FaultSite, FaultTarget, FaultTiming,
+    Outcome, PackedBackend, RunControl, ScalarBackend, Scenario, WorkList,
 };
 use scfi_netlist::{CellId, Module, ModuleBuilder, NetId};
 
@@ -25,7 +25,9 @@ type FaultSpec = (u8, usize, u8, u8);
 
 /// A recipe for one scenario: register preload bits, input schedule,
 /// permanent-vs-transient pick, window pick, per-fault window picks
-/// (empty = one shared window for the whole group).
+/// (empty = one shared window for the whole group; otherwise every item
+/// of the scenario carries them as work-list overrides, and groups larger
+/// than the picks reuse the last one).
 type ScenarioSpec = (u64, Vec<u8>, bool, usize, Vec<usize>);
 
 /// Builds a random sequential module: `n_regs` flip-flops, a random
@@ -144,7 +146,7 @@ fn decode_scenarios(module: &Module, specs: &[ScenarioSpec]) -> Vec<Scenario> {
     let n_regs = module.registers().len();
     specs
         .iter()
-        .map(|(reg_bits, schedule, permanent, window, per_fault)| {
+        .map(|(reg_bits, schedule, permanent, window, _)| {
             let cycles = schedule.len().max(1);
             let inputs = (0..cycles)
                 .map(|c| {
@@ -155,21 +157,30 @@ fn decode_scenarios(module: &Module, specs: &[ScenarioSpec]) -> Vec<Scenario> {
             Scenario {
                 regs: (0..n_regs).map(|i| (reg_bits >> i) & 1 == 1).collect(),
                 inputs,
-                schedule: if *permanent {
-                    FaultSchedule::Uniform(FaultTiming::Permanent)
-                } else if per_fault.is_empty() {
-                    FaultSchedule::Uniform(FaultTiming::Transient(window % cycles))
+                timing: if *permanent {
+                    FaultTiming::Permanent
                 } else {
-                    FaultSchedule::PerFault(
-                        per_fault
-                            .iter()
-                            .map(|w| FaultTiming::Transient(w % cycles))
-                            .collect(),
-                    )
+                    FaultTiming::Transient(window % cycles)
                 },
             }
         })
         .collect()
+}
+
+/// Appends `group` on scenario `s`: fault `j` takes the spec's per-fault
+/// window `j` (the last one for larger groups) as a work-list override,
+/// or the scenario's own timing when the spec has none.
+fn push_item(work: &mut WorkList, specs: &[ScenarioSpec], s: usize, group: &[Fault]) {
+    let (_, schedule, _, _, per_fault) = &specs[s];
+    if per_fault.is_empty() {
+        work.push(s, group);
+        return;
+    }
+    let cycles = schedule.len().max(1);
+    let windows: Vec<FaultTiming> = (0..group.len())
+        .map(|j| FaultTiming::Transient(per_fault[j.min(per_fault.len() - 1)] % cycles))
+        .collect();
+    work.push_scheduled(s, group, &windows);
 }
 
 proptest! {
@@ -211,11 +222,11 @@ proptest! {
         let mut work = WorkList::with_capacity(target.scenario_count() * faults.len());
         for s in 0..target.scenario_count() {
             for fault in &faults {
-                work.push(s, std::slice::from_ref(fault));
+                push_item(&mut work, &scenario_specs, s, std::slice::from_ref(fault));
             }
         }
         for (i, group) in faults.chunks(group_size).enumerate() {
-            work.push(i % target.scenario_count(), group);
+            push_item(&mut work, &scenario_specs, i % target.scenario_count(), group);
         }
         // A third block overrides each fault's window per item
         // ([`WorkList::push_scheduled`]), exercising the per-fault re-arm

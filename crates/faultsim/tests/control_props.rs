@@ -2,16 +2,19 @@
 //! directly: interrupted campaigns (cancelled, deadlined, or out of
 //! injection budget) must return a partial report whose every completed
 //! slot is **byte-identical** to the same slot of an uninterrupted run —
-//! at any backend, wave width and thread count — and a worker panic must
-//! poison only its own wave, with everything else completing normally.
+//! at any backend, wave width and thread count — a budget must complete
+//! the same prefix of waves at every thread count, and a worker panic
+//! must poison only its own wave, with everything else completing
+//! normally.
 
 use proptest::prelude::*;
 use scfi_faultsim::{
-    CampaignBackend, CampaignConfig, CampaignError, Fault, FaultEffect, FaultSchedule, FaultSite,
-    FaultTarget, FaultTiming, Outcome, PackedBackend, RunControl, ScalarBackend, Scenario,
-    StopReason, WorkList,
+    CampaignBackend, CampaignConfig, CampaignError, Fault, FaultEffect, FaultSite, FaultTarget,
+    FaultTiming, Outcome, PackedBackend, RunControl, ScalarBackend, Scenario, StopReason, WorkList,
 };
 use scfi_netlist::{CellId, Module, ModuleBuilder, NetId};
+use std::sync::{Condvar, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 const N_INPUTS: usize = 3;
@@ -66,11 +69,11 @@ impl SyntheticTarget {
                 inputs: (0..2)
                     .map(|c| (0..N_INPUTS).map(|i| (s + c + i) % 3 == 0).collect())
                     .collect(),
-                schedule: FaultSchedule::Uniform(if s % 2 == 0 {
+                timing: if s % 2 == 0 {
                     FaultTiming::Permanent
                 } else {
                     FaultTiming::Transient(s % 2)
-                }),
+                },
             })
             .collect();
         SyntheticTarget {
@@ -160,9 +163,9 @@ fn pick_config(pick: usize, threads: usize) -> (CampaignConfig, usize, &'static 
     }
 }
 
-fn try_run(
+fn try_run<T: FaultTarget>(
     pick: usize,
-    target: &SyntheticTarget,
+    target: &T,
     work: &WorkList,
     config: &CampaignConfig,
     control: &RunControl,
@@ -176,54 +179,154 @@ fn try_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Cancelling a campaign after a random number of waves (via an
-    /// injection budget cut at a random wave boundary), on a random
-    /// backend with a random thread count, leaves a partial report whose
-    /// completed slots are byte-identical to the uninterrupted run's.
+    /// An injection budget cut at a random wave boundary completes
+    /// exactly the first `budget_waves` waves — slots
+    /// `0..min(budget_waves · wave_items, len)` — on every backend and at
+    /// every thread count from 1 to 4, and each completed slot is
+    /// byte-identical to the uninterrupted run's.
     #[test]
-    fn interrupted_campaigns_keep_a_byte_identical_completed_prefix(
-        pick in 0usize..PICKS,
-        threads in 1usize..5,
-        budget_waves in 0u64..6,
-    ) {
+    fn interrupted_campaigns_keep_a_byte_identical_completed_prefix(budget_waves in 0u64..6) {
         let target = SyntheticTarget::new(None);
         let faults = fault_space(target.module());
         let work = work_list(&target, &faults);
-        let (config, wave_items, label) = pick_config(pick, threads);
-        prop_assume!(work.len() > wave_items); // the budget must be able to bite
+        for pick in 0..PICKS {
+            let (config, wave_items, label) = pick_config(pick, 1);
+            prop_assert!(work.len() > wave_items, "{}: the budget must be able to bite", label);
+            let reference = try_run(pick, &target, &work, &config, &RunControl::unlimited())
+                .expect("an unlimited run never fails");
+            prop_assert_eq!(reference.len(), work.len());
+            let prefix = (budget_waves as usize * wave_items).min(work.len());
 
-        let reference = try_run(pick, &target, &work, &config, &RunControl::unlimited())
-            .expect("an unlimited run never fails");
-        prop_assert_eq!(reference.len(), work.len());
-
-        let control =
-            RunControl::unlimited().with_injection_budget(budget_waves * wave_items as u64);
-        match try_run(pick, &target, &work, &config, &control) {
-            Err(CampaignError::Interrupted { reason, partial }) => {
-                prop_assert_eq!(reason, StopReason::InjectionBudgetExhausted, "{}", label);
-                prop_assert_eq!(partial.total(), work.len(), "{}", label);
-                let some = partial.outcomes.iter().filter(|o| o.is_some()).count();
-                prop_assert_eq!(some, partial.completed, "{}", label);
-                prop_assert!(
-                    partial.completed < work.len(),
-                    "{}: an interrupted run cannot have completed everything",
-                    label
-                );
-                for (i, slot) in partial.outcomes.iter().enumerate() {
-                    if let Some(outcome) = slot {
-                        prop_assert_eq!(
-                            *outcome, reference[i],
-                            "{}: completed slot {} diverged from the uninterrupted run",
-                            label, i
-                        );
-                    }
+            for threads in 1..=4 {
+                let config = config.clone().threads(threads);
+                let control =
+                    RunControl::unlimited().with_injection_budget(budget_waves * wave_items as u64);
+                let slots: Vec<Option<Outcome>> =
+                    match try_run(pick, &target, &work, &config, &control) {
+                        Err(CampaignError::Interrupted { reason, partial }) => {
+                            prop_assert_eq!(reason, StopReason::InjectionBudgetExhausted);
+                            prop_assert_eq!(partial.total(), work.len());
+                            prop_assert_eq!(partial.completed, prefix, "{} at {} threads", label, threads);
+                            partial.outcomes
+                        }
+                        Ok(outcomes) => {
+                            // The random budget covered the whole campaign.
+                            prop_assert_eq!(prefix, work.len(), "{} at {} threads", label, threads);
+                            outcomes.into_iter().map(Some).collect()
+                        }
+                        Err(other) => {
+                            return Err(TestCaseError::fail(format!("{label}: unexpected error: {other}")));
+                        }
+                    };
+                for (i, slot) in slots.iter().enumerate() {
+                    prop_assert_eq!(
+                        *slot,
+                        (i < prefix).then_some(reference[i]),
+                        "{} at {} threads: slot {} of a {}-slot prefix",
+                        label, threads, i, prefix
+                    );
                 }
             }
-            Ok(outcomes) => {
-                // The random budget covered the whole campaign.
-                prop_assert_eq!(outcomes, reference, "{}", label);
+        }
+    }
+}
+
+/// How long the first classifying worker of a [`GatedTarget`] waits for
+/// another worker before it goes on alone. A guard against a hang only:
+/// the result never depends on it.
+const GATE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A [`SyntheticTarget`] whose first `classify` call blocks until another
+/// thread has classified too: the worker holding the first wave stalls
+/// until a second worker is running a wave of its own. A scheduler that
+/// hands the second worker a wave out of slot order then admits it ahead
+/// of the stalled worker's next wave.
+struct GatedTarget {
+    inner: SyntheticTarget,
+    gate: Mutex<Gate>,
+    opened: Condvar,
+}
+
+/// The thread that classified first, and whether another has since.
+#[derive(Default)]
+struct Gate {
+    first: Option<ThreadId>,
+    open: bool,
+}
+
+impl FaultTarget for GatedTarget {
+    fn module(&self) -> &Module {
+        self.inner.module()
+    }
+
+    fn scenario_count(&self) -> usize {
+        self.inner.scenario_count()
+    }
+
+    fn scenario(&self, index: usize) -> Scenario {
+        self.inner.scenario(index)
+    }
+
+    fn classify(&self, index: usize, cycle: usize, regs: &[bool], outputs: &[bool]) -> Outcome {
+        let me = std::thread::current().id();
+        let mut gate = self.gate.lock().expect("gate lock");
+        match gate.first {
+            None => {
+                gate.first = Some(me);
+                let _open = self
+                    .opened
+                    .wait_timeout_while(gate, GATE_TIMEOUT, |g| !g.open)
+                    .expect("gate lock");
             }
-            Err(other) => prop_assert!(false, "{}: unexpected error: {}", label, other),
+            Some(first) if first != me && !gate.open => {
+                gate.open = true;
+                self.opened.notify_all();
+            }
+            Some(_) => {}
+        }
+        self.inner.classify(index, cycle, regs, outputs)
+    }
+}
+
+/// Two workers with a budget of two waves: the worker holding wave 0
+/// stalls in its first `classify` until the other worker classifies, so
+/// both hold an admitted wave at once. Waves are claimed and admitted in
+/// slot order, so the second worker's wave is wave 1 and the run
+/// completes waves {0, 1} — on every backend, exactly the prefix a
+/// single thread completes.
+#[test]
+fn a_budget_completes_the_first_waves_while_workers_overlap() {
+    let clean = SyntheticTarget::new(None);
+    let faults = fault_space(clean.module());
+    let work = work_list(&clean, &faults);
+    for pick in 0..PICKS {
+        let (config, wave_items, label) = pick_config(pick, 2);
+        assert!(work.len() > 2 * wave_items, "{label}: the budget must bite");
+        let reference = try_run(pick, &clean, &work, &config, &RunControl::unlimited())
+            .expect("a clean target runs to completion");
+        let gated = GatedTarget {
+            inner: SyntheticTarget::new(None),
+            gate: Mutex::default(),
+            opened: Condvar::new(),
+        };
+        let control = RunControl::unlimited().with_injection_budget(2 * wave_items as u64);
+        let partial = match try_run(pick, &gated, &work, &config, &control) {
+            Err(CampaignError::Interrupted { reason, partial }) => {
+                assert_eq!(reason, StopReason::InjectionBudgetExhausted, "{label}");
+                partial
+            }
+            other => panic!("{label}: expected Interrupted, got {other:?}"),
+        };
+        let done: Vec<usize> = (0..work.len())
+            .filter(|&i| partial.outcomes[i].is_some())
+            .collect();
+        assert_eq!(
+            done,
+            (0..2 * wave_items).collect::<Vec<_>>(),
+            "{label}: a two-wave budget must complete waves 0 and 1"
+        );
+        for i in done {
+            assert_eq!(partial.outcomes[i], Some(reference[i]), "{label}: slot {i}");
         }
     }
 }
@@ -273,7 +376,7 @@ fn expired_deadline_stops_before_the_first_wave() {
 /// Panic isolation: a target whose classifier panics on one scenario
 /// poisons only the waves touching that scenario. Every other wave
 /// completes with outcomes byte-identical to a clean run, and the error
-/// names a non-empty poisoned item range.
+/// names the lowest poisoned wave's item range, at every thread count.
 #[test]
 fn a_poisoned_scenario_fails_its_waves_and_nothing_else() {
     let poison = N_SCENARIOS / 2;
@@ -291,6 +394,7 @@ fn a_poisoned_scenario_fails_its_waves_and_nothing_else() {
 
     let poisoned = SyntheticTarget::new(Some(poison));
     for pick in 0..PICKS {
+        let mut ranges = Vec::new();
         for threads in [1, 4] {
             let (config, _, label) = pick_config(pick, threads);
             match try_run(pick, &poisoned, &work, &config, &RunControl::unlimited()) {
@@ -304,6 +408,7 @@ fn a_poisoned_scenario_fails_its_waves_and_nothing_else() {
                         "{label}: payload lost: {message}"
                     );
                     assert!(!item_range.is_empty(), "{label}");
+                    ranges.push(item_range);
                     assert!(partial.completed > 0, "{label}: the rest must complete");
                     for (i, slot) in partial.outcomes.iter().enumerate() {
                         let (scenario, _) = work.item(i);
@@ -324,5 +429,9 @@ fn a_poisoned_scenario_fails_its_waves_and_nothing_else() {
                 other => panic!("{label}: expected WorkerPanic, got {other:?}"),
             }
         }
+        assert_eq!(
+            ranges[0], ranges[1],
+            "pick {pick}: the reported wave must not depend on the thread count"
+        );
     }
 }

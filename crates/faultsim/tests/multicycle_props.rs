@@ -11,8 +11,8 @@ use proptest::test_runner::TestCaseError;
 use scfi_core::{harden, redundancy, ScfiConfig};
 use scfi_faultsim::{
     enumerate_faults, try_run_multi_fault, Backend, CampaignBackend, CampaignConfig, FaultEffect,
-    FaultSchedule, FaultTarget, FaultTiming, PackedBackend, ProtocolScenario, RedundancyTarget,
-    RunControl, ScalarBackend, ScfiTarget, UnprotectedTarget, WorkList,
+    FaultTarget, FaultTiming, PackedBackend, ProtocolScenario, RedundancyTarget, RunControl,
+    ScalarBackend, ScfiTarget, UnprotectedTarget, WorkList,
 };
 use scfi_fsm::{lower_unprotected, parse_fsm, Fsm};
 
@@ -57,8 +57,21 @@ fn config(
 }
 
 /// The packed engine returns the scalar reference's outcome for every
-/// slot of the exhaustive work list (every scenario × every enumerated
-/// fault, scenario-major).
+/// slot of `work`.
+fn engines_agree<T: FaultTarget>(
+    target: &T,
+    work: &WorkList,
+    config: &CampaignConfig,
+) -> Result<(), TestCaseError> {
+    let control = RunControl::unlimited();
+    let packed = PackedBackend.try_execute(target, work, config, &control);
+    let scalar = ScalarBackend.try_execute(target, work, config, &control);
+    prop_assert_eq!(packed.expect("packed run"), scalar.expect("scalar run"));
+    Ok(())
+}
+
+/// [`engines_agree`] on the exhaustive work list (every scenario × every
+/// enumerated fault, scenario-major).
 fn exhaustive_engines_agree<T: FaultTarget>(
     target: &T,
     config: &CampaignConfig,
@@ -70,11 +83,7 @@ fn exhaustive_engines_agree<T: FaultTarget>(
             work.push(s, std::slice::from_ref(f));
         }
     }
-    let control = RunControl::unlimited();
-    let packed = PackedBackend.try_execute(target, &work, config, &control);
-    let scalar = ScalarBackend.try_execute(target, &work, config, &control);
-    prop_assert_eq!(packed.expect("packed run"), scalar.expect("scalar run"));
-    Ok(())
+    engines_agree(target, &work, config)
 }
 
 /// The seeded multi-fault campaign reports the same on the packed engine
@@ -173,17 +182,18 @@ proptest! {
             } else {
                 FaultTiming::Transient(window % len)
             };
-            scenarios.push(ProtocolScenario::uniform(edges, timing));
+            scenarios.push(ProtocolScenario::new(edges, timing));
         }
         let t = ScfiTarget::with_scenarios(&h, scenarios);
         let cfg = config(effects_pick, false, true, 1, width_pick, 1);
         exhaustive_engines_agree(&t, &cfg)?;
     }
 
-    /// Per-fault schedules ([`FaultSchedule::PerFault`]) over hand-built
-    /// walks: each scenario arms fault `j` of the group in its own random
-    /// window, and every engine×width×thread combination must agree with
-    /// the scalar reference.
+    /// Per-fault windows over hand-built walks: every scenario injects
+    /// each group of its faults with fault `j` armed in its own random
+    /// window (a work-list override), as single faults and as groups of
+    /// up to four, and every engine×width×thread combination must agree
+    /// with the scalar reference.
     #[test]
     fn packed_matches_scalar_on_per_fault_schedules(
         len in 2usize..5,
@@ -202,20 +212,26 @@ proptest! {
                 let at = h.cfg().edges()[*edges.last().unwrap()].to;
                 edges.push(h.cfg().out_edge_indices(at)[0]);
             }
-            let schedule = FaultSchedule::PerFault(
-                windows
-                    .iter()
-                    .enumerate()
-                    .map(|(j, w)| FaultTiming::Transient((w + j + start) % len))
-                    .collect(),
-            );
-            scenarios.push(ProtocolScenario::new(edges, schedule));
+            scenarios.push(ProtocolScenario::new(edges, FaultTiming::Permanent));
         }
         let t = ScfiTarget::with_scenarios(&h, scenarios);
         let cfg = config(effects_pick, false, regs, threads, width_pick, 1);
-        exhaustive_engines_agree(&t, &cfg)?;
-        // Multi-fault groups spread over the per-fault windows too.
-        multi_fault_engines_agree(&t, 3, 150, &cfg)?;
+        let faults = enumerate_faults(t.module(), &cfg);
+        let mut work = WorkList::with_capacity(2 * t.scenario_count() * faults.len());
+        for group_size in [1, windows.len() + 1] {
+            for start in 0..t.scenario_count() {
+                for group in faults.chunks(group_size) {
+                    let timing: Vec<FaultTiming> = (0..group.len())
+                        .map(|j| {
+                            let w = windows[j.min(windows.len() - 1)];
+                            FaultTiming::Transient((w + j + start) % len)
+                        })
+                        .collect();
+                    work.push_scheduled(start, group, &timing);
+                }
+            }
+        }
+        engines_agree(&t, &work, &cfg)?;
     }
 
     /// Sampled per-fault *window draws* (`with_fault_windows`) and

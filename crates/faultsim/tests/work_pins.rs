@@ -16,16 +16,17 @@
 //!   that fell back to per-lane extraction
 //!   (`scfi_campaign_oracle_{fastpath,fallback}_cycles_total`).
 //!
-//! Every series is flushed once per run. The rows cover the exhaustive
+//! Waves and injections are counted once per run, stepped and classified
+//! cycles once per wave. The rows cover the exhaustive
 //! map grid ({aes_control, adc_ctrl_fsm, i2c_fsm} × N ∈ {2, 3, 4}),
 //! depth-4 secure-boot walks, a scenario-dense depth-1 campaign and
 //! windowed M = 3 draws over fuzzed depth-4 walks, each at W ∈ {1, 2, 4},
 //! plus one W = 4 register-flip campaign over depth-16 aes_control walks,
 //! whose waves settle long before their last edge. Every count is
-//! host-independent: workers run
-//! contiguous blocks of whole waves, so each row is asserted at one
-//! thread and at one thread per CPU. An armed [`RunControl`] must change
-//! nothing but its own admission counter.
+//! host-independent: waves hold fixed slots counted from slot 0, and
+//! every admitted wave runs whichever worker claims it, so each row is
+//! asserted at one thread and at one thread per CPU. An armed
+//! [`RunControl`] must change nothing but its own admission counter.
 //!
 //! Wall clock is deliberately absent. A timing gate on a shared host
 //! fails on unchanged code and passes regressions it cannot resolve, so
@@ -148,7 +149,7 @@ fn target(h: &HardenedFsm, shape: Shape) -> ScfiTarget<'_> {
         Dense => ScfiTarget::with_scenarios(
             h,
             (0..h.cfg().edges().len())
-                .map(|e| ProtocolScenario::uniform(vec![e], FaultTiming::Transient(0)))
+                .map(|e| ProtocolScenario::new(vec![e], FaultTiming::Transient(0)))
                 .collect(),
         ),
         Multi => ScfiTarget::with_fuzzed_protocol(h, 4, 0x5CF1_F022),

@@ -6,7 +6,8 @@
 //! stronger on both axes: the attacker places **up to N − 1 faults**,
 //! each with **free timing** along a multi-cycle protocol run. This
 //! module closes both gaps on the proof side, mirroring what the
-//! campaign layer's per-fault [`FaultSchedule`](scfi_faultsim::FaultSchedule)s
+//! campaign layer's per-fault windows
+//! ([`WorkList::push_scheduled`](scfi_faultsim::WorkList::push_scheduled))
 //! sample:
 //!
 //! * [`Certifier::certify_kstep`] unrolls the transition function `k`

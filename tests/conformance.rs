@@ -291,7 +291,7 @@ fn packed_campaign_engine_matches_scalar_on_every_table1_fsm() {
     let i2c = scfi_opentitan::by_name("i2c_fsm").expect("suite entry");
     let h = harden(&i2c.fsm, &ScfiConfig::new(2)).expect("harden");
     let scenarios = (0..h.cfg().edges().len())
-        .map(|e| ProtocolScenario::uniform(vec![e], FaultTiming::Transient(0)))
+        .map(|e| ProtocolScenario::new(vec![e], FaultTiming::Transient(0)))
         .collect();
     assert_engines_agree(
         &ScfiTarget::with_scenarios(&h, scenarios),
@@ -702,8 +702,8 @@ fn joint_certification_at_one_active_fault_matches_per_site_proofs() {
 /// The temporal attacker's campaign — multi-fault draws where every fault
 /// carries its *own* sampled arming window over adversarially fuzzed
 /// protocol walks — must produce byte-identical reports on every backend,
-/// wave width and thread count. This pins the per-fault `FaultSchedule`
-/// lowering and the word-parallel multi-window classification against the
+/// wave width and thread count. This pins the work list's per-fault window
+/// overrides and the word-parallel multi-window classification against the
 /// scalar reference across all three §6.1 configurations, and on two
 /// Table-1 FSMs at N ∈ {2, 3}.
 #[test]
