@@ -98,13 +98,17 @@ impl std::fmt::Display for Backend {
 /// Both backends run through one wave scheduler (`run_waves` in this
 /// crate), which enforces the rest of the contract. It cuts the work
 /// list into waves of fixed slots (64 items for the scalar backend,
-/// `64 · W` for the packed one) and hands them out in slot order. It asks [`RunControl::admit`] once per wave,
-/// under the same lock as the claim, and the first refusal stops all
-/// further claims. Every stop therefore completes a prefix of waves, and
-/// an injection-budget stop completes the same prefix at any thread
-/// count. Each completed slot is byte-identical to the same slot of an
-/// uninterrupted run, on any backend, and the refused waves' slots stay
-/// out of the [`PartialReport`]. Each wave runs under
+/// `64 · W` for the packed one) and hands them out in slot order. It
+/// asks [`RunControl::admit`] once per wave, under the same lock as the
+/// claim, and the first refusal stops all further claims. A wave refused
+/// for the injection budget still runs its longest prefix of whole
+/// 64-item words that fits. Every stop therefore completes a prefix of
+/// the work list, and an injection-budget stop completes the same prefix
+/// on either backend, at any wave width and thread count: every slot
+/// below `budget / 64 · 64`, or all of them when the budget covers the
+/// list. Each completed slot is byte-identical to the same slot of an
+/// uninterrupted run, on any backend, and the refused slots stay out of
+/// the [`PartialReport`]. Each wave runs under
 /// [`std::panic::catch_unwind`]: a panic fails only that wave's slots.
 pub trait CampaignBackend {
     /// Runs `work` against `target` under `control`, returning
@@ -229,7 +233,10 @@ struct WaveQueue<'a> {
 /// `first..first + out.len()` into `out`. Waves are claimed from one
 /// [`Mutex`] in slot order, and [`RunControl::admit`] is asked under the
 /// same lock, so the first refusal stops every further claim and the
-/// admitted waves are always a prefix. Each wave runs under
+/// admitted waves are always a prefix. A wave refused for the injection
+/// budget is cut to its longest prefix of whole [`LANES`]-item words that
+/// the budget still admits, which runs as the last wave: the budget then
+/// stops every width at the same slot. Each wave runs under
 /// [`catch_unwind`]: a panicking wave's slots go back to `None`, its
 /// worker's scratch is dropped and rebuilt for the worker's next wave, and
 /// every other wave still runs. The lowest poisoned wave is the one
@@ -260,17 +267,26 @@ where
             return None;
         }
         let (k, out) = q.waves.next()?;
-        match control.admit(out.len()) {
-            Ok(()) => {
-                q.admitted += 1;
-                q.injections += out.len() as u64;
-                Some((k * wave_items, out))
+        let out = match control.admit(out.len()) {
+            Ok(()) => out,
+            Err(StopReason::InjectionBudgetExhausted) => {
+                // The longest prefix of whole 64-lane words that still
+                // fits runs, so a budget completes the same prefix at
+                // every wave width. Nothing is claimed after it.
+                q.stopped = Some(StopReason::InjectionBudgetExhausted);
+                let words = (1..out.len().div_ceil(LANES))
+                    .rev()
+                    .find(|&words| control.admit(words * LANES).is_ok())?;
+                &mut out[..words * LANES]
             }
             Err(reason) => {
                 q.stopped = Some(reason);
-                None
+                return None;
             }
-        }
+        };
+        q.admitted += 1;
+        q.injections += out.len() as u64;
+        Some((k * wave_items, out))
     };
     let worker_loop = || {
         let mut worker = None;

@@ -180,6 +180,12 @@ impl CampaignConfig {
     /// amortize the netlist sweep over more injections but multiply the
     /// per-net working set; see the README's "choosing W" note.
     ///
+    /// Budgets count injections, not waves: an
+    /// [injection budget](crate::RunControl::with_injection_budget) admits
+    /// whole waves while they fit and then the longest prefix of whole
+    /// 64-lane words of the next one, so a budgeted partial report is the
+    /// same at every width and on the scalar backend.
+    ///
     /// # Panics
     ///
     /// Panics with the [`CampaignError::InvalidLaneWords`] description if

@@ -19,8 +19,10 @@
 //! decides *which* waves run, never *what* a wave computes — so every
 //! completed slot of a [`PartialReport`] is byte-identical to the same
 //! slot of an uninterrupted run, at any thread count, on any backend.
-//! Waves are admitted in slot order, so the completed waves are a prefix,
-//! and a budget stop completes the same prefix at any thread count. The
+//! Waves are admitted in slot order, so the completed waves are a prefix.
+//! A wave the injection budget refuses still runs its longest prefix of
+//! whole 64-item words that fits, so a budget stop completes the same
+//! prefix on every backend, at every wave width and thread count. The
 //! interruption-determinism property tests pin exactly this.
 //!
 //! # Panic isolation

@@ -48,8 +48,8 @@
 //!   [`PackedSimulator`](scfi_netlist::PackedSimulator) wave engine:
 //!   64–256 `(scenario, fault)` lanes per netlist pass
 //!   ([`CampaignConfig::lane_words`]), faults as precompiled AND/OR/XOR
-//!   masks re-armed every cycle, and word-parallel trajectory
-//!   classification ([`WaveOracle`]).
+//!   masks armed each cycle from a per-wave schedule, and word-parallel
+//!   trajectory classification ([`WaveOracle`]).
 //!
 //! Backends are pure throughput trade-offs: every backend produces the
 //! same slot-ordered outcome vector, deterministic and independent of

@@ -6,13 +6,11 @@
 //! [`WorkList`] is chunked into waves of up to `64 · W` injections
 //! (`W` = [`CampaignConfig::lane_words`](crate::CampaignConfig::lane_words)
 //! lane words), each wave runs as one multi-cycle pass of a
-//! [`PackedSimulator`]`<W>` (per-lane register preloads, per-lane
-//! per-cycle input words, per-lane fault masks armed while each lane's
-//! [`FaultTiming`] window is open), and lanes are classified cycle by
-//! cycle with the per-cycle outcomes folded into a trajectory verdict
-//! per lane. Simulator scratch — value arrays, preload/output words and
-//! extraction buffers — is reused across every wave of a worker; the
-//! compiled netlist is shared by all workers.
+//! [`PackedSimulator`]`<W>`, and lanes are classified cycle by cycle with
+//! the per-cycle outcomes folded into a trajectory verdict per lane.
+//! Simulator scratch — value arrays, preload/input/output words, arming
+//! buckets and extraction buffers — is reused across every wave of a
+//! worker; the compiled netlist is shared by all workers.
 //!
 //! # Word-parallel classification
 //!
@@ -27,20 +25,32 @@
 //!
 //! # The wave loop
 //!
-//! Every cycle of a wave is stepped the same way. The fault masks are
-//! cleared, and one pass over the lanes drives each live lane's input
-//! words, fires the register flips whose window starts on this cycle and
-//! arms the net and pin faults whose window is open. Then one full settle
-//! ([`PackedSimulator::step_into`]) runs and the live lanes are
-//! classified.
+//! A wave's work per cycle scales with its scenario slots and its armed
+//! faults, not with its `64 · W` lanes. Once per wave, each distinct
+//! scenario of the wave gets a slot holding the lane mask of the lanes
+//! that run it, and each lane's faults go into per-cycle arming buckets:
+//! a register flip at its window's flip cycle, a net or pin fault on
+//! every cycle its window is open, and nothing at or past the lane's
+//! scenario length. Registers are preloaded by OR-ing each slot's lane
+//! mask into the words of its set register bits.
 //!
-//! A lane is *live* while the cycle lies within its scenario and its
-//! folded verdict is not yet `Detected`; [`Outcome::fold`] makes
-//! `Detected` terminal, so no later cycle can change it. Dead lanes keep
-//! stepping with the wave but are never driven, faulted or classified —
-//! a lane past its own scenario length in particular must never be
-//! classified. Reports stay byte-identical to the scalar reference; the
-//! differential suites assert this at every width.
+//! Every cycle is then stepped the same way. The fault masks are cleared
+//! and exactly that cycle's bucket is armed, which is the scalar
+//! reference's schedule with no state carried between cycles (register
+//! flips mutate stored state, so the clear never undoes them). Each slot
+//! whose scenario is still running drives its lane mask into the words of
+//! its set input bits. One full settle ([`PackedSimulator::step_into`])
+//! runs, and the running lanes whose verdict is not yet `Detected` are
+//! classified into per-word detected and hijack masks, which become
+//! [`Outcome`]s once per wave ([`Outcome::fold`] makes `Detected`
+//! terminal, then `Hijack`).
+//!
+//! Lanes are independent bit positions of every net word, so a lane that
+//! has settled on `Detected` may still be driven and armed with the
+//! others: it is only left out of classification. A lane past its own
+//! scenario length is neither driven, armed nor classified. Reports stay
+//! byte-identical to the scalar reference; the differential suites assert
+//! this at every width.
 //!
 //! This module computes one wave at a time and nothing else. Which worker
 //! runs which wave, admission, panic isolation and the thread fan-out
@@ -67,16 +77,20 @@ use crate::target::{FaultTarget, FaultTiming, Scenario};
 /// scenario 0, then scenario 1, …), which the wave executor exploits and
 /// the vulnerability map's fold relies on; the executor's correctness
 /// does not depend on the ordering.
+///
+/// A plain item costs a scenario index, a fault offset and its faults;
+/// per-fault window overrides are stored only once a
+/// [scheduled push](Self::push_scheduled) has been made.
 #[derive(Clone, Debug)]
 pub struct WorkList {
     scenarios: Vec<u32>,
     /// Prefix offsets into `faults`, one extra entry at the end.
     offsets: Vec<u32>,
     faults: Vec<Fault>,
-    /// Per-fault arming-window overrides, parallel to `faults`: `None`
-    /// falls through to the scenario's
-    /// [`timing`](crate::Scenario::timing). Plain pushes fill `None`, so
-    /// single-window campaigns carry no per-item timing state.
+    /// Per-fault arming-window overrides: empty until the first scheduled
+    /// push, parallel to `faults` from then on. `None` falls through to
+    /// the scenario's [`timing`](crate::Scenario::timing), so plain
+    /// pushes carry no per-item timing state.
     windows: Vec<Option<FaultTiming>>,
 }
 
@@ -87,7 +101,7 @@ impl WorkList {
             scenarios: Vec::with_capacity(items),
             offsets: Vec::with_capacity(items + 1),
             faults: Vec::with_capacity(items),
-            windows: Vec::with_capacity(items),
+            windows: Vec::new(),
         };
         w.offsets.push(0);
         w
@@ -129,7 +143,9 @@ impl WorkList {
         };
         self.scenarios.push(scenario);
         self.faults.extend_from_slice(faults);
-        self.windows.resize(self.faults.len(), None);
+        if !self.windows.is_empty() {
+            self.windows.resize(self.faults.len(), None);
+        }
         self.offsets.push(end);
         Ok(())
     }
@@ -167,10 +183,10 @@ impl WorkList {
             "one arming window per fault of the group"
         );
         self.try_push(scenario, faults)?;
-        let lo = self.faults.len() - faults.len();
-        for (slot, &w) in self.windows[lo..].iter_mut().zip(windows) {
-            *slot = Some(w);
-        }
+        // The first scheduled push back-fills every earlier fault with
+        // `None`; later ones overwrite the entries `try_push` added.
+        self.windows.resize(self.faults.len() - faults.len(), None);
+        self.windows.extend(windows.iter().copied().map(Some));
         Ok(())
     }
 
@@ -191,14 +207,16 @@ impl WorkList {
         (self.scenarios[i] as usize, &self.faults[lo..hi])
     }
 
-    /// Item `i`'s per-fault window overrides, parallel to its fault group
-    /// (`None` entries defer to the scenario's timing). Resolve fault
-    /// `j`'s effective window with
-    /// [`Scenario::fault_window`](crate::Scenario::fault_window).
+    /// Item `i`'s per-fault window overrides: empty while the list holds
+    /// no scheduled push, and otherwise parallel to its fault group, with
+    /// `None` for every fault of a plain push (deferring to the
+    /// scenario's timing). Resolve fault `j`'s effective window with
+    /// [`Scenario::fault_window`](crate::Scenario::fault_window), which
+    /// accepts both shapes.
     pub fn windows(&self, i: usize) -> &[Option<FaultTiming>] {
         let lo = self.offsets[i] as usize;
         let hi = self.offsets[i + 1] as usize;
-        &self.windows[lo..hi]
+        self.windows.get(lo..hi).unwrap_or_default()
     }
 }
 
@@ -220,14 +238,27 @@ fn arm_lanes<const W: usize>(sim: &mut PackedSimulator<'_, W>, fault: Fault, lan
     }
 }
 
-/// Per-wave cached scenario: the materialized schedule and the per-cycle
-/// expected landing states (word-parallel classification).
-struct SlotCache {
+/// A scenario slot of the current wave: the materialized schedule, the
+/// per-cycle expected landing states (word-parallel classification) and
+/// the wave's lanes that run it.
+struct SlotCache<const W: usize> {
     index: usize,
     sc: Scenario,
     /// `expected[c]` = the oracle codebook index of the fault-free landing
     /// state after cycle `c`; empty when the target has no oracle.
     expected: Vec<usize>,
+    /// The lanes of the current wave that run this scenario.
+    lanes: [u64; W],
+}
+
+/// ORs `lanes` into `words[j]` for every set bit `j` of `bits`: one
+/// slot's register preload or input drive.
+fn drive<const W: usize>(words: &mut [[u64; W]], bits: &[bool], lanes: [u64; W]) {
+    for (word, _) in words.iter_mut().zip(bits).filter(|(_, &bit)| bit) {
+        for k in 0..W {
+            word[k] |= lanes[k];
+        }
+    }
 }
 
 /// One packed worker of the shared scheduler: builds the worker's
@@ -235,26 +266,24 @@ struct SlotCache {
 /// `wave(first, out)` computes the items `first..first + out.len()` (at
 /// most `64 · W`) and writes each trajectory verdict into `out`.
 ///
-/// Each wave steps `max(lane cycles)` clock edges. Fault semantics are
-/// exactly the scalar reference of
-/// [`run_item_scalar`](crate::campaign::run_item_scalar): every cycle
-/// clears the masks and re-arms the net/pin faults whose
-/// [`FaultTiming`] window is open in a live lane, and register flips are
-/// applied once at the window's first cycle. A lane is live while the
-/// cycle is within its scenario and its folded verdict is not yet
-/// terminal ([`Outcome::Detected`] absorbs every later fold); dead lanes
-/// keep stepping with the wave but are neither driven, faulted nor
-/// classified. Every wave reloads registers, verdicts and masks from
-/// scratch; only the most recent scenario carries over to the worker's
-/// next wave. The stepped and classified cycles are counted into
-/// `telemetry` once per wave.
+/// Each wave steps `max(lane cycles)` clock edges with exactly the fault
+/// semantics of [`run_item_scalar`](crate::campaign::run_item_scalar),
+/// as "The wave loop" in the module docs lays out: scenario slots with
+/// one lane mask each and per-cycle arming buckets are built once per
+/// wave, every cycle clears the masks, arms its bucket, drives the
+/// running slots, settles and folds the running lanes not yet
+/// [`Outcome::Detected`] into per-word detected and hijack masks, and
+/// the masks become one [`Outcome`] per lane at the end. Every wave
+/// reloads registers, masks and buckets from scratch; only the most
+/// recent scenario slot carries over to the worker's next wave. The
+/// stepped and classified cycles are counted into `telemetry` once per
+/// wave.
 pub(crate) fn wave_worker<'a, T: FaultTarget, const W: usize>(
     target: &'a T,
     compiled: &'a PackedNetlist,
     work: &'a WorkList,
     telemetry: &Telemetry,
 ) -> impl FnMut(usize, &mut [Option<Outcome>]) + 'a {
-    let wave_lanes = LANES * W;
     let oracle = target.wave_oracle();
     let mut sim = PackedSimulator::<W>::new(compiled);
     let mut reg_words = vec![[0u64; W]; compiled.register_count()];
@@ -265,11 +294,11 @@ pub(crate) fn wave_worker<'a, T: FaultTarget, const W: usize>(
     // Work lists are scenario-major, so a wave references very few distinct
     // scenarios; they are materialized once per wave, with the last one
     // carried over so a scenario spanning a wave boundary is not rebuilt.
-    let mut scens: Vec<SlotCache> = Vec::new();
-    let mut lane_scen = vec![0usize; wave_lanes];
-    let mut verdicts = vec![Outcome::Masked; wave_lanes];
-    // Per-slot masks of this cycle's live lanes, rebuilt every cycle.
-    let mut slot_live: Vec<[u64; W]> = Vec::new();
+    let mut scens: Vec<SlotCache<W>> = Vec::new();
+    // `arms[c]` = the `(fault, lane)` pairs armed on cycle `c`, in lane
+    // order and, within a lane, in fault-group order: a later stuck-at on
+    // the same net or pin wins, as in the scalar engine.
+    let mut arms: Vec<Vec<(Fault, u32)>> = Vec::new();
     let stepped = telemetry.counter("scfi_campaign_cycles_stepped_total");
     let classified = telemetry.counter(if oracle.is_some() {
         "scfi_campaign_oracle_fastpath_cycles_total"
@@ -277,11 +306,23 @@ pub(crate) fn wave_worker<'a, T: FaultTarget, const W: usize>(
         "scfi_campaign_oracle_fallback_cycles_total"
     });
     move |first: usize, out: &mut [Option<Outcome>]| {
-        let lanes = out.len();
-        reg_words.fill([0; W]);
+        for slot in &mut scens {
+            slot.lanes = [0; W];
+        }
+        for bucket in &mut arms {
+            bucket.clear();
+        }
         let mut wave_cycles = 0usize;
-        for (lane, slot_out) in lane_scen.iter_mut().enumerate().take(lanes) {
-            let (scenario, _) = work.item(first + lane);
+        // One pass over the wave's items: resolve each lane's scenario
+        // slot and schedule its faults.
+        let end = first + out.len();
+        let items = work.scenarios[first..end]
+            .iter()
+            .zip(work.offsets[first..=end].windows(2));
+        for (lane, (&scenario, span)) in items.enumerate() {
+            let scenario = scenario as usize;
+            let faults = span[0] as usize..span[1] as usize;
+            let overrides = work.windows.get(faults.clone()).unwrap_or_default();
             // Scenario-major ordering means consecutive lanes almost
             // always share the wave's most recent scenario: check the last
             // slot first and fall back to the (short) linear scan only on
@@ -317,86 +358,87 @@ pub(crate) fn wave_worker<'a, T: FaultTarget, const W: usize>(
                     index: scenario,
                     sc,
                     expected,
+                    lanes: [0; W],
                 });
                 scens.len() - 1
             };
-            *slot_out = slot;
-            let sc = &scens[slot].sc;
-            wave_cycles = wave_cycles.max(sc.cycles());
-            let bit = lane_mask::<W>(lane);
-            for (j, &v) in sc.regs.iter().enumerate() {
-                if v {
-                    for k in 0..W {
-                        reg_words[j][k] |= bit[k];
+            let slot = &mut scens[slot];
+            slot.lanes[lane / LANES] |= 1 << (lane % LANES);
+            let sc = &slot.sc;
+            let cycles = sc.cycles();
+            wave_cycles = wave_cycles.max(cycles);
+            if arms.len() < cycles {
+                arms.resize_with(cycles, Vec::new);
+            }
+            // Buckets at or past the lane's scenario length stay empty.
+            let buckets = &mut arms[..cycles];
+            for (j, &f) in work.faults[faults].iter().enumerate() {
+                let window = sc.fault_window(overrides, j);
+                let arm = (f, lane as u32);
+                match (f.site, window) {
+                    (FaultSite::Register(_), _) => {
+                        if let Some(bucket) = buckets.get_mut(window.flip_cycle()) {
+                            bucket.push(arm);
+                        }
+                    }
+                    (_, FaultTiming::Permanent) => {
+                        for bucket in buckets.iter_mut() {
+                            bucket.push(arm);
+                        }
+                    }
+                    (_, FaultTiming::Transient(cycle)) => {
+                        if let Some(bucket) = buckets.get_mut(cycle) {
+                            bucket.push(arm);
+                        }
                     }
                 }
             }
         }
+        reg_words.fill([0; W]);
+        for slot in scens.iter().filter(|s| s.lanes != [0; W]) {
+            drive(&mut reg_words, &slot.sc.regs, slot.lanes);
+        }
         sim.set_register_words(&reg_words);
-        verdicts[..lanes].fill(Outcome::Masked);
-        slot_live.clear();
-        slot_live.resize(scens.len(), [0u64; W]);
+        let mut detected = [0u64; W];
+        let mut hijack = [0u64; W];
         stepped.add(wave_cycles as u64);
         classified.add(wave_cycles as u64);
-        for cycle in 0..wave_cycles {
-            // One pass over the lanes: liveness, input words, register
-            // flips at their window's first cycle, and the net/pin
-            // masks of every open window. Flips mutate stored state,
-            // so the mask clear never undoes them.
+        for (cycle, bucket) in arms[..wave_cycles].iter().enumerate() {
+            // Flips mutate stored state, so the mask clear never undoes
+            // them.
             sim.clear_faults();
-            input_words.fill([0; W]);
-            for m in slot_live.iter_mut() {
-                *m = [0; W];
+            for &(f, lane) in bucket {
+                arm_lanes(&mut sim, f, lane_mask::<W>(lane as usize));
             }
-            let mut live_words = [0u64; W];
-            for lane in 0..lanes {
-                let slot = lane_scen[lane];
-                let sc = &scens[slot].sc;
-                if cycle >= sc.cycles() || verdicts[lane] == Outcome::Detected {
-                    // Dead lane: past its trajectory, or its verdict is
-                    // already terminal — skip driving and faulting it.
-                    continue;
-                }
-                let bit = lane_mask::<W>(lane);
-                for k in 0..W {
-                    live_words[k] |= bit[k];
-                    slot_live[slot][k] |= bit[k];
-                }
-                for (j, &v) in sc.inputs[cycle].iter().enumerate() {
-                    if v {
-                        for k in 0..W {
-                            input_words[j][k] |= bit[k];
-                        }
-                    }
-                }
-                let (_, faults) = work.item(first + lane);
-                let overrides = work.windows(first + lane);
-                for (j, &f) in faults.iter().enumerate() {
-                    let w = sc.fault_window(overrides, j);
-                    let fires = match f.site {
-                        FaultSite::Register(_) => w.flip_cycle() == cycle,
-                        _ => w.armed_at(cycle),
-                    };
-                    if fires {
-                        arm_lanes(&mut sim, f, bit);
-                    }
+            input_words.fill([0; W]);
+            let mut running = [0u64; W];
+            for slot in scens
+                .iter()
+                .filter(|s| cycle < s.sc.cycles() && s.lanes != [0; W])
+            {
+                drive(&mut input_words, &slot.sc.inputs[cycle], slot.lanes);
+                for (run, lanes) in running.iter_mut().zip(slot.lanes) {
+                    *run |= lanes;
                 }
             }
             sim.step_into(&input_words, &mut out_words);
-            match &oracle {
-                Some(oracle) => {
-                    // Word-parallel classification: decode whole 64-lane
-                    // words against the precompiled codebook and alert
-                    // masks; only Detected/Hijack lanes are touched
-                    // (Masked is the fold identity).
-                    let regs = sim.register_words();
-                    for w in 0..W {
-                        if live_words[w] == 0 {
-                            continue;
-                        }
+            let regs = sim.register_words();
+            for w in 0..W {
+                // Running lanes not yet Detected: the only ones whose
+                // verdict this cycle can still change.
+                let live = running[w] & !detected[w];
+                if live == 0 {
+                    continue;
+                }
+                let running_slots = scens.iter().filter(|s| cycle < s.sc.cycles());
+                match &oracle {
+                    Some(oracle) => {
+                        // Word-parallel classification: decode whole
+                        // 64-lane words against the precompiled codebook
+                        // and alert masks.
                         let det_base = oracle.detected_word(w, regs, &out_words);
-                        for (slot, masks) in scens.iter().zip(&slot_live) {
-                            let group = masks[w];
+                        for slot in running_slots {
+                            let group = slot.lanes[w] & live;
                             if group == 0 {
                                 continue;
                             }
@@ -407,44 +449,39 @@ pub(crate) fn wave_worker<'a, T: FaultTarget, const W: usize>(
                                 group,
                                 regs,
                             );
-                            let mut bits = det;
-                            while bits != 0 {
-                                let lane = w * LANES + bits.trailing_zeros() as usize;
-                                verdicts[lane] = Outcome::Detected;
-                                bits &= bits - 1;
-                            }
-                            // Live lanes are never Detected, so the fold
-                            // of Hijack is Hijack.
-                            let mut bits = hij;
-                            while bits != 0 {
-                                let lane = w * LANES + bits.trailing_zeros() as usize;
-                                verdicts[lane] = Outcome::Hijack;
-                                bits &= bits - 1;
-                            }
+                            detected[w] |= det;
+                            hijack[w] |= hij;
                         }
                     }
-                }
-                None => {
-                    for lane in 0..lanes {
-                        let slot = lane_scen[lane];
-                        let sc = &scens[slot].sc;
-                        if cycle >= sc.cycles() || verdicts[lane] == Outcome::Detected {
-                            continue;
+                    None => {
+                        for slot in running_slots {
+                            let mut bits = slot.lanes[w] & live;
+                            while bits != 0 {
+                                let lane = w * LANES + bits.trailing_zeros() as usize;
+                                extract_lane(regs, lane, &mut reg_bits);
+                                extract_lane(&out_words, lane, &mut out_bits);
+                                let bit = bits & bits.wrapping_neg();
+                                match target.classify(slot.index, cycle, &reg_bits, &out_bits) {
+                                    Outcome::Detected => detected[w] |= bit,
+                                    Outcome::Hijack => hijack[w] |= bit,
+                                    Outcome::Masked => {}
+                                }
+                                bits &= bits - 1;
+                            }
                         }
-                        extract_lane(sim.register_words(), lane, &mut reg_bits);
-                        extract_lane(&out_words, lane, &mut out_bits);
-                        verdicts[lane] = verdicts[lane].fold(target.classify(
-                            scens[slot].index,
-                            cycle,
-                            &reg_bits,
-                            &out_bits,
-                        ));
                     }
                 }
             }
         }
-        for (slot, &v) in out.iter_mut().zip(&verdicts[..lanes]) {
-            *slot = Some(v);
+        for (lane, slot) in out.iter_mut().enumerate() {
+            let (w, bit) = (lane / LANES, 1u64 << (lane % LANES));
+            *slot = Some(if detected[w] & bit != 0 {
+                Outcome::Detected
+            } else if hijack[w] & bit != 0 {
+                Outcome::Hijack
+            } else {
+                Outcome::Masked
+            });
         }
         // Keep only the most recent scenario for the next wave.
         if scens.len() > 1 {
@@ -501,6 +538,11 @@ mod tests {
             site: FaultSite::Pin(scfi_netlist::CellId(1), 2),
             effect: FaultEffect::Stuck1,
         };
+        let sc = Scenario {
+            regs: vec![],
+            inputs: vec![vec![]; 3],
+            timing: FaultTiming::Transient(2),
+        };
         let mut w = WorkList::with_capacity(3);
         assert!(w.is_empty());
         w.push(4, &[f]);
@@ -511,15 +553,27 @@ mod tests {
         assert_eq!(w.item(0), (4, &[f][..]));
         assert_eq!(w.item(1), (9, &[f, g][..]));
         assert_eq!(w.item(2), (0, &[][..]));
-        // Plain pushes carry no per-fault window overrides…
-        assert!(w.windows(1).iter().all(Option::is_none));
-        // …while scheduled pushes override each fault of their group.
+        // Plain pushes store no per-fault window overrides, and their
+        // faults take the scenario's timing…
+        for i in 0..3 {
+            assert!(w.windows(i).is_empty(), "item {i}");
+        }
+        assert_eq!(sc.fault_window(w.windows(1), 1), FaultTiming::Transient(2));
+        // …while scheduled pushes override each fault of their group. A
+        // list mixing both round-trips both: plain items before and after
+        // the first scheduled push read all-`None` overrides.
         w.push_scheduled(
             5,
             &[f, g],
             &[FaultTiming::Transient(1), FaultTiming::Permanent],
         );
+        w.push(7, &[g]);
+        assert_eq!(w.len(), 5);
+        assert_eq!(w.item(0), (4, &[f][..]));
+        assert_eq!(w.item(1), (9, &[f, g][..]));
+        assert_eq!(w.item(2), (0, &[][..]));
         assert_eq!(w.item(3), (5, &[f, g][..]));
+        assert_eq!(w.item(4), (7, &[g][..]));
         assert_eq!(
             w.windows(3),
             &[
@@ -527,7 +581,19 @@ mod tests {
                 Some(FaultTiming::Permanent)
             ]
         );
-        assert!(w.windows(0).iter().all(Option::is_none));
+        assert_eq!(w.windows(0), &[None]);
+        assert_eq!(w.windows(1), &[None, None]);
+        assert!(w.windows(2).is_empty());
+        assert_eq!(w.windows(4), &[None]);
+        for (i, j) in [(0, 0), (1, 0), (1, 1), (4, 0)] {
+            assert_eq!(
+                sc.fault_window(w.windows(i), j),
+                FaultTiming::Transient(2),
+                "item {i}, fault {j}"
+            );
+        }
+        assert_eq!(sc.fault_window(w.windows(3), 0), FaultTiming::Transient(1));
+        assert_eq!(sc.fault_window(w.windows(3), 1), FaultTiming::Permanent);
     }
 
     #[test]
@@ -585,7 +651,11 @@ mod tests {
     /// and check the wave verdicts item-for-item against independent
     /// scalar runs, at every wave width. Short lanes must neither be
     /// classified nor faulted past their own length while longer lanes
-    /// keep stepping.
+    /// keep stepping: each length also runs its cell-output faults
+    /// (flips and stuck-ats) on a `Permanent` window. Lanes that settle
+    /// before a later window opens are driven and armed on: a
+    /// register-flip pair strikes on cycle 0, which alone is already
+    /// `Detected`, and again on the scenario's last cycle.
     #[test]
     fn mixed_length_lanes_in_one_wave_match_scalar() {
         use crate::campaign::run_item_scalar;
@@ -607,15 +677,38 @@ mod tests {
                     FaultTiming::Transient(window),
                 ));
             }
+            scenarios.push(ProtocolScenario::new(edges, FaultTiming::Permanent));
         }
         let t = ScfiTarget::with_scenarios(&h, scenarios);
-        let faults = enumerate_faults(t.module(), &CampaignConfig::new().with_register_flips());
+        let faults = enumerate_faults(
+            t.module(),
+            &CampaignConfig::new().with_register_flips().effects(vec![
+                FaultEffect::Flip,
+                FaultEffect::Stuck0,
+                FaultEffect::Stuck1,
+            ]),
+        );
+        let flips: Vec<Fault> = faults
+            .iter()
+            .copied()
+            .filter(|f| matches!(f.site, FaultSite::Register(_)))
+            .collect();
         // Interleave scenarios (fault-major) so one wave holds every
         // trajectory length — the opposite of the scenario-major layout.
-        let mut work = WorkList::with_capacity(faults.len() * t.scenario_count());
-        for fault in &faults {
+        let mut work = WorkList::with_capacity(faults.len() * t.scenario_count() * 3);
+        let mut lone_flips = Vec::new();
+        for (i, fault) in faults.iter().enumerate() {
             for s in 0..t.scenario_count() {
                 work.push(s, std::slice::from_ref(fault));
+                let (a, b) = (flips[i % flips.len()], flips[(i + 1) % flips.len()]);
+                let last = t.scenario(s).cycles() - 1;
+                lone_flips.push(work.len());
+                work.push_scheduled(s, &[a], &[FaultTiming::Transient(0)]);
+                work.push_scheduled(
+                    s,
+                    &[a, b],
+                    &[FaultTiming::Transient(0), FaultTiming::Transient(last)],
+                );
             }
         }
         let mut sim = scfi_netlist::Simulator::new(t.module());
@@ -627,6 +720,9 @@ mod tests {
                 run_item_scalar(&t, &mut sim, s, &sc, group, work.windows(i), &mut outputs)
             })
             .collect();
+        for &i in &lone_flips {
+            assert_eq!(scalar[i], Outcome::Detected, "item {i}");
+        }
         for lane_words in [1, 2, 4] {
             let packed = execute(&t, &work, 1, lane_words);
             assert_eq!(packed, scalar, "lane_words {lane_words}");
@@ -667,7 +763,7 @@ mod tests {
     /// All lanes of every wave fold to `Detected` on their very first
     /// classified cycle (SCFI detects single register flips immediately:
     /// the corrupted codeword is invalid, so the next state is ERROR).
-    /// The wave keeps stepping its dead lanes through the rest of each
+    /// The wave keeps stepping its settled lanes through the rest of each
     /// depth-4 walk, and the verdicts stay identical to the scalar
     /// reference.
     #[test]
@@ -785,7 +881,7 @@ mod tests {
 
     /// Two faults of one group striking different steps of the same walk,
     /// each on its own work-list window override: the wave executor's
-    /// per-lane×per-fault arm/re-arm masks must match the scalar reference
+    /// per-lane × per-fault arming buckets must match the scalar reference
     /// item for item, at every width.
     #[test]
     fn per_fault_schedules_match_scalar_at_every_width() {

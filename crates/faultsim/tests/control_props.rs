@@ -3,7 +3,8 @@
 //! injection budget) must return a partial report whose every completed
 //! slot is **byte-identical** to the same slot of an uninterrupted run —
 //! at any backend, wave width and thread count — a budget must complete
-//! the same prefix of waves at every thread count, and a worker panic
+//! the same prefix on every backend, at every width and thread count,
+//! and a worker panic
 //! must poison only its own wave, with everything else completing
 //! normally.
 
@@ -179,28 +180,34 @@ fn try_run<T: FaultTarget>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// An injection budget cut at a random wave boundary completes
-    /// exactly the first `budget_waves` waves — slots
-    /// `0..min(budget_waves · wave_items, len)` — on every backend and at
-    /// every thread count from 1 to 4, and each completed slot is
-    /// byte-identical to the uninterrupted run's.
+    /// An injection budget completes exactly the slots
+    /// `0..budget / 64 · 64` — every slot when the budget covers the
+    /// list — on every backend, at every wave width and at every thread
+    /// count from 1 to 4. A budget that is not a whole number of waves
+    /// still runs the longest prefix of whole 64-lane words of the wave
+    /// it stops in, so the prefix does not depend on the width. Each
+    /// completed slot is byte-identical to the uninterrupted run's.
     #[test]
-    fn interrupted_campaigns_keep_a_byte_identical_completed_prefix(budget_waves in 0u64..6) {
+    fn interrupted_campaigns_keep_a_byte_identical_completed_prefix(budget in 0u64..1_500) {
         let target = SyntheticTarget::new(None);
         let faults = fault_space(target.module());
         let work = work_list(&target, &faults);
+        prop_assert!(work.len() < 1_500, "the budget must be able to cover the list");
+        let prefix = if budget as usize >= work.len() {
+            work.len()
+        } else {
+            budget as usize / 64 * 64
+        };
         for pick in 0..PICKS {
             let (config, wave_items, label) = pick_config(pick, 1);
             prop_assert!(work.len() > wave_items, "{}: the budget must be able to bite", label);
             let reference = try_run(pick, &target, &work, &config, &RunControl::unlimited())
                 .expect("an unlimited run never fails");
             prop_assert_eq!(reference.len(), work.len());
-            let prefix = (budget_waves as usize * wave_items).min(work.len());
 
             for threads in 1..=4 {
                 let config = config.clone().threads(threads);
-                let control =
-                    RunControl::unlimited().with_injection_budget(budget_waves * wave_items as u64);
+                let control = RunControl::unlimited().with_injection_budget(budget);
                 let slots: Vec<Option<Outcome>> =
                     match try_run(pick, &target, &work, &config, &control) {
                         Err(CampaignError::Interrupted { reason, partial }) => {
