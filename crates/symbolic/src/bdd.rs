@@ -1,8 +1,8 @@
-//! A small hash-consed ROBDD package.
+//! A small ROBDD package with complement edges.
 //!
 //! Reduced Ordered Binary Decision Diagrams give a *canonical* DAG
 //! representation of Boolean functions: under a fixed variable order,
-//! structurally equal functions are represented by pointer-equal nodes.
+//! structurally equal functions are represented by equal handles.
 //! That canonicity is what turns the certification question "does any
 //! reachable state and input assignment let this fault escape?" into a
 //! constant-time emptiness test on the escape function's root.
@@ -12,8 +12,8 @@
 //!
 //! * a *unique table* hash-consing every `(var, lo, hi)` triple, so node
 //!   identity is function identity,
-//! * the Shannon-expansion `ite` operator with memoization, from which all
-//!   binary connectives derive,
+//! * the Shannon-expansion `ite` operator with a computed table, from
+//!   which all binary connectives derive,
 //! * existential quantification over a variable set (image computation),
 //! * an order-preserving variable renaming (primed → unprimed after the
 //!   image step),
@@ -24,22 +24,37 @@
 //! (netlists with tens of symbolic variables) stay far below any size
 //! where garbage collection would pay for itself.
 //!
-//! # Tables
+//! # Representation
 //!
-//! Every table here — the unique table, the `ite` memo and the per-call
-//! memos of quantification, renaming and witness/model counting — is a
-//! `std` [`HashMap`] over `FxHasher`, a multiply-rotate word hash in
-//! the style of rustc's Fx hash (Brace, Rudell & Bryant, DAC 1990, put
-//! cheap hashing of exactly these tables at the core of a fast package).
-//! Every key is a node id or variable index this manager allocated,
-//! never client bytes, so SipHash's resistance to chosen-key flooding
-//! would buy nothing. The tables stay lossless: which nodes exist, the
-//! order their ids are allocated in, the step counts and the `ite`
-//! hit/miss counts depend only on the operations requested, never on
-//! the hasher, so budgets and the verdicts they degrade are unaffected
-//! by it.
+//! The package follows Brace, Rudell & Bryant (DAC 1990):
+//!
+//! * **Complement edges.** Bit 0 of a [`BddRef`] marks a complemented
+//!   edge. Node 0 is the only terminal: it is `FALSE`, and `TRUE` is its
+//!   complement. A stored node's `lo` edge is never complemented, which
+//!   keeps the representation canonical, so `f` and `¬f` share every
+//!   node and [`Bdd::not`] allocates nothing.
+//! * **Nodes are the unique table.** Each 16-byte node chains through
+//!   its `next` field into a power-of-two array of `u32` bucket heads,
+//!   which doubles when the nodes outnumber its buckets. A node costs 16
+//!   bytes plus 4–8 bytes of bucket array, and the arena never grows
+//!   past the node budget.
+//! * **A bounded, lossy `ite` computed table.** It is direct-mapped with
+//!   16-byte `(f, g, h, r)` entries; a colliding result overwrites the
+//!   slot, and an evicted call is recomputed on its next miss. Keys are
+//!   standard triples: `f` is regular, `g` is regular (the result is
+//!   complemented instead), and AND/OR operands are ordered by node id.
+//!   The table grows with the bucket array up to `CACHE_CAP` entries
+//!   (512 KB), small enough to stay in a core's L2 cache.
+//!
+//! Table indices hash to `u64` and are masked before narrowing, so they,
+//! and therefore every step and hit count, do not depend on the pointer
+//! width. The per-call memos of quantification, renaming and
+//! witness/model counting are `std` [`HashMap`]s over `FxHasher`, a
+//! multiply-rotate word hash in the style of rustc's Fx hash. Every key
+//! is a node id or variable index this manager allocated, never client
+//! bytes, so a chosen-key flooding attack has nothing to choose.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -77,6 +92,18 @@ impl Hasher for FxHasher {
 }
 
 type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// The table hash of a `(var, lo, hi)` node or an `(f, g, h)` call: the
+/// Fx fold of the three words, with the well-mixed high half folded into
+/// the low bits that the table masks keep.
+#[inline]
+fn hash3(a: u32, b: u32, c: u32) -> u64 {
+    let mut h = FxHasher::default();
+    h.add(u64::from(a));
+    h.add(u64::from(b));
+    h.add(u64::from(c));
+    h.0 ^ (h.0 >> 32)
+}
 
 /// Why a budgeted BDD operation stopped early.
 ///
@@ -126,33 +153,65 @@ impl fmt::Display for BddOverflow {
 
 impl std::error::Error for BddOverflow {}
 
-/// A handle to a BDD node — and, by canonicity, to a Boolean function.
+/// A handle to a BDD edge — and, by canonicity, to a Boolean function.
 ///
 /// Handles are only meaningful relative to the [`Bdd`] manager that
 /// created them. Two handles from the same manager are equal **iff** the
-/// functions they denote are equal.
+/// functions they denote are equal. Bit 0 marks a complemented edge.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct BddRef(u32);
 
 impl BddRef {
-    /// The constant-false function.
+    /// The constant-false function: the regular edge to the terminal.
     pub const FALSE: BddRef = BddRef(0);
-    /// The constant-true function.
+    /// The constant-true function: the complemented edge to the terminal.
     pub const TRUE: BddRef = BddRef(1);
 }
 
-/// Internal node: branch variable plus low/high children.
+/// The complement bit of an edge.
+const NEG: u32 = 1;
+/// Raw edges of the two constants.
+const FALSE: u32 = BddRef::FALSE.0;
+const TRUE: u32 = BddRef::TRUE.0;
+
+/// The node an edge points to.
+#[inline]
+fn index(edge: u32) -> usize {
+    (edge >> 1) as usize
+}
+
+/// Stored node: branch variable, low/high edges and the next node of its
+/// unique-table bucket (0 ends the chain; node 0 is never chained).
 ///
-/// Terminals use `var == u32::MAX`, which compares greater than every real
-/// variable — convenient for the top-variable computation in `ite`.
+/// The terminal uses `var == u32::MAX`, which compares greater than
+/// every real variable — convenient for the top-variable computation in
+/// `ite`.
 #[derive(Clone, Copy)]
 struct Node {
     var: u32,
     lo: u32,
     hi: u32,
+    next: u32,
 }
 
-/// The BDD manager: node arena, unique table, and operation caches.
+/// One computed-table slot: `ite(f, g, h) = r` for a standard triple.
+/// `f == 0` marks an empty slot, since a standard triple's `f` is never
+/// a constant.
+#[derive(Clone, Copy, Default)]
+struct CacheEntry {
+    f: u32,
+    g: u32,
+    h: u32,
+    r: u32,
+}
+
+/// Most entries the `ite` computed table grows to: 2^15 entries, 512 KB,
+/// which stays in a core's L2 cache. Caps of 2^16 and 2^18 measured the
+/// same `certify` benchmark speed with more peak RSS.
+const CACHE_CAP: usize = 1 << 15;
+
+/// The BDD manager: node arena (which is also the unique table) and the
+/// `ite` computed table.
 ///
 /// Variables are plain `u32` indices; smaller indices sit closer to the
 /// root. The variable order is fixed at creation time by whoever assigns
@@ -171,18 +230,22 @@ struct Node {
 /// let g = b.not(f);
 /// let (nx, ny) = (b.not(x), b.not(y));
 /// let h = b.or(nx, ny); // De Morgan
-/// assert_eq!(g, h); // canonicity: equal functions are pointer-equal
+/// assert_eq!(g, h); // canonicity: equal functions are equal handles
 /// assert!(b.eval(f, &[true, true]));
 /// assert_eq!(b.and(x, nx), BddRef::FALSE);
 /// ```
 pub struct Bdd {
+    /// Node arena; node 0 is the terminal.
     nodes: Vec<Node>,
-    unique: FxHashMap<(u32, u32, u32), u32>,
-    ite_memo: FxHashMap<(u32, u32, u32), u32>,
+    /// Unique-table bucket heads (power-of-two length).
+    buckets: Vec<u32>,
+    /// Direct-mapped `ite` computed table (power-of-two length).
+    cache: Vec<CacheEntry>,
     /// Node-arena cap; allocations past it raise [`BddOverflow::Nodes`].
     max_nodes: Option<usize>,
-    /// Operation-step cap (recursive `ite`/`exists`/`rename` invocations
-    /// since the last [`Bdd::reset_steps`]).
+    /// Operation-step cap (`ite` computed-table misses and recursive
+    /// `exists`/`rename` invocations since the last
+    /// [`Bdd::reset_steps`]).
     max_steps: Option<u64>,
     /// Wall-clock deadline, checked every 4096 lifetime steps.
     deadline: Option<Instant>,
@@ -195,10 +258,10 @@ pub struct Bdd {
     /// cancellation cadence runs on it, so units of work shorter than the
     /// check interval still poll.
     lifetime_steps: u64,
-    /// Memoized-`ite` lookups that hit (cumulative; see
+    /// Computed-table lookups that hit (cumulative; see
     /// [`Bdd::ite_cache_hits`]).
     ite_hits: u64,
-    /// Memoized-`ite` lookups that missed and recursed.
+    /// Computed-table lookups that missed and recursed.
     ite_misses: u64,
 }
 
@@ -216,23 +279,17 @@ impl Default for Bdd {
 }
 
 impl Bdd {
-    /// Creates a manager holding only the two terminals.
+    /// Creates a manager holding only the terminal.
     pub fn new() -> Self {
         Bdd {
-            nodes: vec![
-                Node {
-                    var: u32::MAX,
-                    lo: 0,
-                    hi: 0,
-                },
-                Node {
-                    var: u32::MAX,
-                    lo: 1,
-                    hi: 1,
-                },
-            ],
-            unique: FxHashMap::default(),
-            ite_memo: FxHashMap::default(),
+            nodes: vec![Node {
+                var: u32::MAX,
+                lo: FALSE,
+                hi: FALSE,
+                next: 0,
+            }],
+            buckets: vec![0],
+            cache: vec![CacheEntry::default()],
             max_nodes: None,
             max_steps: None,
             deadline: None,
@@ -244,7 +301,7 @@ impl Bdd {
         }
     }
 
-    /// Total nodes allocated (including the two terminals) — a coarse
+    /// Total nodes allocated (including the terminal) — a coarse
     /// memory/health metric for benches and reports.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -253,6 +310,9 @@ impl Bdd {
     /// Caps the node arena at `limit` nodes: any `try_*` operation that
     /// would allocate past it raises [`BddOverflow::Nodes`]. The budget is
     /// cumulative over the manager's lifetime (nodes are never freed).
+    /// It is also a memory bound: the arena never reserves past `limit`
+    /// nodes of 16 bytes, the bucket array adds 4–8 bytes per node, and
+    /// the computed table stops at 2^15 16-byte entries (512 KB).
     pub fn set_node_budget(&mut self, limit: usize) {
         self.max_nodes = Some(limit);
     }
@@ -284,7 +344,7 @@ impl Bdd {
         self.cancel = Some(probe);
     }
 
-    /// Memoized-`ite` cache hits since construction (each avoided a full
+    /// Computed-table hits since construction (each avoided a full
     /// Shannon recursion). Together with
     /// [`ite_cache_misses`](Self::ite_cache_misses) this gives the cache
     /// hit rate the observability layer exports.
@@ -292,8 +352,8 @@ impl Bdd {
         self.ite_hits
     }
 
-    /// Memoized-`ite` cache misses since construction (lookups that went
-    /// on to recurse and inserted a fresh entry).
+    /// Computed-table misses since construction: lookups of a call never
+    /// computed, or computed and since evicted, that went on to recurse.
     pub fn ite_cache_misses(&self) -> u64 {
         self.ite_misses
     }
@@ -378,7 +438,7 @@ impl Bdd {
 
     /// [`var`](Self::var), surfacing budget exhaustion as [`BddOverflow`].
     pub fn try_var(&mut self, v: u32) -> Result<BddRef, BddOverflow> {
-        Ok(BddRef(self.mk(v, 0, 1)?))
+        Ok(BddRef(self.mk(v, FALSE, TRUE)?))
     }
 
     /// The negated single-variable function `!v`.
@@ -392,48 +452,99 @@ impl Bdd {
     }
 
     /// [`nvar`](Self::nvar), surfacing budget exhaustion as
-    /// [`BddOverflow`].
+    /// [`BddOverflow`]. It shares the node of [`var`](Self::var).
     pub fn try_nvar(&mut self, v: u32) -> Result<BddRef, BddOverflow> {
-        Ok(BddRef(self.mk(v, 1, 0)?))
+        let x = self.try_var(v)?;
+        Ok(self.not(x))
     }
 
-    /// Hash-consed node constructor; collapses redundant tests. A lookup
-    /// hit is always free; only a genuinely new node is charged against
-    /// the node budget.
+    /// Hash-consed node constructor; collapses redundant tests and moves
+    /// a complemented `lo` edge onto the returned edge. A lookup hit is
+    /// always free; only a genuinely new node is charged against the
+    /// node budget.
     fn mk(&mut self, var: u32, lo: u32, hi: u32) -> Result<u32, BddOverflow> {
         if lo == hi {
             return Ok(lo);
         }
+        let neg = lo & NEG;
+        let (lo, hi) = (lo ^ neg, hi ^ neg);
         debug_assert!(
-            var < self.nodes[lo as usize].var && var < self.nodes[hi as usize].var,
+            var < self.nodes[index(lo)].var && var < self.nodes[index(hi)].var,
             "mk would violate the variable order"
         );
-        if let Some(&n) = self.unique.get(&(var, lo, hi)) {
-            return Ok(n);
-        }
-        if let Some(limit) = self.max_nodes {
-            if self.nodes.len() >= limit {
-                return Err(BddOverflow::Nodes { limit });
+        let slot = (hash3(var, lo, hi) & (self.buckets.len() as u64 - 1)) as usize;
+        let mut i = self.buckets[slot];
+        while i != 0 {
+            let n = &self.nodes[i as usize];
+            if n.var == var && n.lo == lo && n.hi == hi {
+                return Ok(i << 1 | neg);
             }
+            i = n.next;
         }
-        let n = (self.nodes.len()) as u32;
-        self.nodes.push(Node { var, lo, hi });
-        self.unique.insert((var, lo, hi), n);
-        Ok(n)
+        let len = self.nodes.len();
+        assert!(len < 1 << 31, "a BddRef addresses at most 2^31 nodes");
+        let room = match self.max_nodes {
+            Some(limit) if len >= limit => return Err(BddOverflow::Nodes { limit }),
+            Some(limit) => limit - len,
+            None => usize::MAX,
+        };
+        if len == self.nodes.capacity() {
+            // Double, as `push` would, but never reserve past the budget.
+            self.nodes.reserve_exact(len.min(room));
+        }
+        let i = len as u32;
+        self.nodes.push(Node {
+            var,
+            lo,
+            hi,
+            next: self.buckets[slot],
+        });
+        self.buckets[slot] = i;
+        if self.nodes.len() > self.buckets.len() {
+            self.grow();
+        }
+        Ok(i << 1 | neg)
     }
 
-    /// Cofactor of `f` with respect to `var` when `f`'s root tests `var`.
-    fn cofactors(&self, f: u32, var: u32) -> (u32, u32) {
-        let n = self.nodes[f as usize];
+    /// Doubles the bucket array and rechains every node into it, and
+    /// grows the computed table with it up to `CACHE_CAP`. Each old
+    /// cache slot maps to one of two new slots, so no entry is lost.
+    fn grow(&mut self) {
+        let len = self.buckets.len() * 2;
+        let mask = len as u64 - 1;
+        self.buckets = vec![0; len];
+        for i in 1..self.nodes.len() {
+            let n = &mut self.nodes[i];
+            let slot = (hash3(n.var, n.lo, n.hi) & mask) as usize;
+            n.next = self.buckets[slot];
+            self.buckets[slot] = i as u32;
+        }
+        let cache_len = len.min(CACHE_CAP);
+        if cache_len > self.cache.len() {
+            let old = std::mem::replace(&mut self.cache, vec![CacheEntry::default(); cache_len]);
+            let mask = cache_len as u64 - 1;
+            for e in old.into_iter().filter(|e| e.f != 0) {
+                self.cache[(hash3(e.f, e.g, e.h) & mask) as usize] = e;
+            }
+        }
+    }
+
+    /// Cofactors of the edge `e` with respect to `var` when its node
+    /// tests `var`; the edge's complement bit passes to both.
+    #[inline]
+    fn cofactors(&self, e: u32, var: u32) -> (u32, u32) {
+        let n = &self.nodes[index(e)];
         if n.var == var {
-            (n.lo, n.hi)
+            let c = e & NEG;
+            (n.lo ^ c, n.hi ^ c)
         } else {
-            (f, f)
+            (e, e)
         }
     }
 
     /// If-then-else: the function `if f then g else h`, computed by
-    /// Shannon expansion on the topmost variable with memoization.
+    /// Shannon expansion on the topmost variable through the computed
+    /// table.
     ///
     /// # Panics
     ///
@@ -446,54 +557,84 @@ impl Bdd {
     /// [`ite`](Self::ite), surfacing budget exhaustion as [`BddOverflow`]
     /// instead of panicking. On an unbudgeted manager this never fails.
     /// A failed operation leaves the manager consistent (every node and
-    /// memo entry it created is a valid, fully reduced function); the
-    /// caller may keep using the manager or retry with a larger budget.
+    /// computed-table entry it created is a valid, fully reduced
+    /// function); the caller may keep using the manager or retry with a
+    /// larger budget.
     pub fn try_ite(&mut self, f: BddRef, g: BddRef, h: BddRef) -> Result<BddRef, BddOverflow> {
         Ok(BddRef(self.ite_raw(f.0, g.0, h.0)?))
     }
 
     fn ite_raw(&mut self, f: u32, g: u32, h: u32) -> Result<u32, BddOverflow> {
         // Terminal short-circuits.
-        if f == 1 {
+        if f == TRUE {
             return Ok(g);
         }
-        if f == 0 {
+        if f == FALSE {
             return Ok(h);
+        }
+        let (mut f, mut g, mut h) = (f, g, h);
+        // An operand equal to f or ¬f is a constant in both branches.
+        if g == f {
+            g = TRUE;
+        } else if g == f ^ NEG {
+            g = FALSE;
+        }
+        if h == f {
+            h = FALSE;
+        } else if h == f ^ NEG {
+            h = TRUE;
         }
         if g == h {
             return Ok(g);
         }
-        if g == 1 && h == 0 {
+        if g == TRUE && h == FALSE {
             return Ok(f);
         }
-        if let Some(&r) = self.ite_memo.get(&(f, g, h)) {
+        if g == FALSE && h == TRUE {
+            return Ok(f ^ NEG);
+        }
+        // Standard triples: AND and OR take the smaller node id first,
+        if h == FALSE && index(g) < index(f) {
+            std::mem::swap(&mut f, &mut g);
+        } else if g == TRUE && index(h) < index(f) {
+            std::mem::swap(&mut f, &mut h);
+        }
+        // f is regular,
+        if f & NEG != 0 {
+            f ^= NEG;
+            std::mem::swap(&mut g, &mut h);
+        }
+        // and so is g, with the result complemented instead.
+        let neg = g & NEG;
+        g ^= neg;
+        h ^= neg;
+        let hash = hash3(f, g, h);
+        let e = self.cache[(hash & (self.cache.len() as u64 - 1)) as usize];
+        if e.f == f && e.g == g && e.h == h {
             self.ite_hits += 1;
-            return Ok(r);
+            return Ok(e.r ^ neg);
         }
         self.ite_misses += 1;
         self.step()?;
-        let top = self.nodes[f as usize]
+        let top = self.nodes[index(f)]
             .var
-            .min(self.nodes[g as usize].var)
-            .min(self.nodes[h as usize].var);
+            .min(self.nodes[index(g)].var)
+            .min(self.nodes[index(h)].var);
         let (f0, f1) = self.cofactors(f, top);
         let (g0, g1) = self.cofactors(g, top);
         let (h0, h1) = self.cofactors(h, top);
         let lo = self.ite_raw(f0, g0, h0)?;
         let hi = self.ite_raw(f1, g1, h1)?;
         let r = self.mk(top, lo, hi)?;
-        self.ite_memo.insert((f, g, h), r);
-        Ok(r)
+        // The recursion may have grown the table: mask again.
+        let slot = (hash & (self.cache.len() as u64 - 1)) as usize;
+        self.cache[slot] = CacheEntry { f, g, h, r };
+        Ok(r ^ neg)
     }
 
-    /// Logical negation.
-    pub fn not(&mut self, f: BddRef) -> BddRef {
-        self.ite(f, BddRef::FALSE, BddRef::TRUE)
-    }
-
-    /// Fallible [`not`](Self::not).
-    pub fn try_not(&mut self, f: BddRef) -> Result<BddRef, BddOverflow> {
-        self.try_ite(f, BddRef::FALSE, BddRef::TRUE)
+    /// Logical negation: flips the complement bit, allocating nothing.
+    pub fn not(&self, f: BddRef) -> BddRef {
+        BddRef(f.0 ^ NEG)
     }
 
     /// Logical conjunction.
@@ -518,50 +659,44 @@ impl Bdd {
 
     /// Exclusive or.
     pub fn xor(&mut self, f: BddRef, g: BddRef) -> BddRef {
-        let ng = self.not(g);
-        self.ite(f, ng, g)
+        self.try_xor(f, g).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`xor`](Self::xor).
     pub fn try_xor(&mut self, f: BddRef, g: BddRef) -> Result<BddRef, BddOverflow> {
-        let ng = self.try_not(g)?;
-        self.try_ite(f, ng, g)
+        self.try_ite(f, self.not(g), g)
     }
 
     /// Equivalence (`!(f ^ g)`).
     pub fn xnor(&mut self, f: BddRef, g: BddRef) -> BddRef {
-        let ng = self.not(g);
-        self.ite(f, g, ng)
+        self.try_xnor(f, g).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`xnor`](Self::xnor).
     pub fn try_xnor(&mut self, f: BddRef, g: BddRef) -> Result<BddRef, BddOverflow> {
-        let ng = self.try_not(g)?;
-        self.try_ite(f, g, ng)
+        self.try_ite(f, g, self.not(g))
     }
 
     /// Negated conjunction.
     pub fn nand(&mut self, f: BddRef, g: BddRef) -> BddRef {
-        let ng = self.not(g);
-        self.ite(f, ng, BddRef::TRUE)
+        self.try_nand(f, g).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`nand`](Self::nand).
     pub fn try_nand(&mut self, f: BddRef, g: BddRef) -> Result<BddRef, BddOverflow> {
-        let ng = self.try_not(g)?;
-        self.try_ite(f, ng, BddRef::TRUE)
+        let and = self.try_and(f, g)?;
+        Ok(self.not(and))
     }
 
     /// Negated disjunction.
     pub fn nor(&mut self, f: BddRef, g: BddRef) -> BddRef {
-        let ng = self.not(g);
-        self.ite(f, BddRef::FALSE, ng)
+        self.try_nor(f, g).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`nor`](Self::nor).
     pub fn try_nor(&mut self, f: BddRef, g: BddRef) -> Result<BddRef, BddOverflow> {
-        let ng = self.try_not(g)?;
-        self.try_ite(f, BddRef::FALSE, ng)
+        let or = self.try_or(f, g)?;
+        Ok(self.not(or))
     }
 
     /// 2:1 multiplexer with the netlist's pin convention:
@@ -582,22 +717,23 @@ impl Bdd {
     ///
     /// Panics if the assignment is shorter than a variable tested by `f`.
     pub fn eval(&self, f: BddRef, assignment: &[bool]) -> bool {
-        let mut n = f.0;
-        while n > 1 {
-            let node = self.nodes[n as usize];
-            n = if assignment[node.var as usize] {
+        let mut e = f.0;
+        while index(e) != 0 {
+            let node = self.nodes[index(e)];
+            let next = if assignment[node.var as usize] {
                 node.hi
             } else {
                 node.lo
             };
+            e = next ^ (e & NEG);
         }
-        n == 1
+        e == TRUE
     }
 
     /// Existential quantification `∃ vars. f`.
     ///
     /// `vars` must be sorted ascending (asserted in debug builds); the
-    /// per-call memo keys on the node alone, which is sound because the
+    /// per-call memo keys on the edge alone, which is sound because the
     /// variable set is fixed for the whole call.
     ///
     /// # Panics
@@ -627,10 +763,10 @@ impl Bdd {
         last: u32,
         memo: &mut FxHashMap<u32, u32>,
     ) -> Result<u32, BddOverflow> {
-        if f <= 1 {
+        if index(f) == 0 {
             return Ok(f);
         }
-        let var = self.nodes[f as usize].var;
+        let Node { var, lo, hi, .. } = self.nodes[index(f)];
         if var > last {
             // Every quantified variable lies above this node.
             return Ok(f);
@@ -639,11 +775,13 @@ impl Bdd {
             return Ok(r);
         }
         self.step()?;
-        let Node { lo, hi, .. } = self.nodes[f as usize];
-        let lo_q = self.exists_raw(lo, vars, last, memo)?;
-        let hi_q = self.exists_raw(hi, vars, last, memo)?;
+        // ∃ distributes over ∨, not ¬: the complement bit passes to the
+        // cofactors, and the memo keys on the whole edge.
+        let c = f & NEG;
+        let lo_q = self.exists_raw(lo ^ c, vars, last, memo)?;
+        let hi_q = self.exists_raw(hi ^ c, vars, last, memo)?;
         let r = if vars.binary_search(&var).is_ok() {
-            self.ite_raw(lo_q, 1, hi_q)? // or
+            self.ite_raw(lo_q, TRUE, hi_q)? // or
         } else {
             self.mk(var, lo_q, hi_q)?
         };
@@ -686,19 +824,22 @@ impl Bdd {
         map: &impl Fn(u32) -> u32,
         memo: &mut FxHashMap<u32, u32>,
     ) -> Result<u32, BddOverflow> {
-        if f <= 1 {
+        if index(f) == 0 {
             return Ok(f);
         }
+        // Renaming commutes with negation: memoize the regular edge.
+        let neg = f & NEG;
+        let f = f ^ neg;
         if let Some(&r) = memo.get(&f) {
-            return Ok(r);
+            return Ok(r ^ neg);
         }
         self.step()?;
-        let Node { var, lo, hi } = self.nodes[f as usize];
+        let Node { var, lo, hi, .. } = self.nodes[index(f)];
         let lo_r = self.rename_raw(lo, map, memo)?;
         let hi_r = self.rename_raw(hi, map, memo)?;
         let r = self.mk(map(var), lo_r, hi_r)?;
         memo.insert(f, r);
-        Ok(r)
+        Ok(r ^ neg)
     }
 
     /// One satisfying assignment of `f` as `(variable, value)` pairs for
@@ -710,18 +851,19 @@ impl Bdd {
             return None;
         }
         let mut path = Vec::new();
-        let mut n = f.0;
-        while n > 1 {
-            let Node { var, lo, hi } = self.nodes[n as usize];
-            if lo != 0 {
+        let mut e = f.0;
+        while index(e) != 0 {
+            let Node { var, lo, hi, .. } = self.nodes[index(e)];
+            let c = e & NEG;
+            if lo ^ c != FALSE {
                 path.push((var, false));
-                n = lo;
+                e = lo ^ c;
             } else {
                 path.push((var, true));
-                n = hi;
+                e = hi ^ c;
             }
         }
-        debug_assert_eq!(n, 1, "non-false BDDs always reach the true terminal");
+        debug_assert_eq!(e, TRUE, "non-false BDDs always reach TRUE");
         Some(path)
     }
 
@@ -742,38 +884,40 @@ impl Bdd {
         }
         let mut memo = FxHashMap::default();
         let mut path = Vec::new();
-        let mut n = f.0;
-        while n > 1 {
-            let Node { var, lo, hi } = self.nodes[n as usize];
+        let mut e = f.0;
+        while index(e) != 0 {
+            let Node { var, lo, hi, .. } = self.nodes[index(e)];
+            let (lo, hi) = (lo ^ (e & NEG), hi ^ (e & NEG));
             let (cl, ch) = (self.min_care(lo, &mut memo), self.min_care(hi, &mut memo));
             if cl <= ch {
                 path.push((var, false));
-                n = lo;
+                e = lo;
             } else {
                 path.push((var, true));
-                n = hi;
+                e = hi;
             }
         }
         Some(path)
     }
 
-    /// Fewest variables constrained on any path from `f` to `TRUE`
-    /// (`u32::MAX` for the unsatisfiable terminal).
-    fn min_care(&self, f: u32, memo: &mut FxHashMap<u32, u32>) -> u32 {
-        if f == 0 {
+    /// Fewest variables constrained on any path from the edge `e` to
+    /// `TRUE` (`u32::MAX` for `FALSE`). The memo keys on the whole edge:
+    /// `f` and `¬f` have different paths to `TRUE`.
+    fn min_care(&self, e: u32, memo: &mut FxHashMap<u32, u32>) -> u32 {
+        if e == FALSE {
             return u32::MAX;
         }
-        if f == 1 {
+        if e == TRUE {
             return 0;
         }
-        if let Some(&c) = memo.get(&f) {
+        if let Some(&c) = memo.get(&e) {
             return c;
         }
-        let Node { lo, hi, .. } = self.nodes[f as usize];
-        let lo_c = self.min_care(lo, memo);
-        let hi_c = self.min_care(hi, memo);
+        let Node { lo, hi, .. } = self.nodes[index(e)];
+        let lo_c = self.min_care(lo ^ (e & NEG), memo);
+        let hi_c = self.min_care(hi ^ (e & NEG), memo);
         let c = lo_c.min(hi_c).saturating_add(1);
-        memo.insert(f, c);
+        memo.insert(e, c);
         c
     }
 
@@ -794,6 +938,9 @@ impl Bdd {
         self.count_raw(f.0, 0, total, &level, &mut memo)
     }
 
+    /// Models of the edge `f` over the universe levels from `from_level`
+    /// down. The memo keys on the whole edge, and the complement bit
+    /// passes to the cofactors.
     fn count_raw(
         &self,
         f: u32,
@@ -802,41 +949,25 @@ impl Bdd {
         level: &impl Fn(u32) -> Result<usize, usize>,
         memo: &mut FxHashMap<u32, f64>,
     ) -> f64 {
-        if f == 0 {
+        if f == FALSE {
             return 0.0;
         }
-        if f == 1 {
+        if f == TRUE {
             return 2f64.powi((total - from_level) as i32);
         }
-        let var = self.nodes[f as usize].var;
+        let Node { var, lo, hi, .. } = self.nodes[index(f)];
         let l = level(var).unwrap_or_else(|_| {
             panic!("sat_count: function tests variable {var} outside the universe")
         });
         let below = if let Some(&c) = memo.get(&f) {
             c
         } else {
-            let Node { lo, hi, .. } = self.nodes[f as usize];
-            let c = self.count_raw(lo, l + 1, total, level, memo)
-                + self.count_raw(hi, l + 1, total, level, memo);
+            let c = self.count_raw(lo ^ (f & NEG), l + 1, total, level, memo)
+                + self.count_raw(hi ^ (f & NEG), l + 1, total, level, memo);
             memo.insert(f, c);
             c
         };
         below * 2f64.powi((l - from_level) as i32)
-    }
-
-    /// Number of distinct nodes reachable from `f` (its DAG size).
-    pub fn size(&self, f: BddRef) -> usize {
-        let mut seen = HashSet::<_, BuildHasherDefault<FxHasher>>::default();
-        let mut stack = vec![f.0];
-        while let Some(n) = stack.pop() {
-            if n <= 1 || !seen.insert(n) {
-                continue;
-            }
-            let node = self.nodes[n as usize];
-            stack.push(node.lo);
-            stack.push(node.hi);
-        }
-        seen.len() + 2
     }
 }
 
@@ -1012,15 +1143,47 @@ mod tests {
     }
 
     #[test]
-    fn size_counts_reachable_nodes() {
+    fn a_node_costs_16_bytes_plus_its_bucket_and_the_cache_stops_at_its_cap() {
+        assert_eq!(std::mem::size_of::<Node>(), 16);
+        assert_eq!(std::mem::size_of::<CacheEntry>(), 16);
         let mut b = Bdd::new();
-        let x = b.var(0);
-        let y = b.var(1);
-        assert_eq!(b.size(BddRef::TRUE), 2);
-        assert_eq!(b.size(x), 3);
-        let f = b.xor(x, y);
-        assert_eq!(b.size(f), 5); // two terminals, one var-0 node, two var-1 nodes
-        assert!(b.node_count() >= 5);
+        let mut acc = BddRef::FALSE;
+        // One new node per variable, and a few computed-table entries per
+        // step of the xor chain: past the cap on both counts.
+        for v in 0..(2 * CACHE_CAP) as u32 {
+            let x = b.var(v);
+            if v % 64 == 0 {
+                acc = b.xor(acc, x);
+            }
+            assert!(
+                b.buckets.len() <= 2 * b.node_count(),
+                "{} buckets for {} nodes",
+                b.buckets.len(),
+                b.node_count()
+            );
+            assert!(b.cache.len() <= CACHE_CAP);
+        }
+        assert!(b.node_count() > 2 * CACHE_CAP);
+        assert_eq!(b.cache.len(), CACHE_CAP);
+        // The xor of an even number of variables: false when all are set,
+        // true when one is.
+        let mut assignment = vec![true; 2 * CACHE_CAP];
+        assert!(!b.eval(acc, &assignment));
+        assignment[64] = false;
+        assert!(b.eval(acc, &assignment));
+    }
+
+    #[test]
+    fn a_node_budget_caps_the_reserved_arena() {
+        let mut b = Bdd::new();
+        b.set_node_budget(1000);
+        for v in 0.. {
+            if b.try_var(v).is_err() {
+                break;
+            }
+        }
+        assert_eq!(b.node_count(), 1000);
+        assert!(b.nodes.capacity() <= 1000, "{}", b.nodes.capacity());
     }
 
     #[test]

@@ -58,16 +58,27 @@ pub trait CertifyModel {
     /// The netlist under certification.
     fn module(&self) -> &Module;
 
-    /// Symbolic decode-level escape condition: the BDD of "the faulty
-    /// next-state word `next` would *not* be flagged by decoding" —
-    /// landing on a valid operational codeword for SCFI, replica banks
-    /// agreeing for redundancy, `TRUE` for the unprotected lowering
-    /// (which has no decode-level detection at all).
+    /// Symbolic decode-level escape condition inside `within`: the BDD
+    /// of `within ∧` "the faulty next-state word `next` would *not* be
+    /// flagged by decoding" — landing on a valid operational codeword
+    /// for SCFI, replica banks agreeing for redundancy, anything for the
+    /// unprotected lowering (which has no decode-level detection at
+    /// all, so the result is `within` itself).
+    ///
+    /// The escapes pass the rest of the escape condition as `within`,
+    /// so every intermediate stays inside it and a construction can
+    /// stop once it is empty; `BddRef::TRUE` asks for the plain
+    /// condition.
     ///
     /// Fallible so a budgeted manager (see [`CertifyBudget`]) can surface
     /// [`BddOverflow`] mid-construction; on an unbudgeted manager the
     /// `try_*` BDD operations never fail.
-    fn undetected_next(&self, b: &mut Bdd, next: &[BddRef]) -> Result<BddRef, BddOverflow>;
+    fn undetected_within(
+        &self,
+        b: &mut Bdd,
+        next: &[BddRef],
+        within: BddRef,
+    ) -> Result<BddRef, BddOverflow>;
 
     /// The input-space assumption the certification quantifies under,
     /// over the module's input-port functions `inputs`.
@@ -85,7 +96,8 @@ pub trait CertifyModel {
         Ok(b.constant(true))
     }
 
-    /// Concrete counterpart of [`CertifyModel::undetected_next`].
+    /// Concrete counterpart of [`CertifyModel::undetected_within`] (with
+    /// `within = TRUE`).
     fn undetected_next_concrete(&self, next: &[bool]) -> bool;
 
     /// Output-port indices whose assertion during the faulty cycle counts
@@ -110,18 +122,23 @@ pub(crate) fn or_ports(
     Ok(any)
 }
 
-/// Builds the disjunction of exact-word matches `⋁_w (next == w)`.
-fn word_match_any(
+/// Builds `within ∧ ⋁_w (next == w)`: each word's cube starts from
+/// `within` and stops once it is empty.
+fn word_match_within(
     b: &mut Bdd,
     next: &[BddRef],
     words: &[Vec<bool>],
+    within: BddRef,
 ) -> Result<BddRef, BddOverflow> {
     let mut any = BddRef::FALSE;
     for word in words {
         debug_assert_eq!(word.len(), next.len(), "codeword width mismatch");
-        let mut cube = BddRef::TRUE;
+        let mut cube = within;
         for (&bit, &value) in next.iter().zip(word) {
-            let lit = if value { bit } else { b.try_not(bit)? };
+            if cube == BddRef::FALSE {
+                break;
+            }
+            let lit = if value { bit } else { b.not(bit) };
             cube = b.try_and(cube, lit)?;
         }
         any = b.try_or(any, cube)?;
@@ -134,14 +151,19 @@ impl CertifyModel for HardenedFsm {
         HardenedFsm::module(self)
     }
 
-    fn undetected_next(&self, b: &mut Bdd, next: &[BddRef]) -> Result<BddRef, BddOverflow> {
+    fn undetected_within(
+        &self,
+        b: &mut Bdd,
+        next: &[BddRef],
+        within: BddRef,
+    ) -> Result<BddRef, BddOverflow> {
         // Escaping means landing on some *operational* codeword; the
         // all-zero ERROR word and every non-codeword are caught by the
         // decode (`StateDecode::Error` / `Invalid`).
         let words: Vec<Vec<bool>> = (0..self.fsm().state_count())
             .map(|s| self.encode_state(scfi_fsm::StateId(s)).iter().collect())
             .collect();
-        word_match_any(b, next, &words)
+        word_match_within(b, next, &words, within)
     }
 
     fn undetected_next_concrete(&self, next: &[bool]) -> bool {
@@ -152,7 +174,7 @@ impl CertifyModel for HardenedFsm {
         let words: Vec<Vec<bool>> = (0..self.cond_code().len())
             .map(|c| self.cond_code().word(c).iter().collect())
             .collect();
-        word_match_any(b, inputs, &words)
+        word_match_within(b, inputs, &words, BddRef::TRUE)
     }
 
     fn detection_ports(&self) -> Vec<usize> {
@@ -170,15 +192,23 @@ impl CertifyModel for RedundantFsm {
         RedundantFsm::module(self)
     }
 
-    fn undetected_next(&self, b: &mut Bdd, next: &[BddRef]) -> Result<BddRef, BddOverflow> {
+    fn undetected_within(
+        &self,
+        b: &mut Bdd,
+        next: &[BddRef],
+        within: BddRef,
+    ) -> Result<BddRef, BddOverflow> {
         // Escaping the redundancy scheme means every replica bank agrees
         // with bank 0 after the step — the mismatch detector (evaluated
         // on the post-step banks, exactly like the campaign classifier)
         // stays silent on any agreed word, in range or not.
         let sb = self.state_bits();
-        let mut agree = BddRef::TRUE;
+        let mut agree = within;
         for bank in next.chunks(sb).skip(1) {
             for (&a, &c) in next[..sb].iter().zip(bank) {
+                if agree == BddRef::FALSE {
+                    return Ok(agree);
+                }
                 let eq = b.try_xnor(a, c)?;
                 agree = b.try_and(agree, eq)?;
             }
@@ -197,7 +227,7 @@ impl CertifyModel for RedundantFsm {
         let words: Vec<Vec<bool>> = (0..self.cond_code().len())
             .map(|c| self.cond_code().word(c).iter().collect())
             .collect();
-        word_match_any(b, inputs, &words)
+        word_match_within(b, inputs, &words, BddRef::TRUE)
     }
 
     fn detection_ports(&self) -> Vec<usize> {
@@ -214,8 +244,13 @@ impl CertifyModel for LoweredFsm {
         LoweredFsm::module(self)
     }
 
-    fn undetected_next(&self, b: &mut Bdd, _next: &[BddRef]) -> Result<BddRef, BddOverflow> {
-        Ok(b.constant(true)) // no detection mechanism exists
+    fn undetected_within(
+        &self,
+        _b: &mut Bdd,
+        _next: &[BddRef],
+        within: BddRef,
+    ) -> Result<BddRef, BddOverflow> {
+        Ok(within) // no detection mechanism exists
     }
 
     fn undetected_next_concrete(&self, _next: &[bool]) -> bool {
@@ -815,15 +850,12 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
             diverge = b.try_or(diverge, d)?;
         }
 
-        let undetected = self.model.undetected_next(b, &faulty.next_regs)?;
         let alerted = or_ports(b, &faulty, &self.detection_ports)?;
-        let quiet = b.try_not(alerted)?;
-        let escape = {
-            let e = b.try_and(diverge, undetected)?;
-            let e = b.try_and(e, quiet)?;
-            let e = b.try_and(e, self.assumption)?;
-            b.try_and(e, self.reach.states)?
+        let within = {
+            let w = b.try_and(diverge, b.not(alerted))?;
+            b.try_and(w, self.care)?
         };
+        let escape = self.model.undetected_within(b, &faulty.next_regs, within)?;
         Ok((faulty, diverge, escape))
     }
 
@@ -855,9 +887,7 @@ impl<'m, M: CertifyModel> Certifier<'m, M> {
             let faulty_alert = or_ports(b, &faulty, ports)?;
             let alert_diff = b.try_xor(base_alert, faulty_alert)?;
             let observable = b.try_or(diverge, alert_diff)?;
-            let effect = b.try_and(observable, self.reach.states)?;
-            let effect = b.try_and(effect, self.assumption)?;
-            if effect == BddRef::FALSE {
+            if b.try_and(observable, self.care)? == BddRef::FALSE {
                 Ok(Verdict::ProvenMasked)
             } else {
                 Ok(Verdict::ProvenDetected)
@@ -994,7 +1024,10 @@ mod tests {
                 let d = b.xor(free, bad);
                 diverge = b.or(diverge, d);
             }
-            let undetected = self.model.undetected_next(b, &faulty.next_regs).unwrap();
+            let undetected = self
+                .model
+                .undetected_within(b, &faulty.next_regs, BddRef::TRUE)
+                .unwrap();
             let alerted = or_ports(b, &faulty, &self.detection_ports).unwrap();
             let quiet = b.not(alerted);
             let e = b.and(diverge, undetected);
@@ -1127,12 +1160,13 @@ mod tests {
             fn module(&self) -> &Module {
                 self.0
             }
-            fn undetected_next(
+            fn undetected_within(
                 &self,
-                b: &mut Bdd,
+                _b: &mut Bdd,
                 _next: &[BddRef],
+                within: BddRef,
             ) -> Result<BddRef, BddOverflow> {
-                Ok(b.constant(true))
+                Ok(within)
             }
             fn undetected_next_concrete(&self, _next: &[bool]) -> bool {
                 true

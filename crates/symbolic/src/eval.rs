@@ -199,15 +199,16 @@ struct Transform {
 }
 
 impl Transform {
-    fn apply(self, b: &mut Bdd, raw: BddRef) -> Result<BddRef, BddOverflow> {
-        let mut v = match self.stuck {
+    fn apply(self, b: &Bdd, raw: BddRef) -> BddRef {
+        let v = match self.stuck {
             Some(s) => b.constant(s),
             None => raw,
         };
         if self.flip {
-            v = b.try_not(v)?;
+            b.not(v)
+        } else {
+            v
         }
-        Ok(v)
     }
 }
 
@@ -261,7 +262,7 @@ impl FaultMasks {
     ) -> Result<BddRef, BddOverflow> {
         match transform {
             Some(t) => {
-                let v = t.apply(b, raw)?;
+                let v = t.apply(b, raw);
                 b.try_and(v, self.care)
             }
             None => Ok(raw),
@@ -343,7 +344,7 @@ impl GuardedMasks {
         for &(effect, guard) in transforms {
             match effect {
                 FaultEffect::Stuck0 => {
-                    let keep = b.try_not(guard)?;
+                    let keep = b.not(guard);
                     v = b.try_and(v, keep)?;
                 }
                 FaultEffect::Stuck1 => v = b.try_or(v, guard)?,
@@ -612,7 +613,7 @@ impl<'m> SymbolicEvaluator<'m> {
             CellKind::Buf => read(b, 0)?,
             CellKind::Not => {
                 let a = read(b, 0)?;
-                b.try_not(a)?
+                b.not(a)
             }
             CellKind::And => {
                 let (x, y) = (read(b, 0)?, read(b, 1)?);
@@ -760,7 +761,7 @@ impl<'m> SymbolicEvaluator<'m> {
             CellKind::Buf => read(b, 0)?,
             CellKind::Not => {
                 let a = read(b, 0)?;
-                b.try_not(a)?
+                b.not(a)
             }
             CellKind::And => {
                 let (x, y) = (read(b, 0)?, read(b, 1)?);

@@ -8,8 +8,9 @@
 //! per injection — and can therefore only ever *sample* it. This crate
 //! closes the gap with a symbolic engine:
 //!
-//! 1. [`Bdd`] — a small hash-consed ROBDD package (unique table,
-//!    memoized `ite`, quantification, renaming, witness extraction).
+//! 1. [`Bdd`] — a small ROBDD package with complement edges (nodes
+//!    chained into their own unique table, `ite` through a bounded
+//!    computed table, quantification, renaming, witness extraction).
 //! 2. [`SymbolicEvaluator`] — runs a [`Module`](scfi_netlist::Module)
 //!    for one clock cycle with fully symbolic inputs and register state;
 //!    the 2-input `CellKind` set maps 1:1 onto BDD connectives, and the

@@ -286,16 +286,12 @@ impl<M: CertifyModel> Certifier<'_, M> {
             let d = b.try_xor(free, bad)?;
             diverge = b.try_or(diverge, d)?;
         }
-        let undetected = self.model.undetected_next(b, &faulty.next_regs)?;
         let alerted = or_ports(b, &faulty, &self.detection_ports)?;
-        let quiet = b.try_not(alerted)?;
-        let escape = {
-            let e = b.try_and(diverge, undetected)?;
-            let e = b.try_and(e, quiet)?;
-            let e = b.try_and(e, self.assumption)?;
-            let e = b.try_and(e, self.reach.states)?;
-            b.try_and(e, cardinality)?
+        let within = {
+            let w = b.try_and(diverge, b.not(alerted))?;
+            b.try_and(w, care)?
         };
+        let escape = self.model.undetected_within(b, &faulty.next_regs, within)?;
 
         if escape == BddRef::FALSE {
             return Ok(JointVerdict::Proved);
@@ -424,12 +420,13 @@ impl<M: CertifyModel> Certifier<'_, M> {
                 let d = b.try_xor(free, bad)?;
                 diverge = b.try_or(diverge, d)?;
             }
-            let undetected = self.model.undetected_next(b, &f.next_regs)?;
+            let undetected = self
+                .model
+                .undetected_within(b, &f.next_regs, BddRef::TRUE)?;
             let alerted = or_ports(b, &f, &self.detection_ports)?;
             let hijack = b.try_and(diverge, undetected)?;
             any_hijack = b.try_or(any_hijack, hijack)?;
-            let no_alert = b.try_not(alerted)?;
-            let quiet = b.try_and(no_alert, undetected)?;
+            let quiet = b.try_and(b.not(alerted), undetected)?;
             all_quiet = b.try_and(all_quiet, quiet)?;
 
             golden = g.next_regs;

@@ -11,6 +11,11 @@
 //! Random functions are built from flat SSA-style op chains over ≤ 12
 //! variables, exhaustively compared against a reference truth-table
 //! evaluator on every assignment.
+//!
+//! Every reader of an edge's complement bit — `eval`, `exists`,
+//! `rename`, `sat_one`, `sat_one_minimal` and `sat_count` — is checked
+//! against the same truth tables, and `not` must flip the bit without
+//! allocating.
 
 use proptest::prelude::*;
 use scfi_symbolic::{Bdd, BddRef};
@@ -183,5 +188,79 @@ proptest! {
             let hi = b.eval(f, &a);
             prop_assert_eq!(b.eval(quantified, &a), lo || hi);
         }
+    }
+
+    /// Model counting matches the truth table's count of `true` rows.
+    #[test]
+    fn sat_count_equals_the_truth_table_count((n_vars, ops) in chain(10, 24)) {
+        let mut b = Bdd::new();
+        let f = build(&mut b, n_vars, &ops);
+        let vars: Vec<u32> = (0..n_vars as u32).collect();
+        let models = truth_table(n_vars, &ops).iter().filter(|&&t| t).count();
+        prop_assert_eq!(b.sat_count(f, &vars), models as f64);
+    }
+
+    /// Both witnesses satisfy `f` once their don't-cares default to
+    /// `false`, and the fewest-care witness pins no more variables than
+    /// the plain one. An unsatisfiable `f` has neither.
+    #[test]
+    fn witnesses_satisfy_f_and_the_minimal_one_pins_no_more((n_vars, ops) in chain(10, 24)) {
+        let mut b = Bdd::new();
+        let f = build(&mut b, n_vars, &ops);
+        let (plain, minimal) = (b.sat_one(f), b.sat_one_minimal(f));
+        let Some(plain) = plain else {
+            prop_assert_eq!(minimal, None);
+            prop_assert!(truth_table(n_vars, &ops).iter().all(|&t| !t));
+            return Ok(());
+        };
+        let minimal = minimal.expect("satisfiable");
+        for witness in [&plain, &minimal] {
+            let mut a = vec![false; n_vars];
+            for &(v, value) in witness {
+                a[v as usize] = value;
+            }
+            prop_assert!(b.eval(f, &a), "witness {:?}", witness);
+        }
+        prop_assert!(minimal.len() <= plain.len());
+    }
+
+    /// Renaming every variable `v` to `v + 1` shifts the truth table:
+    /// the renamed function ignores variable 0 and reads `f`'s variable
+    /// `v` at `v + 1`.
+    #[test]
+    fn rename_shifts_the_truth_table((n_vars, ops) in chain(10, 24)) {
+        let mut b = Bdd::new();
+        let f = build(&mut b, n_vars, &ops);
+        let shifted = b.rename(f, &|v| v + 1);
+        let table = truth_table(n_vars, &ops);
+        for bits in 0u64..1 << (n_vars + 1) {
+            let a: Vec<bool> = (0..=n_vars).map(|v| bits >> v & 1 == 1).collect();
+            prop_assert_eq!(b.eval(shifted, &a), table[(bits >> 1) as usize], "assignment {:b}", bits);
+        }
+    }
+
+    /// Evaluating `not(f)` negates evaluating `f` on every assignment.
+    #[test]
+    fn eval_of_not_negates_eval((n_vars, ops) in chain(10, 24)) {
+        let mut b = Bdd::new();
+        let f = build(&mut b, n_vars, &ops);
+        let nf = b.not(f);
+        for bits in 0u64..1 << n_vars {
+            let a: Vec<bool> = (0..n_vars).map(|v| bits >> v & 1 == 1).collect();
+            prop_assert_eq!(b.eval(nf, &a), !b.eval(f, &a), "assignment {:b}", bits);
+        }
+    }
+
+    /// `not` is an involution on handles, and it allocates no node:
+    /// `f` and `¬f` share every node through a complemented edge.
+    #[test]
+    fn not_is_a_free_involution((n_vars, ops) in chain(10, 24)) {
+        let mut b = Bdd::new();
+        let f = build(&mut b, n_vars, &ops);
+        let nodes = b.node_count();
+        let nf = b.not(f);
+        prop_assert_ne!(nf, f);
+        prop_assert_eq!(b.not(nf), f);
+        prop_assert_eq!(b.node_count(), nodes);
     }
 }

@@ -1,12 +1,13 @@
 //! Pins the BDD package's *work*, not just its verdicts.
 //!
-//! A change to the package's tables (hashing, layout, memo policy) must
-//! leave the sequence of node allocations, recursive steps and memo
-//! lookups unchanged: that is what keeps every budget-induced `Unknown`
-//! byte-identical, because node and step budgets count exactly this
-//! work. The counts below were recorded from a recording [`Telemetry`]
-//! handle passed to [`Certifier::with_instruments`] on Table-1 FSMs at
-//! N ∈ {2, 3}; any drift — one extra node, one lost memo hit — fails.
+//! A change to the package's tables (hashing, layout, cache policy) must
+//! leave the sequence of node allocations, recursive steps and
+//! computed-table lookups unchanged: that is what keeps every
+//! budget-induced `Unknown` byte-identical, because node and step
+//! budgets count exactly this work. The counts below were recorded from
+//! a recording [`Telemetry`] handle passed to
+//! [`Certifier::with_instruments`] on Table-1 FSMs at N ∈ {2, 3}; any
+//! drift — one extra node, one lost cache hit — fails.
 //!
 //! The node-budget edges then show the counts are exact: a budget equal
 //! to the recorded node count changes nothing, one node less turns the
@@ -17,14 +18,22 @@
 //! function with `R` once; each site then re-evaluates its fault cone
 //! inside `R` (`SymbolicEvaluator::try_eval_fault_from`'s `care`). The
 //! joint proof evaluates inside `R` ANDed with its selector-cardinality
-//! constraint (`SymbolicEvaluator::try_eval_guarded`'s `care`). Both
-//! moved the counts on purpose: fewer nodes on every row, so a node
-//! budget admits more sites. The one-time restriction is charged to the
-//! node budget and the deadline, never to the first site's step
-//! allowance, so `steps` counts site work only. A restriction that
-//! overflows leaves that site `Unknown`, never proved. The `Joint` rows
-//! move with both care sets, because the certifications of the first
-//! site that bracket the joint proof build the restricted base.
+//! constraint (`SymbolicEvaluator::try_eval_guarded`'s `care`). The
+//! one-time restriction is charged to the node budget and the deadline,
+//! never to the first site's step allowance, so `steps` counts site work
+//! only. A restriction that overflows leaves that site `Unknown`, never
+//! proved. The `Joint` rows move with both care sets, because the
+//! certifications of the first site that bracket the joint proof build
+//! the restricted base.
+//!
+//! The rows count complement-edge nodes: `f` and `¬f` share their
+//! nodes, and node 0 is the only terminal. `hits` and `misses` count
+//! lookups in the bounded, lossy `ite` computed table, so a miss may be
+//! the recomputation of an evicted call, and each miss is one step. Each
+//! escape is built inside the rest of its escape condition
+//! (`CertifyModel::undetected_within`). Against the package with two
+//! lossless `HashMap`s and undetected words built outside the escape,
+//! every row has 16–32% fewer nodes and the same verdicts.
 
 use scfi_core::{harden, HardenedFsm, ScfiConfig};
 use scfi_faultsim::{enumerate_faults, CampaignConfig, Fault, FaultEffect};
@@ -68,23 +77,22 @@ const fn work(nodes: u64, steps: u64, sites: u64, hits: u64, misses: u64) -> Wor
     }
 }
 
-/// `(fsm, N, check, recorded work)`, recorded with SipHash tables; any
-/// hasher must reproduce them exactly.
+/// `(fsm, N, check, recorded work)`.
 #[rustfmt::skip]
 const PINS: &[(&str, usize, Check, Work)] = &[
     //                                    nodes   steps  sites    hits  misses
-    ("aes_control",      2, Ft1,    work(   871,    243,     8,   1076,   1779)),
-    ("pwrmgr_fsm",       3, Ft1,    work(  3819,   1294,    14,   4257,   8522)),
-    ("i2c_fsm",          3, Ft1,    work( 15391,   4518,    18,  14879,  31884)),
-    ("ibex_controller",  2, Ft1,    work(  2165,    546,    10,   2246,   4117)),
-    ("otbn_controller",  2, Gates,  work(  5444,  14161,   132,  16047,  16043)),
-    ("aes_control",      3, Gates,  work(  9197,  22992,   199,  34078,  27585)),
-    ("ibex_lsu",         3, Gates,  work( 19525,  46109,   251,  57248,  53903)),
-    ("i2c_fsm",          2, Gates,  work(116358, 285309,   529, 335441, 295075)),
-    ("adc_ctrl_fsm",     2, Joint,  work(  5569,    368,     2,   4897,  11185)),
-    ("aes_control",      3, Joint,  work(  8027,    427,     2,   6090,  17484)),
-    ("pwrmgr_fsm",       3, Joint,  work( 12931,    641,     2,  10484,  29469)),
-    ("i2c_fsm",          2, Joint,  work( 12355,    651,     2,  11793,  24207)),
+    ("aes_control",      2, Ft1,    work(   733,    163,     8,    715,   1616)),
+    ("pwrmgr_fsm",       3, Ft1,    work(  3114,   1002,    14,   2922,   7667)),
+    ("i2c_fsm",          3, Ft1,    work( 12558,   3577,    18,  10572,  28313)),
+    ("ibex_controller",  2, Ft1,    work(  1822,    417,    10,   1578,   3733)),
+    ("otbn_controller",  2, Gates,  work(  3772,  15144,   132,   9037,  16869)),
+    ("aes_control",      3, Gates,  work(  6377,  23677,   199,  18148,  27929)),
+    ("ibex_lsu",         3, Gates,  work( 13527,  46185,   251,  30597,  53367)),
+    ("i2c_fsm",          2, Gates,  work( 78686, 291117,   529, 221005, 300403)),
+    ("adc_ctrl_fsm",     2, Joint,  work(  4446,    389,     2,   3213,   9506)),
+    ("aes_control",      3, Joint,  work(  6178,    475,     2,   3399,  14207)),
+    ("pwrmgr_fsm",       3, Joint,  work( 10046,    800,     2,   6078,  23786)),
+    ("i2c_fsm",          2, Joint,  work(  9953,    723,     2,   8027,  20258)),
 ];
 
 fn hardened(fsm: &str, level: usize) -> HardenedFsm {
@@ -118,7 +126,8 @@ struct Run {
 /// Telemetry flushes the BDD counters after each certified site and
 /// after a joint proof. A joint proof is bracketed by two certifications
 /// of the first site, so its row also pins the per-site work around it:
-/// the repeat answers every `ite` from the memo and allocates nothing,
+/// the repeat recomputes only the calls the joint proof evicted from the
+/// computed table and finds every node it builds in the unique table,
 /// so the last allocating unit of work is the joint proof itself.
 fn run(fsm: &str, level: usize, check: Check, budget: CertifyBudget) -> Run {
     let h = hardened(fsm, level);
