@@ -119,11 +119,13 @@ width and thread count, only throughput changes. `--format csv|json`
 streams the per-site vulnerability map instead of the text summary.
 
 `--fuzz-inputs` (requires `--protocol`) biases the protocol walks
-adversarially: each cycle's condition word is sampled toward valid
-codewords closest to a *wrong* edge's word, the inputs a glitch is most
-likely to confuse. `--fault-windows` (requires `--multi`) arms each
-drawn fault on its own independently sampled cycle of the schedule
-instead of one shared window — the paper's §3 temporal attacker.
+adversarially: at each step, with probability 1/2 the walk takes the
+outgoing edge whose condition codeword is Hamming-closest to the
+previous step's, the schedules a glitch is most likely to confuse. Every
+step still drives its own edge's codeword. `--fault-windows` (requires
+`--multi`) arms each drawn fault on its own independently sampled cycle
+of the schedule instead of one shared window — the paper's §3 temporal
+attacker.
 
 `scfi analyze` *samples* the detection claim with simulation campaigns
 over concrete scenarios; `scfi certify` *proves* it, building BDDs of

@@ -36,6 +36,7 @@ use scfi_telemetry::Telemetry;
 
 use crate::campaign::{run_item_scalar, CampaignConfig, Outcome};
 use crate::control::{panic_message, CampaignError, PartialReport, RunControl, StopReason};
+use crate::table::ScenarioTable;
 use crate::target::{FaultTarget, Scenario};
 use crate::wave::{wave_worker, WorkList};
 
@@ -195,22 +196,31 @@ impl CampaignBackend for PackedBackend {
                 &owned
             }
         };
-        let width = config.lane_width();
         let (threads, telemetry) = (config.thread_count(), config.telemetry_handle());
-        let lanes = width.lanes();
-        match width.words() {
-            1 => run_waves(work, lanes, threads, control, telemetry, || {
-                wave_worker::<T, 1>(target, compiled, work, telemetry)
-            }),
-            2 => run_waves(work, lanes, threads, control, telemetry, || {
-                wave_worker::<T, 2>(target, compiled, work, telemetry)
-            }),
-            4 => run_waves(work, lanes, threads, control, telemetry, || {
-                wave_worker::<T, 4>(target, compiled, work, telemetry)
-            }),
+        match config.lane_width().words() {
+            1 => run_packed::<1>(target, compiled, work, threads, control, telemetry),
+            2 => run_packed::<2>(target, compiled, work, threads, control, telemetry),
+            4 => run_packed::<4>(target, compiled, work, threads, control, telemetry),
             _ => unreachable!("LaneWidth admits only 1, 2 or 4 words"),
         }
     }
+}
+
+/// The packed backend at `W` lane words: one scenario table for the run,
+/// shared by every worker's wave body. Generic over the width only: the
+/// target is reached through the table, off the per-lane path.
+fn run_packed<const W: usize>(
+    target: &dyn FaultTarget,
+    compiled: &PackedNetlist,
+    work: &WorkList,
+    threads: usize,
+    control: &RunControl,
+    telemetry: &Telemetry,
+) -> Result<Vec<Outcome>, CampaignError> {
+    let table = ScenarioTable::<W>::new(target, work, telemetry);
+    run_waves(work, LANES * W, threads, control, telemetry, || {
+        wave_worker(&table, compiled, work, telemetry)
+    })
 }
 
 /// The waves of one run, claimed in slot order under one lock.

@@ -571,14 +571,7 @@ pub(crate) fn try_exhaustive_work<T: FaultTarget>(
     target: &T,
     faults: &[Fault],
 ) -> Result<WorkList, CampaignError> {
-    let scenarios = target.scenario_count();
-    let mut work = WorkList::with_capacity(scenarios * faults.len());
-    for s in 0..scenarios {
-        for fault in faults {
-            work.try_push(s, std::slice::from_ref(fault))?;
-        }
-    }
-    Ok(work)
+    WorkList::try_exhaustive(target.scenario_count(), faults)
 }
 
 /// Draws the multi-fault work list: `runs` items of `faults_per_run`

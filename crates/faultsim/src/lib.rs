@@ -96,6 +96,7 @@ mod backend;
 mod campaign;
 mod control;
 mod oracle;
+mod table;
 mod target;
 mod vulnerability;
 mod wave;

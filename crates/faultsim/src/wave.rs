@@ -26,31 +26,57 @@
 //! # The wave loop
 //!
 //! A wave's work per cycle scales with its scenario slots and its armed
-//! faults, not with its `64 · W` lanes. Once per wave, each distinct
-//! scenario of the wave gets a slot holding the lane mask of the lanes
-//! that run it, and each lane's faults go into per-cycle arming buckets:
-//! a register flip at its window's flip cycle, a net or pin fault on
-//! every cycle its window is open, and nothing at or past the lane's
-//! scenario length. Registers are preloaded by OR-ing each slot's lane
-//! mask into the words of its set register bits.
+//! faults, not with its `64 · W` lanes, and a wave steps only the cycles
+//! whose verdicts are not known yet. The workers of a packed campaign
+//! share one scenario table (`table.rs`): every scenario is materialized
+//! once, and on a target with a [`WaveOracle`] every multi-cycle scenario
+//! also has its fault-free run (the registers before each cycle, and the
+//! fault-free verdicts folded before and after it). On an exhaustive work
+//! list the table adds transition rows, shared by the walks that revisit
+//! an edge: each fault of the list stepped once from the edge's
+//! fault-free registers and input word.
 //!
-//! Every cycle is then stepped the same way. The fault masks are cleared
-//! and exactly that cycle's bucket is armed, which is the scalar
-//! reference's schedule with no state carried between cycles (register
-//! flips mutate stored state, so the clear never undoes them). Each slot
-//! whose scenario is still running drives its lane mask into the words of
-//! its set input bits. One full settle ([`PackedSimulator::step_into`])
-//! runs, and the running lanes whose verdict is not yet `Detected` are
-//! classified into per-word detected and hijack masks, which become
-//! [`Outcome`]s once per wave ([`Outcome::fold`] makes `Detected`
-//! terminal, then `Hijack`).
+//! Once per wave, one pass over its items resolves what the table knows
+//! and schedules the rest. A lane whose single fault is armed on one
+//! cycle `c` reads its row: detected, or back on the fault-free registers
+//! after `c`, it folds the fault-free verdicts before and after `c`
+//! around the row's verdict for `c` and is never simulated; otherwise it
+//! rejoins the wave on cycle `c + 1`, with the row's post-step registers
+//! flipped in where they differ from the fault-free ones. A lane with
+//! nothing armed takes the fault-free verdict. Every other lane gets its
+//! scenario's slot (through a scenario→slot index, with the slot's lane
+//! mask), its faults in per-cycle arming buckets — a register flip at its
+//! window's flip cycle, a net or pin fault on every cycle its window is
+//! open, nothing at or past the lane's scenario length — and its first
+//! and last armed cycle.
+//!
+//! The wave starts at its earliest first armed cycle, every lane
+//! preloaded with its scenario's fault-free registers there (each slot's
+//! lane mask OR-ed into the words of its set register bits), and every
+//! cycle is stepped the same way. The fault masks are cleared and exactly
+//! that cycle's bucket is armed, which is the scalar reference's schedule
+//! with no state carried between cycles (register flips mutate stored
+//! state, so the clear never undoes them). Each slot whose scenario is
+//! still running drives its lane mask into the words of its set input
+//! bits. One full settle ([`PackedSimulator::step_into`]) runs, and the
+//! lanes that have reached their first armed cycle and are not yet
+//! decided are classified into per-word detected and hijack masks, which
+//! become [`Outcome`]s once per wave ([`Outcome::fold`] makes `Detected`
+//! terminal, then `Hijack`). A lane's verdict starts as the fold of the
+//! fault-free cycles it skipped. A lane past its last armed cycle whose
+//! registers equal its scenario's fault-free registers follows the
+//! fault-free run from then on: it folds the fault-free verdicts still to
+//! come and settles. The wave stops once every simulated lane is
+//! detected, settled or past its scenario.
 //!
 //! Lanes are independent bit positions of every net word, so a lane that
-//! has settled on `Detected` may still be driven and armed with the
-//! others: it is only left out of classification. A lane past its own
-//! scenario length is neither driven, armed nor classified. Reports stay
-//! byte-identical to the scalar reference; the differential suites assert
-//! this at every width.
+//! is decided, or has not reached its first armed cycle, may still be
+//! driven and armed with the others: it is only left out of
+//! classification. A lane past its own scenario length is neither driven,
+//! armed nor classified. Lanes without a fault-free run (one-cycle
+//! scenarios, targets without an oracle) start on cycle 0 and are never
+//! settled early. Reports stay byte-identical to the scalar reference;
+//! the differential suites assert this at every width.
 //!
 //! This module computes one wave at a time and nothing else. Which worker
 //! runs which wave, admission, panic isolation and the thread fan-out
@@ -65,7 +91,8 @@ use scfi_telemetry::Telemetry;
 
 use crate::campaign::{Fault, FaultEffect, FaultSite, Outcome};
 use crate::control::CampaignError;
-use crate::target::{FaultTarget, FaultTiming, Scenario};
+use crate::table::{bit_at, same_regs, Entry, ScenarioTable, Scratch, Traj};
+use crate::target::{FaultTiming, Scenario};
 
 /// A flat `(scenario, faults)` work list: item `i` injects the fault group
 /// `faults(i)` into scenario `scenario(i)`. Single-fault campaigns store
@@ -78,11 +105,22 @@ use crate::target::{FaultTarget, FaultTiming, Scenario};
 /// the vulnerability map's fold relies on; the executor's correctness
 /// does not depend on the ordering.
 ///
-/// A plain item costs a scenario index, a fault offset and its faults;
-/// per-fault window overrides are stored only once a
-/// [scheduled push](Self::push_scheduled) has been made.
+/// A list in that exhaustive shape — item `i` injects fault `i mod F` of
+/// one fault list alone into scenario `i / F` — stores only its `F`
+/// faults, however it was pushed. Any other list stores per item a
+/// scenario index, a fault offset and its faults; per-fault window
+/// overrides are stored only once a [scheduled push](Self::push_scheduled)
+/// has been made.
 #[derive(Clone, Debug)]
 pub struct WorkList {
+    /// See [`period`](Self::period). While it is nonzero, `faults` holds
+    /// the `F` faults of the list and the other vectors stay empty.
+    period: usize,
+    /// Number of items.
+    len: usize,
+    /// The `(scenario, fault index)` of the next item of an exhaustive
+    /// list whose first scenario's run is complete.
+    next: (usize, usize),
     scenarios: Vec<u32>,
     /// Prefix offsets into `faults`, one extra entry at the end.
     offsets: Vec<u32>,
@@ -97,14 +135,45 @@ pub struct WorkList {
 impl WorkList {
     /// An empty work list with room for `items` entries.
     pub fn with_capacity(items: usize) -> Self {
-        let mut w = WorkList {
+        WorkList {
+            period: 0,
+            len: 0,
+            next: (0, 0),
             scenarios: Vec::with_capacity(items),
-            offsets: Vec::with_capacity(items + 1),
+            offsets: {
+                let mut offsets = Vec::with_capacity(items + 1);
+                offsets.push(0);
+                offsets
+            },
             faults: Vec::with_capacity(items),
             windows: Vec::new(),
-        };
-        w.offsets.push(0);
-        w
+        }
+    }
+
+    /// The exhaustive list: every fault of `faults` alone in each of
+    /// `scenarios` scenarios, scenario-major — or
+    /// [`CampaignError::WorkListOverflow`] past the packed `u32`
+    /// representation, like [`try_push`](Self::try_push).
+    pub(crate) fn try_exhaustive(
+        scenarios: usize,
+        faults: &[Fault],
+    ) -> Result<Self, CampaignError> {
+        const LIMIT: usize = u32::MAX as usize;
+        let items = scenarios.saturating_mul(faults.len());
+        if items > LIMIT {
+            return Err(CampaignError::WorkListOverflow {
+                items,
+                limit: LIMIT,
+            });
+        }
+        let mut w = WorkList::with_capacity(0);
+        if items > 0 {
+            w.period = faults.len();
+            w.len = items;
+            w.next = (scenarios, 0);
+            w.faults = faults.to_vec();
+        }
+        Ok(w)
     }
 
     /// Appends one item injecting `faults` simultaneously into `scenario`.
@@ -127,27 +196,7 @@ impl WorkList {
     /// large must be split into sub-campaigns rather than silently wrap
     /// and attribute outcomes to the wrong scenarios.
     pub fn try_push(&mut self, scenario: usize, faults: &[Fault]) -> Result<(), CampaignError> {
-        const LIMIT: usize = u32::MAX as usize;
-        let Ok(scenario) = u32::try_from(scenario) else {
-            return Err(CampaignError::WorkListOverflow {
-                items: scenario,
-                limit: LIMIT,
-            });
-        };
-        let end = self.faults.len() + faults.len();
-        let Ok(end) = u32::try_from(end) else {
-            return Err(CampaignError::WorkListOverflow {
-                items: end,
-                limit: LIMIT,
-            });
-        };
-        self.scenarios.push(scenario);
-        self.faults.extend_from_slice(faults);
-        if !self.windows.is_empty() {
-            self.windows.resize(self.faults.len(), None);
-        }
-        self.offsets.push(end);
-        Ok(())
+        self.push_item(scenario, faults, true)
     }
 
     /// Appends one item whose fault `j` overrides its arming window with
@@ -182,29 +231,172 @@ impl WorkList {
             faults.len(),
             "one arming window per fault of the group"
         );
-        self.try_push(scenario, faults)?;
+        self.push_item(scenario, faults, false)?;
         // The first scheduled push back-fills every earlier fault with
-        // `None`; later ones overwrite the entries `try_push` added.
+        // `None`; later ones overwrite the entries `push_item` added.
         self.windows.resize(self.faults.len() - faults.len(), None);
         self.windows.extend(windows.iter().copied().map(Some));
         Ok(())
     }
 
+    /// Appends one item, kept in the exhaustive shape when `plain` and the
+    /// item continues it, and written out explicitly otherwise.
+    fn push_item(
+        &mut self,
+        scenario: usize,
+        faults: &[Fault],
+        plain: bool,
+    ) -> Result<(), CampaignError> {
+        const LIMIT: usize = u32::MAX as usize;
+        let Ok(scenario32) = u32::try_from(scenario) else {
+            return Err(CampaignError::WorkListOverflow {
+                items: scenario,
+                limit: LIMIT,
+            });
+        };
+        let stored = if self.period > 0 {
+            self.len
+        } else {
+            self.faults.len()
+        };
+        let Ok(end) = u32::try_from(stored + faults.len()) else {
+            return Err(CampaignError::WorkListOverflow {
+                items: stored + faults.len(),
+                limit: LIMIT,
+            });
+        };
+        if plain && self.continue_shape(scenario, faults) {
+            self.len += 1;
+            return Ok(());
+        }
+        self.expand();
+        self.scenarios.push(scenario32);
+        self.faults.extend_from_slice(faults);
+        if !self.windows.is_empty() {
+            self.windows.resize(self.faults.len(), None);
+        }
+        self.offsets.push(end);
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Whether a plain `(scenario, faults)` item continues the exhaustive
+    /// shape of the list so far; records it in the shape if so.
+    fn continue_shape(&mut self, scenario: usize, faults: &[Fault]) -> bool {
+        let &[fault] = faults else {
+            return false;
+        };
+        if self.len == self.period && scenario == 0 {
+            // Every item so far injects into scenario 0: the list grows.
+            self.faults.push(fault);
+            self.period += 1;
+            return true;
+        }
+        if self.period == 0 {
+            return false;
+        }
+        // The first run closed when this list reached `period` items.
+        let (run, k) = if self.len == self.period {
+            (1, 0)
+        } else {
+            self.next
+        };
+        if scenario != run || fault != self.faults[k] {
+            return false;
+        }
+        self.next = if k + 1 == self.period {
+            (run + 1, 0)
+        } else {
+            (run, k + 1)
+        };
+        true
+    }
+
+    /// Writes the items of an exhaustive list out one by one, so that it
+    /// can take an item of another shape.
+    fn expand(&mut self) {
+        let (period, len) = (std::mem::take(&mut self.period), self.len);
+        if period == 0 {
+            return;
+        }
+        let list = std::mem::take(&mut self.faults);
+        self.scenarios = (0..len).map(|i| (i / period) as u32).collect();
+        self.faults = (0..len).map(|i| list[i % period]).collect();
+        self.offsets = (0..=len as u32).collect();
+    }
+
+    /// The fault-list length `F` of an exhaustive list — item `i` injects
+    /// fault `i mod F` of the list alone into scenario `i / F`, on the
+    /// scenario's own timing — or 0 for any other shape. Tracked as items
+    /// are pushed; the packed engine shares transition rows between the
+    /// items of such a list.
+    pub(crate) fn period(&self) -> usize {
+        self.period
+    }
+
+    /// The fault list of an exhaustive list (empty for any other shape).
+    pub(crate) fn period_faults(&self) -> &[Fault] {
+        &self.faults[..self.period]
+    }
+
+    /// Item `i`'s fault group and window overrides in a list that is not
+    /// exhaustive.
+    fn group(&self, i: usize) -> (&[Fault], &[Option<FaultTiming>]) {
+        let faults = self.offsets[i] as usize..self.offsets[i + 1] as usize;
+        (
+            &self.faults[faults.clone()],
+            self.windows.get(faults).unwrap_or_default(),
+        )
+    }
+
+    /// Item `i`'s scenario.
+    fn scenario(&self, i: usize) -> usize {
+        match self.period {
+            0 => self.scenarios[i] as usize,
+            period => i / period,
+        }
+    }
+
+    /// The end of the run of items from `i` on that share item `i`'s
+    /// scenario, at most `end`.
+    fn run_end(&self, i: usize, end: usize) -> usize {
+        match self.period {
+            0 => {
+                let scenario = self.scenarios[i];
+                i + self.scenarios[i..end]
+                    .iter()
+                    .take_while(|&&s| s == scenario)
+                    .count()
+            }
+            period => end.min((i / period + 1) * period),
+        }
+    }
+
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.scenarios.len()
+        self.len
     }
 
     /// Whether the list holds no items.
     pub fn is_empty(&self) -> bool {
-        self.scenarios.is_empty()
+        self.len == 0
     }
 
     /// The `(scenario, faults)` of item `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`len`](Self::len).
     pub fn item(&self, i: usize) -> (usize, &[Fault]) {
-        let lo = self.offsets[i] as usize;
-        let hi = self.offsets[i + 1] as usize;
-        (self.scenarios[i] as usize, &self.faults[lo..hi])
+        assert!(i < self.len, "item {i} of a {}-item work list", self.len);
+        match self.period {
+            0 => {
+                let lo = self.offsets[i] as usize;
+                let hi = self.offsets[i + 1] as usize;
+                (self.scenarios[i] as usize, &self.faults[lo..hi])
+            }
+            period => (i / period, std::slice::from_ref(&self.faults[i % period])),
+        }
     }
 
     /// Item `i`'s per-fault window overrides: empty while the list holds
@@ -213,7 +405,15 @@ impl WorkList {
     /// scenario's timing). Resolve fault `j`'s effective window with
     /// [`Scenario::fault_window`](crate::Scenario::fault_window), which
     /// accepts both shapes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`len`](Self::len).
     pub fn windows(&self, i: usize) -> &[Option<FaultTiming>] {
+        assert!(i < self.len, "item {i} of a {}-item work list", self.len);
+        if self.period > 0 {
+            return &[];
+        }
         let lo = self.offsets[i] as usize;
         let hi = self.offsets[i + 1] as usize;
         self.windows.get(lo..hi).unwrap_or_default()
@@ -222,7 +422,11 @@ impl WorkList {
 
 /// Arms one fault in the selected lanes of a packed simulator. Mirrors the
 /// scalar [`arm`](crate::campaign::arm) mapping exactly.
-fn arm_lanes<const W: usize>(sim: &mut PackedSimulator<'_, W>, fault: Fault, lanes: [u64; W]) {
+pub(crate) fn arm_lanes<const W: usize>(
+    sim: &mut PackedSimulator<'_, W>,
+    fault: Fault,
+    lanes: [u64; W],
+) {
     match (fault.site, fault.effect) {
         (FaultSite::CellOutput(c), FaultEffect::Flip) => sim.set_net_flip(c.net(), lanes),
         (FaultSite::CellOutput(c), FaultEffect::Stuck0) => sim.set_net_stuck(c.net(), false, lanes),
@@ -238,26 +442,93 @@ fn arm_lanes<const W: usize>(sim: &mut PackedSimulator<'_, W>, fault: Fault, lan
     }
 }
 
-/// A scenario slot of the current wave: the materialized schedule, the
-/// per-cycle expected landing states (word-parallel classification) and
-/// the wave's lanes that run it.
-struct SlotCache<const W: usize> {
+/// A scenario slot of the current wave: the table's entry and fault-free
+/// run for it, and the wave's simulated lanes that run it.
+struct Slot<'t, const W: usize> {
     index: usize,
-    sc: Scenario,
-    /// `expected[c]` = the oracle codebook index of the fault-free landing
-    /// state after cycle `c`; empty when the target has no oracle.
-    expected: Vec<usize>,
-    /// The lanes of the current wave that run this scenario.
+    entry: &'t Entry,
+    /// The fault-free run; `None` for one-cycle scenarios and for targets
+    /// without an oracle.
+    traj: Option<Traj<'t, W>>,
     lanes: [u64; W],
+}
+
+impl<const W: usize> Slot<'_, W> {
+    fn cycles(&self) -> usize {
+        self.entry.sc.cycles()
+    }
 }
 
 /// ORs `lanes` into `words[j]` for every set bit `j` of `bits`: one
 /// slot's register preload or input drive.
-fn drive<const W: usize>(words: &mut [[u64; W]], bits: &[bool], lanes: [u64; W]) {
+pub(crate) fn drive<const W: usize>(words: &mut [[u64; W]], bits: &[bool], lanes: [u64; W]) {
     for (word, _) in words.iter_mut().zip(bits).filter(|(_, &bit)| bit) {
         for k in 0..W {
             word[k] |= lanes[k];
         }
+    }
+}
+
+/// [`drive`] from bits packed into `u64` words.
+pub(crate) fn drive_bits<const W: usize>(words: &mut [[u64; W]], bits: &[u64], lanes: [u64; W]) {
+    for (j, word) in words.iter_mut().enumerate() {
+        if bit_at(bits, j) {
+            for k in 0..W {
+                word[k] |= lanes[k];
+            }
+        }
+    }
+}
+
+/// Whether `fault` on a scenario with `timing` is armed on exactly one
+/// cycle: register flips always are, net and pin faults in a transient
+/// window.
+fn armed_once(fault: Fault, timing: FaultTiming) -> bool {
+    matches!(fault.site, FaultSite::Register(_)) || matches!(timing, FaultTiming::Transient(_))
+}
+
+/// Puts lane `lane`'s `faults` into the arming buckets of `sc`'s cycles:
+/// a register flip at its window's flip cycle, a net or pin fault on every
+/// cycle its window is open, nothing at or past the scenario length.
+/// Returns the lane's first armed cycle (`usize::MAX` when none) and last.
+/// Runs once per lane on the hot path, so it is always inlined.
+#[inline(always)]
+fn schedule(
+    arms: &mut [Vec<(Fault, u32)>],
+    sc: &Scenario,
+    faults: &[Fault],
+    overrides: &[Option<FaultTiming>],
+    lane: usize,
+) -> (usize, Option<usize>) {
+    let cycles = sc.cycles();
+    let (mut first, mut last) = (usize::MAX, None);
+    for (j, &f) in faults.iter().enumerate() {
+        let window = sc.fault_window(overrides, j);
+        let (lo, hi) = match (f.site, window) {
+            (FaultSite::Register(_), _) => (window.flip_cycle(), window.flip_cycle()),
+            (_, FaultTiming::Permanent) => (0, cycles - 1),
+            (_, FaultTiming::Transient(c)) => (c, c),
+        };
+        if lo >= cycles {
+            continue;
+        }
+        for bucket in &mut arms[lo..=hi] {
+            bucket.push((f, lane as u32));
+        }
+        first = first.min(lo);
+        last = last.max(Some(hi));
+    }
+    (first, last)
+}
+
+/// The outcome of a lane from its `detected` and `hijack` bits.
+pub(crate) fn verdict(detected: bool, hijack: bool) -> Outcome {
+    if detected {
+        Outcome::Detected
+    } else if hijack {
+        Outcome::Hijack
+    } else {
+        Outcome::Masked
     }
 }
 
@@ -266,202 +537,288 @@ fn drive<const W: usize>(words: &mut [[u64; W]], bits: &[bool], lanes: [u64; W])
 /// `wave(first, out)` computes the items `first..first + out.len()` (at
 /// most `64 · W`) and writes each trajectory verdict into `out`.
 ///
-/// Each wave steps `max(lane cycles)` clock edges with exactly the fault
-/// semantics of [`run_item_scalar`](crate::campaign::run_item_scalar),
-/// as "The wave loop" in the module docs lays out: scenario slots with
-/// one lane mask each and per-cycle arming buckets are built once per
-/// wave, every cycle clears the masks, arms its bucket, drives the
-/// running slots, settles and folds the running lanes not yet
-/// [`Outcome::Detected`] into per-word detected and hijack masks, and
-/// the masks become one [`Outcome`] per lane at the end. Every wave
-/// reloads registers, masks and buckets from scratch; only the most
-/// recent scenario slot carries over to the worker's next wave. The
-/// stepped and classified cycles are counted into `telemetry` once per
-/// wave.
-pub(crate) fn wave_worker<'a, T: FaultTarget, const W: usize>(
-    target: &'a T,
+/// Each lane gets exactly the verdict of
+/// [`run_item_scalar`](crate::campaign::run_item_scalar), as "The wave
+/// loop" in the module docs lays out. One pass over the wave's items
+/// resolves what the campaign's [`ScenarioTable`] already knows — lanes
+/// whose transition row decides them, lanes with nothing armed — and
+/// schedules the rest: scenario slots through a scenario→slot index, each
+/// lane's faults into per-cycle arming buckets, and each lane's first and
+/// last armed cycle. The wave then steps from its earliest armed cycle,
+/// preloaded from the table's fault-free registers, and stops once every
+/// simulated lane is detected, settled back on its fault-free run or past
+/// its scenario. Stepped and classified cycles and the lanes rows
+/// resolved are counted into `telemetry` once per wave.
+pub(crate) fn wave_worker<'a, const W: usize>(
+    table: &'a ScenarioTable<'a, W>,
     compiled: &'a PackedNetlist,
     work: &'a WorkList,
     telemetry: &Telemetry,
 ) -> impl FnMut(usize, &mut [Option<Outcome>]) + 'a {
-    let oracle = target.wave_oracle();
-    let mut sim = PackedSimulator::<W>::new(compiled);
-    let mut reg_words = vec![[0u64; W]; compiled.register_count()];
-    let mut input_words = vec![[0u64; W]; compiled.input_count()];
-    let mut out_words: Vec<[u64; W]> = Vec::with_capacity(compiled.output_count());
-    let mut reg_bits: Vec<bool> = Vec::with_capacity(compiled.register_count());
-    let mut out_bits: Vec<bool> = Vec::with_capacity(compiled.output_count());
-    // Work lists are scenario-major, so a wave references very few distinct
-    // scenarios; they are materialized once per wave, with the last one
-    // carried over so a scenario spanning a wave boundary is not rebuilt.
-    let mut scens: Vec<SlotCache<W>> = Vec::new();
+    let (oracle, registers) = (table.oracle(), table.registers());
+    let mut scratch = Scratch::<W>::new(compiled);
+    let mut slots: Vec<Slot<'a, W>> = Vec::new();
+    let mut slot_of = vec![u32::MAX; table.len()];
     // `arms[c]` = the `(fault, lane)` pairs armed on cycle `c`, in lane
     // order and, within a lane, in fault-group order: a later stuck-at on
     // the same net or pin wins, as in the scalar engine.
     let mut arms: Vec<Vec<(Fault, u32)>> = Vec::new();
+    // `marks[c]` = (lanes classified from cycle `c` on, lanes whose last
+    // armed cycle is `c`).
+    let mut marks: Vec<([u64; W], [u64; W])> = Vec::new();
     let stepped = telemetry.counter("scfi_campaign_cycles_stepped_total");
     let classified = telemetry.counter(if oracle.is_some() {
         "scfi_campaign_oracle_fastpath_cycles_total"
     } else {
         "scfi_campaign_oracle_fallback_cycles_total"
     });
+    let row_lanes = telemetry.counter("scfi_campaign_row_lanes_total");
     move |first: usize, out: &mut [Option<Outcome>]| {
-        for slot in &mut scens {
-            slot.lanes = [0; W];
+        for slot in slots.drain(..) {
+            slot_of[slot.index] = u32::MAX;
         }
         for bucket in &mut arms {
             bucket.clear();
         }
-        let mut wave_cycles = 0usize;
-        // One pass over the wave's items: resolve each lane's scenario
-        // slot and schedule its faults.
+        marks.fill(([0; W], [0; W]));
+        let (mut detected, mut hijack) = ([0u64; W], [0u64; W]);
+        let (mut start_cycle, mut end_cycle) = (usize::MAX, 0);
+        let mut resolved = 0u64;
+        // Simulated lanes without a fault-free run: classified from cycle 0.
+        let mut from_zero = [0u64; W];
+        // One pass over the wave's items, a run of lanes of one scenario
+        // at a time (work lists are scenario-major, so runs are long).
         let end = first + out.len();
-        let items = work.scenarios[first..end]
-            .iter()
-            .zip(work.offsets[first..=end].windows(2));
-        for (lane, (&scenario, span)) in items.enumerate() {
-            let scenario = scenario as usize;
-            let faults = span[0] as usize..span[1] as usize;
-            let overrides = work.windows.get(faults.clone()).unwrap_or_default();
-            // Scenario-major ordering means consecutive lanes almost
-            // always share the wave's most recent scenario: check the last
-            // slot first and fall back to the (short) linear scan only on
-            // a miss, so resolution stays O(1) amortized even on
-            // scenario-dense protocol campaigns.
-            let slot = if scens.last().is_some_and(|s| s.index == scenario) {
-                scens.len() - 1
-            } else if let Some(i) = scens.iter().position(|s| s.index == scenario) {
-                i
-            } else {
-                let sc = target.scenario(scenario);
-                assert!(sc.cycles() >= 1, "scenario {scenario} has no cycles");
-                assert_eq!(
-                    sc.regs.len(),
-                    reg_words.len(),
-                    "scenario register preload width mismatch"
-                );
-                for inputs in &sc.inputs {
-                    assert_eq!(
-                        inputs.len(),
-                        input_words.len(),
-                        "scenario input width mismatch"
-                    );
+        let mut i = first;
+        while i < end {
+            let scenario = work.scenario(i);
+            let run = i..work.run_end(i, end);
+            i = run.end;
+            let slot = match slot_of[scenario] {
+                u32::MAX => {
+                    let entry = table.entry(scenario);
+                    let traj = (entry.sc.cycles() > 1 && oracle.is_some())
+                        .then(|| table.traj(scenario, &mut scratch));
+                    slot_of[scenario] = slots.len() as u32;
+                    slots.push(Slot {
+                        index: scenario,
+                        entry,
+                        traj,
+                        lanes: [0; W],
+                    });
+                    slots.len() - 1
                 }
-                let expected = if oracle.is_some() {
-                    (0..sc.cycles())
-                        .map(|c| target.expected_state(scenario, c))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                scens.push(SlotCache {
-                    index: scenario,
-                    sc,
-                    expected,
-                    lanes: [0; W],
-                });
-                scens.len() - 1
+                k => k as usize,
             };
-            let slot = &mut scens[slot];
-            slot.lanes[lane / LANES] |= 1 << (lane % LANES);
-            let sc = &slot.sc;
+            let (entry, traj) = (slots[slot].entry, slots[slot].traj);
+            let sc = &entry.sc;
             let cycles = sc.cycles();
-            wave_cycles = wave_cycles.max(cycles);
             if arms.len() < cycles {
                 arms.resize_with(cycles, Vec::new);
+                marks.resize(cycles, ([0; W], [0; W]));
             }
-            // Buckets at or past the lane's scenario length stay empty.
-            let buckets = &mut arms[..cycles];
-            for (j, &f) in work.faults[faults].iter().enumerate() {
-                let window = sc.fault_window(overrides, j);
-                let arm = (f, lane as u32);
-                match (f.site, window) {
-                    (FaultSite::Register(_), _) => {
-                        if let Some(bucket) = buckets.get_mut(window.flip_cycle()) {
-                            bucket.push(arm);
+            // The run's fault groups: consecutive faults of an exhaustive
+            // list, counting up from the first one's position in it, or
+            // each item's own group.
+            let list = work.period_faults();
+            let first_position = if list.is_empty() {
+                0
+            } else {
+                run.start % list.len()
+            };
+            let group = |p: usize, i: usize| match list.get(p) {
+                Some(fault) => (std::slice::from_ref(fault), &[][..]),
+                None => work.group(i),
+            };
+            let mut lanes = [0u64; W];
+            let Some(traj) = traj else {
+                // No fault-free run (one-cycle scenarios, targets without
+                // an oracle): simulated from cycle 0, never settled early.
+                for (p, i) in (first_position..).zip(run) {
+                    let lane = i - first;
+                    let (faults, overrides) = group(p, i);
+                    schedule(&mut arms, sc, faults, overrides, lane);
+                    lanes[lane / LANES] |= 1 << (lane % LANES);
+                }
+                for k in 0..W {
+                    from_zero[k] |= lanes[k];
+                    slots[slot].lanes[k] |= lanes[k];
+                }
+                start_cycle = 0;
+                end_cycle = end_cycle.max(cycles);
+                continue;
+            };
+            // Rows exist only on exhaustive lists, indexed by position.
+            let row = traj.row();
+            let mut chunk = None;
+            for (p, i) in (first_position..).zip(run) {
+                let lane = i - first;
+                let (w, bit) = (lane / LANES, 1u64 << (lane % LANES));
+                let (faults, overrides) = group(p, i);
+                // (first classified cycle, verdict of the cycles before it,
+                // last armed cycle)
+                let (start, before, last) = match row {
+                    Some(row) if armed_once(faults[0], sc.timing) => {
+                        // Armed on cycle `c` only: the row decides that cycle.
+                        let c = sc.timing.flip_cycle();
+                        let k = p / (LANES * W);
+                        let chunk = match chunk {
+                            Some((at, chunk)) if at == k => chunk,
+                            _ => {
+                                let computed = table.chunk(row, k, &mut scratch);
+                                chunk = Some((k, computed));
+                                computed
+                            }
+                        };
+                        let (rw, rbit) = (p % (LANES * W) / LANES, 1u64 << (p % LANES));
+                        let step =
+                            verdict(chunk.detected[rw] & rbit != 0, chunk.hijack[rw] & rbit != 0);
+                        let before = traj.head(c).fold(step);
+                        if before == Outcome::Detected
+                            || chunk.settled[rw] & rbit != 0
+                            || c + 1 == cycles
+                        {
+                            out[lane] = Some(before.fold(traj.tail(c)));
+                            resolved += 1;
+                            continue;
                         }
-                    }
-                    (_, FaultTiming::Permanent) => {
-                        for bucket in buckets.iter_mut() {
-                            bucket.push(arm);
+                        // Off its fault-free run: the lane rejoins it on
+                        // cycle `c + 1` with the row's post-step registers,
+                        // flipped in where they differ from the fault-free
+                        // ones.
+                        let after = traj.regs(c + 1);
+                        for (j, reg) in chunk.post.iter().enumerate() {
+                            if (reg[rw] & rbit != 0) != bit_at(after, j) {
+                                let flip = Fault {
+                                    site: FaultSite::Register(registers[j]),
+                                    effect: FaultEffect::Flip,
+                                };
+                                arms[c + 1].push((flip, lane as u32));
+                            }
                         }
+                        (c + 1, before, Some(c + 1))
                     }
-                    (_, FaultTiming::Transient(cycle)) => {
-                        if let Some(bucket) = buckets.get_mut(cycle) {
-                            bucket.push(arm);
+                    _ => {
+                        let (armed_first, armed_last) =
+                            schedule(&mut arms, sc, faults, overrides, lane);
+                        if armed_first >= cycles {
+                            // Nothing armed: the fault-free verdict.
+                            out[lane] = Some(traj.head(cycles));
+                            continue;
                         }
+                        (armed_first, traj.head(armed_first), armed_last)
                     }
+                };
+                if before == Outcome::Detected {
+                    out[lane] = Some(before);
+                    continue;
+                }
+                lanes[w] |= bit;
+                hijack[w] |= if before == Outcome::Hijack { bit } else { 0 };
+                marks[start].0[w] |= bit;
+                if let Some(last) = last {
+                    marks[last].1[w] |= bit;
+                }
+                start_cycle = start_cycle.min(start);
+                end_cycle = end_cycle.max(cycles);
+            }
+            for (slot_lanes, lanes) in slots[slot].lanes.iter_mut().zip(lanes) {
+                *slot_lanes |= lanes;
+            }
+        }
+        row_lanes.add(resolved);
+        let simulated = slots.iter().fold([0u64; W], |acc, s| {
+            std::array::from_fn(|k| acc[k] | s.lanes[k])
+        });
+        if start_cycle == usize::MAX {
+            return;
+        }
+        // Every simulated lane starts on its fault-free run.
+        scratch.regs.fill([0; W]);
+        for slot in slots.iter().filter(|s| s.lanes != [0; W]) {
+            match slot.traj {
+                Some(traj) if start_cycle > 0 => {
+                    drive_bits(&mut scratch.regs, traj.regs(start_cycle), slot.lanes)
+                }
+                _ => drive(&mut scratch.regs, &slot.entry.sc.regs, slot.lanes),
+            }
+        }
+        scratch.sim.set_register_words(&scratch.regs);
+        let (mut settled, mut started, mut past) = ([0u64; W], from_zero, [0u64; W]);
+        let mut steps = 0u64;
+        for cycle in start_cycle..end_cycle {
+            let running_slots = || {
+                slots
+                    .iter()
+                    .filter(move |s| cycle < s.cycles() && s.lanes != [0; W])
+            };
+            let mut active = [0u64; W];
+            for slot in running_slots() {
+                for k in 0..W {
+                    active[k] |= slot.lanes[k] & !detected[k] & !settled[k];
                 }
             }
-        }
-        reg_words.fill([0; W]);
-        for slot in scens.iter().filter(|s| s.lanes != [0; W]) {
-            drive(&mut reg_words, &slot.sc.regs, slot.lanes);
-        }
-        sim.set_register_words(&reg_words);
-        let mut detected = [0u64; W];
-        let mut hijack = [0u64; W];
-        stepped.add(wave_cycles as u64);
-        classified.add(wave_cycles as u64);
-        for (cycle, bucket) in arms[..wave_cycles].iter().enumerate() {
+            if active == [0; W] {
+                break;
+            }
             // Flips mutate stored state, so the mask clear never undoes
             // them.
-            sim.clear_faults();
-            for &(f, lane) in bucket {
-                arm_lanes(&mut sim, f, lane_mask::<W>(lane as usize));
+            scratch.sim.clear_faults();
+            for &(f, lane) in &arms[cycle] {
+                arm_lanes(&mut scratch.sim, f, lane_mask::<W>(lane as usize));
             }
-            input_words.fill([0; W]);
-            let mut running = [0u64; W];
-            for slot in scens
-                .iter()
-                .filter(|s| cycle < s.sc.cycles() && s.lanes != [0; W])
-            {
-                drive(&mut input_words, &slot.sc.inputs[cycle], slot.lanes);
-                for (run, lanes) in running.iter_mut().zip(slot.lanes) {
-                    *run |= lanes;
-                }
+            scratch.inputs.fill([0; W]);
+            for slot in running_slots() {
+                drive(
+                    &mut scratch.inputs,
+                    &slot.entry.sc.inputs[cycle],
+                    slot.lanes,
+                );
             }
-            sim.step_into(&input_words, &mut out_words);
-            let regs = sim.register_words();
+            scratch.sim.step_into(&scratch.inputs, &mut scratch.outputs);
+            steps += 1;
+            let regs = scratch.sim.register_words();
+            for k in 0..W {
+                started[k] |= marks[cycle].0[k];
+                past[k] |= marks[cycle].1[k];
+            }
             for w in 0..W {
-                // Running lanes not yet Detected: the only ones whose
+                // Started lanes not yet decided: the only ones whose
                 // verdict this cycle can still change.
-                let live = running[w] & !detected[w];
+                let live = active[w] & started[w];
                 if live == 0 {
                     continue;
                 }
-                let running_slots = scens.iter().filter(|s| cycle < s.sc.cycles());
-                match &oracle {
-                    Some(oracle) => {
-                        // Word-parallel classification: decode whole
-                        // 64-lane words against the precompiled codebook
-                        // and alert masks.
-                        let det_base = oracle.detected_word(w, regs, &out_words);
-                        for slot in running_slots {
-                            let group = slot.lanes[w] & live;
-                            if group == 0 {
-                                continue;
-                            }
-                            let (det, hij) = oracle.classify_word(
-                                det_base,
-                                slot.expected[cycle],
-                                w,
-                                group,
-                                regs,
-                            );
+                let det_base = oracle.map(|o| o.detected_word(w, regs, &scratch.outputs));
+                for slot in running_slots() {
+                    let group = slot.lanes[w] & live;
+                    if group == 0 {
+                        continue;
+                    }
+                    match (oracle, det_base) {
+                        (Some(oracle), Some(det_base)) => {
+                            // Word-parallel classification: decode whole
+                            // 64-lane words against the precompiled
+                            // codebook and alert masks.
+                            let expected = slot.entry.expected[cycle];
+                            let (det, hij) =
+                                oracle.classify_word(det_base, expected, w, group, regs);
                             detected[w] |= det;
                             hijack[w] |= hij;
                         }
-                    }
-                    None => {
-                        for slot in running_slots {
-                            let mut bits = slot.lanes[w] & live;
+                        _ => {
+                            let mut bits = group;
                             while bits != 0 {
                                 let lane = w * LANES + bits.trailing_zeros() as usize;
-                                extract_lane(regs, lane, &mut reg_bits);
-                                extract_lane(&out_words, lane, &mut out_bits);
+                                extract_lane(regs, lane, &mut scratch.reg_bits);
+                                extract_lane(&scratch.outputs, lane, &mut scratch.out_bits);
                                 let bit = bits & bits.wrapping_neg();
-                                match target.classify(slot.index, cycle, &reg_bits, &out_bits) {
+                                match table.target().classify(
+                                    slot.index,
+                                    cycle,
+                                    &scratch.reg_bits,
+                                    &scratch.out_bits,
+                                ) {
                                     Outcome::Detected => detected[w] |= bit,
                                     Outcome::Hijack => hijack[w] |= bit,
                                     Outcome::Masked => {}
@@ -470,24 +827,36 @@ pub(crate) fn wave_worker<'a, T: FaultTarget, const W: usize>(
                             }
                         }
                     }
+                    // A lane past its last armed cycle and back on the
+                    // fault-free registers follows the fault-free run
+                    // from here on: fold its tail and stop classifying it.
+                    let Some(traj) = slot.traj.filter(|_| cycle + 1 < slot.cycles()) else {
+                        continue;
+                    };
+                    let candidates = group & past[w] & !detected[w];
+                    if candidates == 0 {
+                        continue;
+                    }
+                    let rejoined = candidates & same_regs(regs, traj.regs(cycle + 1), w);
+                    settled[w] |= rejoined;
+                    match traj.tail(cycle) {
+                        Outcome::Detected => detected[w] |= rejoined,
+                        Outcome::Hijack => hijack[w] |= rejoined,
+                        Outcome::Masked => {}
+                    }
                 }
             }
         }
-        for (lane, slot) in out.iter_mut().enumerate() {
-            let (w, bit) = (lane / LANES, 1u64 << (lane % LANES));
-            *slot = Some(if detected[w] & bit != 0 {
-                Outcome::Detected
-            } else if hijack[w] & bit != 0 {
-                Outcome::Hijack
-            } else {
-                Outcome::Masked
-            });
-        }
-        // Keep only the most recent scenario for the next wave.
-        if scens.len() > 1 {
-            let last = scens.pop().expect("nonempty");
-            scens.clear();
-            scens.push(last);
+        stepped.add(steps);
+        classified.add(steps);
+        for w in 0..W {
+            let mut bits = simulated[w];
+            while bits != 0 {
+                let lane = w * LANES + bits.trailing_zeros() as usize;
+                let bit = bits & bits.wrapping_neg();
+                out[lane] = Some(verdict(detected[w] & bit != 0, hijack[w] & bit != 0));
+                bits &= bits - 1;
+            }
         }
     }
 }
@@ -498,7 +867,7 @@ mod tests {
     use crate::backend::{CampaignBackend, PackedBackend};
     use crate::campaign::{enumerate_faults, try_exhaustive_work, CampaignConfig};
     use crate::control::RunControl;
-    use crate::target::ScfiTarget;
+    use crate::target::{FaultTarget, ScfiTarget};
     use scfi_core::{harden, ScfiConfig};
     use scfi_fsm::parse_fsm;
 
@@ -594,6 +963,73 @@ mod tests {
         }
         assert_eq!(sc.fault_window(w.windows(3), 0), FaultTiming::Transient(1));
         assert_eq!(sc.fault_window(w.windows(3), 1), FaultTiming::Permanent);
+    }
+
+    /// A list pushed in the exhaustive shape stores only its fault list
+    /// and reads back like the bulk-built one; the first push of any
+    /// other shape writes its items out, and every item still reads back
+    /// the same.
+    #[test]
+    fn exhaustive_lists_stay_compact_until_another_shape_is_pushed() {
+        let f = |r: u32| Fault {
+            site: FaultSite::Register(scfi_netlist::CellId(r)),
+            effect: FaultEffect::Flip,
+        };
+        let faults = [f(0), f(1), f(2)];
+        let bulk = WorkList::try_exhaustive(4, &faults).unwrap();
+        let mut pushed = WorkList::with_capacity(12);
+        for s in 0..4 {
+            for fault in &faults {
+                pushed.push(s, std::slice::from_ref(fault));
+            }
+        }
+        for w in [&bulk, &pushed] {
+            assert_eq!(
+                (w.period(), w.period_faults(), w.len()),
+                (3, &faults[..], 12)
+            );
+            assert!(w.scenarios.is_empty() && w.faults.len() == 3);
+            for i in 0..12 {
+                assert_eq!(w.item(i), (i / 3, &faults[i % 3..][..1]), "item {i}");
+                assert!(w.windows(i).is_empty());
+            }
+        }
+        let mut more = pushed.clone();
+        more.push(4, &[f(0)]);
+        assert_eq!((more.period(), more.len()), (3, 13));
+        // (what, scenario, group, window overrides)
+        let breaks = [
+            ("another fault", 4, vec![f(1)], None),
+            ("a scenario out of order", 2, vec![f(0)], None),
+            ("an empty group", 4, vec![], None),
+            (
+                "a window override",
+                4,
+                vec![f(0)],
+                Some(FaultTiming::Transient(0)),
+            ),
+        ];
+        for (what, scenario, group, window) in breaks {
+            let mut w = pushed.clone();
+            match window {
+                Some(window) => w.push_scheduled(scenario, &group, &[window]),
+                None => w.push(scenario, &group),
+            }
+            assert_eq!((w.period(), w.len()), (0, 13), "{what}");
+            assert_eq!(w.item(12), (scenario, &group[..]), "{what}");
+            for i in 0..12 {
+                assert_eq!(w.item(i), pushed.item(i), "{what}: item {i}");
+            }
+        }
+        let mut windowed = pushed.clone();
+        windowed.push_scheduled(4, &[f(0)], &[FaultTiming::Transient(0)]);
+        assert_eq!(windowed.windows(0), &[None]);
+        assert_eq!(windowed.windows(12), &[Some(FaultTiming::Transient(0))]);
+        // Only a list whose first item injects into scenario 0 opens the
+        // shape.
+        let mut late = WorkList::with_capacity(1);
+        late.push(1, &[f(0)]);
+        assert_eq!(late.period(), 0);
     }
 
     #[test]

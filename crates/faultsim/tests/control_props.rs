@@ -6,13 +6,18 @@
 //! the same prefix on every backend, at every width and thread count,
 //! and a worker panic
 //! must poison only its own wave, with everything else completing
-//! normally.
+//! normally. Both hold for a target without a wave oracle and for a
+//! protocol campaign whose packed run shares a scenario table and
+//! transition rows between its waves.
 
 use proptest::prelude::*;
+use scfi_core::{harden, HardenedFsm, ScfiConfig};
 use scfi_faultsim::{
-    CampaignBackend, CampaignConfig, CampaignError, Fault, FaultEffect, FaultSite, FaultTarget,
-    FaultTiming, Outcome, PackedBackend, RunControl, ScalarBackend, Scenario, StopReason, WorkList,
+    enumerate_faults, CampaignBackend, CampaignConfig, CampaignError, Fault, FaultEffect,
+    FaultSite, FaultTarget, FaultTiming, Outcome, PackedBackend, RunControl, ScalarBackend,
+    Scenario, ScfiTarget, StopReason, WaveOracle, WorkList,
 };
+use scfi_fsm::parse_fsm;
 use scfi_netlist::{CellId, Module, ModuleBuilder, NetId};
 use std::sync::{Condvar, Mutex};
 use std::thread::ThreadId;
@@ -149,6 +154,44 @@ fn work_list(target: &SyntheticTarget, faults: &[Fault]) -> WorkList {
     work
 }
 
+/// A small SCFI-hardened FSM for depth-4 walk campaigns.
+fn walk_fsm() -> HardenedFsm {
+    let fsm = parse_fsm(
+        "fsm m { inputs a, b;
+           state S0 { if a -> S1; if b -> S2; }
+           state S1 { if b -> S2; }
+           state S2 { goto S0; } }",
+    )
+    .expect("valid DSL");
+    harden(&fsm, &ScfiConfig::new(2)).expect("hardens")
+}
+
+/// The exhaustive walk campaign of `target`: gate-output and register
+/// flips, scenario-major, pushed item by item.
+fn walk_work<T: FaultTarget>(target: &T) -> WorkList {
+    let faults = enumerate_faults(
+        target.module(),
+        &CampaignConfig::new().with_register_flips(),
+    );
+    let mut work = WorkList::with_capacity(target.scenario_count() * faults.len());
+    for s in 0..target.scenario_count() {
+        for fault in &faults {
+            work.push(s, std::slice::from_ref(fault));
+        }
+    }
+    work
+}
+
+/// The slots a budget completes: `0..budget / 64 · 64`, or every slot
+/// once the budget covers the list.
+fn budget_prefix(budget: u64, len: usize) -> usize {
+    if budget as usize >= len {
+        len
+    } else {
+        budget as usize / 64 * 64
+    }
+}
+
 /// Backend picks: (label, config patch, wave width in items).
 /// Scalar chunks its per-item loop at 64 items; packed waves hold
 /// `64 × W` lanes.
@@ -231,6 +274,50 @@ proptest! {
                         (i < prefix).then_some(reference[i]),
                         "{} at {} threads: slot {} of a {}-slot prefix",
                         label, threads, i, prefix
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// The same prefix contract on a depth-4 walk campaign of a target
+    /// with a wave oracle: rows and fault-free runs are built only for
+    /// admitted waves, yet every backend completes exactly the slots
+    /// `0..budget / 64 · 64` (every slot once the budget covers the list),
+    /// at every wave width and at 1–4 threads, each with the scalar
+    /// reference's outcome. Budgets range over the whole list.
+    #[test]
+    fn budgeted_walk_campaigns_complete_the_scalar_prefix(fraction in 0u64..=1_000) {
+        let h = walk_fsm();
+        let target = ScfiTarget::with_protocol(&h, 4, 0xB007);
+        let work = walk_work(&target);
+        let budget = fraction * (work.len() as u64 + 64) / 1_000;
+        let prefix = budget_prefix(budget, work.len());
+        let reference = ScalarBackend
+            .try_execute(&target, &work, &CampaignConfig::new().threads(1), &RunControl::unlimited())
+            .expect("an unlimited run never fails");
+        for pick in 0..PICKS {
+            for threads in 1..=4 {
+                let (config, _, label) = pick_config(pick, threads);
+                let control = RunControl::unlimited().with_injection_budget(budget);
+                let slots: Vec<Option<Outcome>> =
+                    match try_run(pick, &target, &work, &config, &control) {
+                        Err(CampaignError::Interrupted { partial, .. }) => partial.outcomes,
+                        Ok(outcomes) => outcomes.into_iter().map(Some).collect(),
+                        Err(other) => {
+                            return Err(TestCaseError::fail(format!("{label}: unexpected error: {other}")));
+                        }
+                    };
+                for (i, slot) in slots.iter().enumerate() {
+                    prop_assert_eq!(
+                        *slot,
+                        (i < prefix).then_some(reference[i]),
+                        "{} at {} threads, budget {}: slot {} of a {}-slot prefix",
+                        label, threads, budget, i, prefix
                     );
                 }
             }
@@ -431,6 +518,110 @@ fn a_poisoned_scenario_fails_its_waves_and_nothing_else() {
                                 "{label}: slot {i} diverged from the clean run"
                             );
                         }
+                    }
+                }
+                other => panic!("{label}: expected WorkerPanic, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            ranges[0], ranges[1],
+            "pick {pick}: the reported wave must not depend on the thread count"
+        );
+    }
+}
+
+/// A walk campaign of an SCFI-hardened FSM whose scenario `poison` panics
+/// when it is materialized: a target with a wave oracle, so the packed
+/// backend fills its scenario table in blocks and must fall back to one
+/// scenario at a time around the poisoned one.
+struct PoisonedWalks<'a> {
+    inner: ScfiTarget<'a>,
+    poison: usize,
+}
+
+impl FaultTarget for PoisonedWalks<'_> {
+    fn module(&self) -> &Module {
+        self.inner.module()
+    }
+
+    fn scenario_count(&self) -> usize {
+        self.inner.scenario_count()
+    }
+
+    fn scenario(&self, index: usize) -> Scenario {
+        assert_ne!(index, self.poison, "poisoned scenario {index}");
+        self.inner.scenario(index)
+    }
+
+    fn classify(&self, index: usize, cycle: usize, regs: &[bool], outputs: &[bool]) -> Outcome {
+        self.inner.classify(index, cycle, regs, outputs)
+    }
+
+    fn wave_oracle(&self) -> Option<WaveOracle> {
+        self.inner.wave_oracle()
+    }
+
+    fn expected_state(&self, index: usize, cycle: usize) -> usize {
+        self.inner.expected_state(index, cycle)
+    }
+}
+
+/// Panic isolation with a shared scenario table: the scenario whose
+/// materialization panics fails the waves that touch it, and every other
+/// wave — including those whose block of fault-free runs held it —
+/// completes with the clean run's outcomes, on every backend and at one
+/// and four threads, reporting the same lowest poisoned wave.
+#[test]
+fn a_poisoned_scenario_of_an_oracle_target_fails_its_waves_and_nothing_else() {
+    let h = walk_fsm();
+    let clean = ScfiTarget::with_protocol(&h, 4, 0xB007);
+    let poison = clean.scenario_count() / 2;
+    let work = walk_work(&clean);
+    assert!(work.len() > 4 * 256, "the campaign must span several waves");
+    let reference = ScalarBackend
+        .try_execute(
+            &clean,
+            &work,
+            &CampaignConfig::new().threads(1),
+            &RunControl::unlimited(),
+        )
+        .expect("a clean target runs to completion");
+    let poisoned = PoisonedWalks {
+        inner: ScfiTarget::with_protocol(&h, 4, 0xB007),
+        poison,
+    };
+    for pick in 0..PICKS {
+        let mut ranges = Vec::new();
+        for threads in [1, 4] {
+            let (config, wave_items, label) = pick_config(pick, threads);
+            match try_run(pick, &poisoned, &work, &config, &RunControl::unlimited()) {
+                Err(CampaignError::WorkerPanic {
+                    item_range,
+                    message,
+                    partial,
+                }) => {
+                    assert!(
+                        message.contains("poisoned scenario"),
+                        "{label}: payload lost: {message}"
+                    );
+                    ranges.push(item_range);
+                    assert!(partial.completed > 0, "{label}: the rest must complete");
+                    for (i, slot) in partial.outcomes.iter().enumerate() {
+                        let (scenario, _) = work.item(i);
+                        if scenario == poison {
+                            assert!(slot.is_none(), "{label}: poisoned item {i} completed");
+                        }
+                        if let Some(outcome) = slot {
+                            assert_eq!(*outcome, reference[i], "{label}: slot {i} diverged");
+                        }
+                    }
+                    for i in (0..work.len()).filter(|&i| partial.outcomes[i].is_none()) {
+                        let wave = i / wave_items * wave_items;
+                        assert!(
+                            (wave..(wave + wave_items).min(work.len()))
+                                .any(|j| work.item(j).0 == poison),
+                            "{label}: item {i} failed in a wave without the poison"
+                        );
                     }
                 }
                 other => panic!("{label}: expected WorkerPanic, got {other:?}"),

@@ -9,24 +9,32 @@
 //!
 //! * `waves` and `injections` guard the work list and its packing into
 //!   `64 · W`-lane waves (`scfi_campaign_{waves,injections}_total`).
-//! * `stepped` guards the clock edges simulated: each wave steps its
-//!   longest scenario (`scfi_campaign_cycles_stepped_total`).
+//! * `stepped` guards the clock edges simulated
+//!   (`scfi_campaign_cycles_stepped_total`): the scenario table's
+//!   fault-free passes, one step per transition-row chunk, and the
+//!   cycles each wave steps from its earliest armed cycle until every
+//!   simulated lane is decided.
 //! * `fast` and `fallback` guard the classification path: cycles
 //!   classified word-parallel through the target's oracle, and cycles
 //!   that fell back to per-lane extraction
 //!   (`scfi_campaign_oracle_{fastpath,fallback}_cycles_total`).
+//! * `rows` guards sharing: lanes whose verdict came from a transition
+//!   row without being simulated (`scfi_campaign_row_lanes_total`). A
+//!   change that silently stops sharing rows fails here.
 //!
 //! Waves and injections are counted once per run, stepped and classified
-//! cycles once per wave. The rows cover the exhaustive
-//! map grid ({aes_control, adc_ctrl_fsm, i2c_fsm} × N ∈ {2, 3, 4}),
-//! depth-4 secure-boot walks, a scenario-dense depth-1 campaign and
-//! windowed M = 3 draws over fuzzed depth-4 walks, each at W ∈ {1, 2, 4},
-//! plus one W = 4 register-flip campaign over depth-16 aes_control walks,
-//! whose waves settle long before their last edge. Every count is
-//! host-independent: waves hold fixed slots counted from slot 0, and
-//! every admitted wave runs whichever worker claims it, so each row is
-//! asserted at one thread and at one thread per CPU. An armed
-//! [`RunControl`] must change nothing but its own admission counter.
+//! cycles once per wave, table pass or row chunk. The rows cover the
+//! exhaustive map grid ({aes_control, adc_ctrl_fsm, i2c_fsm} × N ∈
+//! {2, 3, 4}), depth-4 secure_boot walks, a scenario-dense depth-1
+//! campaign and windowed M = 3 draws over fuzzed depth-4 walks, each at
+//! W ∈ {1, 2, 4}, plus two W = 4 rows: the i2c_fsm N = 3 depth-4 walks
+//! and a register-flip campaign over depth-16 aes_control walks, whose
+//! rows decide lanes long before their last edge. Every count is host-independent: waves hold fixed slots
+//! counted from slot 0, every admitted wave runs whichever worker claims
+//! it, and every table pass and row chunk is computed exactly once by
+//! whichever wave first needs it, so each row is asserted at one thread
+//! and at one thread per CPU. An armed [`RunControl`] must change nothing
+//! but its own admission counter.
 //!
 //! Wall clock is deliberately absent. A timing gate on a shared host
 //! fails on unchanged code and passes regressions it cannot resolve, so
@@ -46,13 +54,15 @@ use scfi_telemetry::Telemetry;
 enum Shape {
     /// Exhaustive single-transition map: gate-output and register flips.
     Map,
-    /// Exhaustive campaign over depth-4 CFG walks (seed `0xB007_5EED`).
+    /// Exhaustive campaign over depth-4 CFG walks (seed `0xB007_5EED`):
+    /// walks revisit edges, so transition rows are shared.
     Walks,
     /// One depth-1 `Transient(0)` scenario per CFG edge, register flips
     /// only: the most distinct scenarios per wave.
     Dense,
     /// Exhaustive register-flip campaign over depth-16 CFG walks (seed
-    /// `0xB007_5EED`): long fault-free prefixes and suffixes.
+    /// `0xB007_5EED`): long fault-free prefixes and suffixes, decided by
+    /// rows.
     Deep,
     /// 6,000 draws of M = 3 faults, each on its own sampled window, over
     /// fuzzed depth-4 walks (seed `0x5CF1_F022`).
@@ -69,68 +79,78 @@ struct Work {
     stepped: u64,
     fast: u64,
     fallback: u64,
+    rows: u64,
 }
 
-const fn work(waves: u64, injections: u64, stepped: u64, fast: u64, fallback: u64) -> Work {
+const fn work(
+    waves: u64,
+    injections: u64,
+    stepped: u64,
+    fast: u64,
+    fallback: u64,
+    rows: u64,
+) -> Work {
     Work {
         waves,
         injections,
         stepped,
         fast,
         fallback,
+        rows,
     }
 }
 
 /// `(fsm, N, shape, lane words, recorded work)`; every FSM is SCFI-hardened.
 #[rustfmt::skip]
 const PINS: &[(&str, usize, Shape, usize, Work)] = &[
-    //                                    waves   inject stepped   fast  fb
-    ("aes_control",     2, Map,   1, work(   28,    1750,     28,     28,  0)),
-    ("aes_control",     2, Map,   2, work(   14,    1750,     14,     14,  0)),
-    ("aes_control",     2, Map,   4, work(    7,    1750,      7,      7,  0)),
-    ("aes_control",     3, Map,   1, work(   44,    2786,     44,     44,  0)),
-    ("aes_control",     3, Map,   2, work(   22,    2786,     22,     22,  0)),
-    ("aes_control",     3, Map,   4, work(   11,    2786,     11,     11,  0)),
-    ("aes_control",     4, Map,   1, work(   51,    3234,     51,     51,  0)),
-    ("aes_control",     4, Map,   2, work(   26,    3234,     26,     26,  0)),
-    ("aes_control",     4, Map,   4, work(   13,    3234,     13,     13,  0)),
-    ("adc_ctrl_fsm",    2, Map,   1, work(  115,    7350,    115,    115,  0)),
-    ("adc_ctrl_fsm",    2, Map,   2, work(   58,    7350,     58,     58,  0)),
-    ("adc_ctrl_fsm",    2, Map,   4, work(   29,    7350,     29,     29,  0)),
-    ("adc_ctrl_fsm",    3, Map,   1, work(  155,    9900,    155,    155,  0)),
-    ("adc_ctrl_fsm",    3, Map,   2, work(   78,    9900,     78,     78,  0)),
-    ("adc_ctrl_fsm",    3, Map,   4, work(   39,    9900,     39,     39,  0)),
-    ("adc_ctrl_fsm",    4, Map,   1, work(  180,   11460,    180,    180,  0)),
-    ("adc_ctrl_fsm",    4, Map,   2, work(   90,   11460,     90,     90,  0)),
-    ("adc_ctrl_fsm",    4, Map,   4, work(   45,   11460,     45,     45,  0)),
-    ("i2c_fsm",         2, Map,   1, work(  612,   39146,    612,    612,  0)),
-    ("i2c_fsm",         2, Map,   2, work(  306,   39146,    306,    306,  0)),
-    ("i2c_fsm",         2, Map,   4, work(  153,   39146,    153,    153,  0)),
-    ("i2c_fsm",         3, Map,   1, work(  832,   53206,    832,    832,  0)),
-    ("i2c_fsm",         3, Map,   2, work(  416,   53206,    416,    416,  0)),
-    ("i2c_fsm",         3, Map,   4, work(  208,   53206,    208,    208,  0)),
-    ("i2c_fsm",         4, Map,   1, work(  887,   56758,    887,    887,  0)),
-    ("i2c_fsm",         4, Map,   2, work(  444,   56758,    444,    444,  0)),
-    ("i2c_fsm",         4, Map,   4, work(  222,   56758,    222,    222,  0)),
-    ("secure_boot_fsm", 2, Walks, 1, work(  199,   12692,    796,    796,  0)),
-    ("secure_boot_fsm", 2, Walks, 2, work(  100,   12692,    400,    400,  0)),
-    ("secure_boot_fsm", 2, Walks, 4, work(   50,   12692,    200,    200,  0)),
-    ("i2c_fsm",         2, Dense, 1, work(    7,     444,      7,      7,  0)),
-    ("i2c_fsm",         2, Dense, 2, work(    4,     444,      4,      4,  0)),
-    ("i2c_fsm",         2, Dense, 4, work(    2,     444,      2,      2,  0)),
-    ("aes_control",     2, Multi, 1, work(   94,    6000,    376,    376,  0)),
-    ("aes_control",     2, Multi, 2, work(   47,    6000,    188,    188,  0)),
-    ("aes_control",     2, Multi, 4, work(   24,    6000,     96,     96,  0)),
-    ("aes_control",     3, Multi, 1, work(   94,    6000,    376,    376,  0)),
-    ("aes_control",     3, Multi, 2, work(   47,    6000,    188,    188,  0)),
-    ("aes_control",     3, Multi, 4, work(   24,    6000,     96,     96,  0)),
-    ("adc_ctrl_fsm",    2, Multi, 1, work(   94,    6000,    376,    376,  0)),
-    ("adc_ctrl_fsm",    2, Multi, 2, work(   47,    6000,    188,    188,  0)),
-    ("adc_ctrl_fsm",    2, Multi, 4, work(   24,    6000,     96,     96,  0)),
-    ("adc_ctrl_fsm",    3, Multi, 1, work(   94,    6000,    376,    376,  0)),
-    ("adc_ctrl_fsm",    3, Multi, 2, work(   47,    6000,    188,    188,  0)),
-    ("adc_ctrl_fsm",    3, Multi, 4, work(   24,    6000,     96,     96,  0)),
-    ("aes_control",     2, Deep,  4, work(    4,     896,     64,     64,  0)),
+    //                                   waves  inject stepped   fast fb    rows
+    ("aes_control",     2, Map,   1, work(   28,    1750,     28,     28,  0,      0)),
+    ("aes_control",     2, Map,   2, work(   14,    1750,     14,     14,  0,      0)),
+    ("aes_control",     2, Map,   4, work(    7,    1750,      7,      7,  0,      0)),
+    ("aes_control",     3, Map,   1, work(   44,    2786,     44,     44,  0,      0)),
+    ("aes_control",     3, Map,   2, work(   22,    2786,     22,     22,  0,      0)),
+    ("aes_control",     3, Map,   4, work(   11,    2786,     11,     11,  0,      0)),
+    ("aes_control",     4, Map,   1, work(   51,    3234,     51,     51,  0,      0)),
+    ("aes_control",     4, Map,   2, work(   26,    3234,     26,     26,  0,      0)),
+    ("aes_control",     4, Map,   4, work(   13,    3234,     13,     13,  0,      0)),
+    ("adc_ctrl_fsm",    2, Map,   1, work(  115,    7350,    115,    115,  0,      0)),
+    ("adc_ctrl_fsm",    2, Map,   2, work(   58,    7350,     58,     58,  0,      0)),
+    ("adc_ctrl_fsm",    2, Map,   4, work(   29,    7350,     29,     29,  0,      0)),
+    ("adc_ctrl_fsm",    3, Map,   1, work(  155,    9900,    155,    155,  0,      0)),
+    ("adc_ctrl_fsm",    3, Map,   2, work(   78,    9900,     78,     78,  0,      0)),
+    ("adc_ctrl_fsm",    3, Map,   4, work(   39,    9900,     39,     39,  0,      0)),
+    ("adc_ctrl_fsm",    4, Map,   1, work(  180,   11460,    180,    180,  0,      0)),
+    ("adc_ctrl_fsm",    4, Map,   2, work(   90,   11460,     90,     90,  0,      0)),
+    ("adc_ctrl_fsm",    4, Map,   4, work(   45,   11460,     45,     45,  0,      0)),
+    ("i2c_fsm",         2, Map,   1, work(  612,   39146,    612,    612,  0,      0)),
+    ("i2c_fsm",         2, Map,   2, work(  306,   39146,    306,    306,  0,      0)),
+    ("i2c_fsm",         2, Map,   4, work(  153,   39146,    153,    153,  0,      0)),
+    ("i2c_fsm",         3, Map,   1, work(  832,   53206,    832,    832,  0,      0)),
+    ("i2c_fsm",         3, Map,   2, work(  416,   53206,    416,    416,  0,      0)),
+    ("i2c_fsm",         3, Map,   4, work(  208,   53206,    208,    208,  0,      0)),
+    ("i2c_fsm",         4, Map,   1, work(  887,   56758,    887,    887,  0,      0)),
+    ("i2c_fsm",         4, Map,   2, work(  444,   56758,    444,    444,  0,      0)),
+    ("i2c_fsm",         4, Map,   4, work(  222,   56758,    222,    222,  0,      0)),
+    ("secure_boot_fsm", 2, Walks, 1, work(  199,   12692,    130,    130,  0,  12553)),
+    ("secure_boot_fsm", 2, Walks, 2, work(  100,   12692,     96,     96,  0,  12553)),
+    ("secure_boot_fsm", 2, Walks, 4, work(   50,   12692,     69,     69,  0,  12553)),
+    ("i2c_fsm",         3, Walks, 4, work(  832,  212824,    364,    364,  0, 211251)),
+    ("i2c_fsm",         2, Dense, 1, work(    7,     444,      7,      7,  0,      0)),
+    ("i2c_fsm",         2, Dense, 2, work(    4,     444,      4,      4,  0,      0)),
+    ("i2c_fsm",         2, Dense, 4, work(    2,     444,      2,      2,  0,      0)),
+    ("aes_control",     2, Multi, 1, work(   94,    6000,    380,    380,  0,      0)),
+    ("aes_control",     2, Multi, 2, work(   47,    6000,    192,    192,  0,      0)),
+    ("aes_control",     2, Multi, 4, work(   24,    6000,    100,    100,  0,      0)),
+    ("aes_control",     3, Multi, 1, work(   94,    6000,    380,    380,  0,      0)),
+    ("aes_control",     3, Multi, 2, work(   47,    6000,    192,    192,  0,      0)),
+    ("aes_control",     3, Multi, 4, work(   24,    6000,    100,    100,  0,      0)),
+    ("adc_ctrl_fsm",    2, Multi, 1, work(   94,    6000,    384,    384,  0,      0)),
+    ("adc_ctrl_fsm",    2, Multi, 2, work(   47,    6000,    192,    192,  0,      0)),
+    ("adc_ctrl_fsm",    2, Multi, 4, work(   24,    6000,    100,    100,  0,      0)),
+    ("adc_ctrl_fsm",    3, Multi, 1, work(   94,    6000,    384,    384,  0,      0)),
+    ("adc_ctrl_fsm",    3, Multi, 2, work(   47,    6000,    192,    192,  0,      0)),
+    ("adc_ctrl_fsm",    3, Multi, 4, work(   24,    6000,    100,    100,  0,      0)),
+    ("aes_control",     2, Deep,  4, work(    4,     896,     42,     42,  0,    880)),
 ];
 
 fn hardened(fsm: &str, level: usize) -> HardenedFsm {
@@ -178,6 +198,7 @@ fn recorded<R>(config: CampaignConfig, campaign: impl FnOnce(&CampaignConfig) ->
         stepped: count("scfi_campaign_cycles_stepped_total"),
         fast: count("scfi_campaign_oracle_fastpath_cycles_total"),
         fallback: count("scfi_campaign_oracle_fallback_cycles_total"),
+        rows: count("scfi_campaign_row_lanes_total"),
     };
     (report, work)
 }
