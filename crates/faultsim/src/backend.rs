@@ -234,13 +234,23 @@ struct WaveQueue<'a> {
     injections: u64,
 }
 
+/// Work lists of fewer waves than this run on the calling thread alone.
+/// A helper thread costs about as much as such a list gains from it: in
+/// an in-process probe of the benchmark's campaign ops (W = 4, 1 against
+/// 2 threads on a 2-vCPU host), every op under 16 waves took under
+/// 0.3 ms, gained at most 0.02 ms from a second worker when the host ran
+/// both, and lost as much when it did not.
+const MIN_PARALLEL_WAVES: usize = 16;
+
 /// The one wave scheduler behind both backends.
 ///
 /// Cuts the slot-ordered outcome vector into waves of `wave_items` slots
 /// and runs them on up to `threads` workers (the calling thread is one of
-/// them). Each worker builds its scratch with `new_worker` when it claims
-/// its first wave, then calls it as `wave(first, out)` to compute items
-/// `first..first + out.len()` into `out`. Waves are claimed from one
+/// them), or on the calling thread alone when the list holds fewer than
+/// `MIN_PARALLEL_WAVES` waves. Each worker builds its scratch with
+/// `new_worker` when it claims its first wave, then calls it as
+/// `wave(first, out)` to compute items `first..first + out.len()` into
+/// `out`. Waves are claimed from one
 /// [`Mutex`] in slot order, and [`RunControl::admit`] is asked under the
 /// same lock, so the first refusal stops every further claim and the
 /// admitted waves are always a prefix. A wave refused for the injection
@@ -264,7 +274,12 @@ where
     F: FnMut(usize, &mut [Option<Outcome>]),
 {
     let mut outcomes = vec![None; work.len()];
-    let workers = threads.min(work.len().div_ceil(wave_items)).max(1);
+    let waves = work.len().div_ceil(wave_items);
+    let workers = if waves < MIN_PARALLEL_WAVES {
+        1
+    } else {
+        threads.min(waves).max(1)
+    };
     let queue = Mutex::new(WaveQueue {
         waves: outcomes.chunks_mut(wave_items).enumerate(),
         stopped: None,

@@ -13,7 +13,9 @@
 //!   verdicts folded into `head(c)` (cycles before `c`) and `tail(c)`
 //!   (cycles after `c`). The first wave that needs one runs a packed
 //!   fault-free pass over its whole block of `64 · W` scenarios (lanes =
-//!   scenarios), classified word-parallel through the oracle. If that
+//!   scenarios), classified word-parallel through the oracle: the
+//!   expected-state-independent detection once per word and cycle, each
+//!   lane's expected state against it. If that
 //!   batch panics, the wave's own scenarios are run one at a time, so a
 //!   poisoned scenario still fails only the waves that touch it.
 //!   One-cycle scenarios and targets without an oracle get none: their
@@ -33,22 +35,29 @@
 //!   only where the lane-cycles it decides cover that cost (see
 //!   `intern_rows`); a key no walk revisits is simulated in waves instead.
 //!
-//! Every piece is computed exactly once, under a `OnceLock`: the first
-//! wave that needs it computes it and the others wait. What is built is a
-//! deterministic function of the admitted waves (which blocks they touch,
-//! which chunks of which rows their lanes read), so the work counters are
-//! the same at every thread count, and a run that admits no wave builds
-//! nothing.
+//! Every piece is computed exactly once, under a `OnceLock`. A block of
+//! fault-free runs is computed by the first wave that needs it, and the
+//! others wait: every wave of a block needs the block. A row chunk also
+//! has a claim flag: before its resolution pass, a wave fills every chunk
+//! its lanes read that no worker has claimed ([`ScenarioTable::fill`]),
+//! so it waits only on chunks another worker is still filling. The flag
+//! steers who fills a chunk, never whether: the `OnceLock` decides, and
+//! a fill that panics leaves the chunk empty for the next reader. What is
+//! built is a deterministic function of the admitted waves (which blocks
+//! they touch, which chunks of which rows their lanes read), so the work
+//! counters are the same at every thread count, and a run that admits no
+//! wave builds nothing.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use scfi_netlist::{lane_mask, CellId, PackedNetlist, PackedSimulator, LANES};
 use scfi_telemetry::{Counter, Telemetry};
 
-use crate::campaign::Outcome;
+use crate::campaign::{FaultSite, Outcome};
 use crate::oracle::WaveOracle;
 use crate::target::{FaultTarget, Scenario};
 use crate::wave::{arm_lanes, drive, drive_bits, verdict, WorkList};
@@ -140,6 +149,9 @@ pub(crate) struct Row<const W: usize> {
     /// The fault-free registers after the transition.
     post: Box<[u64]>,
     chunks: Box<[OnceLock<Chunk<W>>]>,
+    /// Set by the first worker that takes chunk `k` on to fill it; the
+    /// `OnceLock` stays the source of truth (see [`ScenarioTable::fill`]).
+    claimed: Box<[AtomicBool]>,
 }
 
 /// Faults `k · 64 · W ..` of a [`Row`], one lane each.
@@ -155,9 +167,52 @@ pub(crate) struct Chunk<const W: usize> {
     pub(crate) post: Vec<[u64; W]>,
 }
 
+/// The chunks of one [`Row`] that a run of at most `64 · W` consecutive
+/// fault positions reads: at most two, since a chunk holds `64 · W`
+/// faults. A chunk the run does not read stays `None` and reads as zeros.
+pub(crate) struct RunChunks<'r, const W: usize> {
+    /// The chunk index of `chunks[0]`.
+    first: usize,
+    chunks: [Option<&'r Chunk<W>>; 2],
+}
+
+impl<'r, const W: usize> RunChunks<'r, W> {
+    /// `n` (1 to 64) bits of the `mask` words of the chunks, from fault
+    /// position `p` on, in the low bits: the chunks' masks are one bit
+    /// string over the fault list, a chunk being `W` whole words of it.
+    pub(crate) fn bits(&self, p: usize, n: usize, mask: fn(&Chunk<W>) -> &[u64; W]) -> u64 {
+        bits_at(
+            |g| self.chunks[g / W - self.first].map_or(0, |chunk| mask(chunk)[g % W]),
+            p,
+            n,
+        )
+    }
+
+    /// The chunk that holds fault position `p`.
+    pub(crate) fn at(&self, p: usize) -> &'r Chunk<W> {
+        self.chunks[p / (LANES * W) - self.first].expect("the run reads this chunk")
+    }
+}
+
 /// Whether bit `j` of the packed `bits` is set.
 pub(crate) fn bit_at(bits: &[u64], j: usize) -> bool {
     bits[j / 64] >> (j % 64) & 1 != 0
+}
+
+/// `n` (1 to 64) bits of the bit string packed into `word(0), word(1), …`,
+/// from bit `p` on, in the low bits. `word(g)` is asked only for the words
+/// that hold those bits.
+pub(crate) fn bits_at(word: impl Fn(usize) -> u64, p: usize, n: usize) -> u64 {
+    let (g, off) = (p / 64, p % 64);
+    let mut bits = word(g) >> off;
+    if off > 0 && off + n > 64 {
+        bits |= word(g + 1) << (64 - off);
+    }
+    if n < 64 {
+        bits & ((1 << n) - 1)
+    } else {
+        bits
+    }
 }
 
 /// Appends `bits` to `out` packed into `u64` words.
@@ -182,6 +237,9 @@ pub(crate) struct ScenarioTable<'a, const W: usize> {
     oracle: Option<WaveOracle>,
     /// The exhaustive fault-list length when rows apply, else 0.
     period: usize,
+    /// Bit `p` is set when fault `p` of the exhaustive list is a register
+    /// flip; empty when rows do not apply.
+    register_faults: Vec<u64>,
     entries: Box<[OnceLock<Entry>]>,
     /// `None` once a block's batch pass has panicked.
     blocks: Box<[OnceLock<Option<Block<W>>>]>,
@@ -202,10 +260,18 @@ impl<'a, const W: usize> ScenarioTable<'a, W> {
     ) -> Self {
         let oracle = target.wave_oracle();
         let scenarios = target.scenario_count();
+        let period = if oracle.is_some() { work.period() } else { 0 };
+        let mut register_faults = Vec::new();
+        let registers: Vec<bool> = work.period_faults()[..period]
+            .iter()
+            .map(|f| matches!(f.site, FaultSite::Register(_)))
+            .collect();
+        pack(&registers, &mut register_faults);
         ScenarioTable {
             target,
             work,
-            period: if oracle.is_some() { work.period() } else { 0 },
+            period,
+            register_faults,
             classified: telemetry.counter(if oracle.is_some() {
                 "scfi_campaign_oracle_fastpath_cycles_total"
             } else {
@@ -296,14 +362,72 @@ impl<'a, const W: usize> ScenarioTable<'a, W> {
         }
     }
 
-    /// Chunk `k` of `row`, computed on first use.
-    pub(crate) fn chunk<'r>(
+    /// `n` (1 to 64) bits of the register-flip mask of the exhaustive
+    /// fault list, from fault position `p` on, in the low bits.
+    pub(crate) fn register_faults(&self, p: usize, n: usize) -> u64 {
+        bits_at(|g| self.register_faults[g], p, n)
+    }
+
+    /// The chunks of a row that the lanes at fault `positions` (at most
+    /// `64 · W` of them) read: a lane reads its chunk exactly when its
+    /// fault is armed on one cycle, which is every lane of a transient
+    /// scenario and only the register flips of a `registers_only`
+    /// (permanent) one.
+    fn chunks_read(
+        &self,
+        positions: Range<usize>,
+        registers_only: bool,
+    ) -> impl Iterator<Item = usize> + '_ {
+        let lanes = LANES * W;
+        (positions.start / lanes..positions.end.div_ceil(lanes)).filter(move |&k| {
+            let from = positions.start.max(k * lanes);
+            let to = positions.end.min(k * lanes + lanes);
+            !registers_only
+                || (from..to)
+                    .step_by(64)
+                    .any(|p| self.register_faults(p, (to - p).min(64)) != 0)
+        })
+    }
+
+    /// Fills every chunk of `row` that the lanes at fault `positions` read
+    /// (see `chunks_read`) and that no worker has claimed yet, so that a
+    /// wave computes what it alone needs before it waits on anything.
+    /// The claim flag only steers who fills a chunk: the chunk's
+    /// `OnceLock` decides, so each chunk is still computed once, and one
+    /// whose filling panicked stays empty for the next reader to compute.
+    pub(crate) fn fill(
+        &self,
+        row: &Row<W>,
+        positions: Range<usize>,
+        registers_only: bool,
+        scratch: &mut Scratch<'_, W>,
+    ) {
+        for k in self.chunks_read(positions, registers_only) {
+            // Relaxed: the flag publishes no data; the chunk reaches its
+            // readers through its `OnceLock`.
+            if !row.claimed[k].swap(true, Ordering::Relaxed) {
+                row.chunks[k].get_or_init(|| self.transition(row, k, scratch));
+            }
+        }
+    }
+
+    /// The chunks of `row` that the lanes at fault `positions` read,
+    /// computed on first use; waits for each one another worker is
+    /// still filling.
+    pub(crate) fn run_chunks<'r>(
         &self,
         row: &'r Row<W>,
-        k: usize,
+        positions: Range<usize>,
+        registers_only: bool,
         scratch: &mut Scratch<'_, W>,
-    ) -> &'r Chunk<W> {
-        row.chunks[k].get_or_init(|| self.transition(row, k, scratch))
+    ) -> RunChunks<'r, W> {
+        let first = positions.start / (LANES * W);
+        let mut chunks = [None; 2];
+        for k in self.chunks_read(positions, registers_only) {
+            chunks[k - first] =
+                Some(row.chunks[k].get_or_init(|| self.transition(row, k, scratch)));
+        }
+        RunChunks { first, chunks }
     }
 
     /// One packed fault-free pass over `scenarios`, one lane each.
@@ -337,11 +461,18 @@ impl<'a, const W: usize> ScenarioTable<'a, W> {
             }
             scratch.sim.step_into(&scratch.inputs, &mut scratch.outputs);
             let state = scratch.sim.register_words();
+            // The expected-state-independent detection, once per word.
+            let det: [u64; W] = std::array::from_fn(|w| {
+                if running[w] != 0 {
+                    oracle.detected_word(w, state, &scratch.outputs)
+                } else {
+                    0
+                }
+            });
             for (lane, e) in entries.iter().enumerate() {
                 if c < e.sc.cycles() {
                     let (w, bit) = (lane / LANES, 1u64 << (lane % LANES));
-                    let det = oracle.detected_word(w, state, &scratch.outputs);
-                    let (d, h) = oracle.classify_word(det, e.expected[c], w, bit, state);
+                    let (d, h) = oracle.classify_word(det[w], e.expected[c], w, bit, state);
                     verdicts[lane * stride + c] = verdict(d != 0, h != 0);
                 }
             }
@@ -429,6 +560,7 @@ impl<'a, const W: usize> ScenarioTable<'a, W> {
                 expected: e.expected[*c],
                 post: traj.regs(c + 1).into(),
                 chunks: (0..chunks).map(|_| OnceLock::new()).collect(),
+                claimed: (0..chunks).map(|_| AtomicBool::new(false)).collect(),
             });
             rows.insert(key.into(), Arc::clone(&row));
             Some(row)

@@ -36,19 +36,31 @@
 //! an edge: each fault of the list stepped once from the edge's
 //! fault-free registers and input word.
 //!
-//! Once per wave, one pass over its items resolves what the table knows
+//! Once per wave, the wave first fills every row chunk its lanes will
+//! read that no worker has claimed yet, and then one pass over its items,
+//! a run of same-scenario lanes at a time, resolves what the table knows
 //! and schedules the rest. A lane whose single fault is armed on one
-//! cycle `c` reads its row: detected, or back on the fault-free registers
-//! after `c`, it folds the fault-free verdicts before and after `c`
-//! around the row's verdict for `c` and is never simulated; otherwise it
-//! rejoins the wave on cycle `c + 1`, with the row's post-step registers
-//! flipped in where they differ from the fault-free ones. A lane with
-//! nothing armed takes the fault-free verdict. Every other lane gets its
-//! scenario's slot (through a scenario→slot index, with the slot's lane
-//! mask), its faults in per-cycle arming buckets — a register flip at its
-//! window's flip cycle, a net or pin fault on every cycle its window is
-//! open, nothing at or past the lane's scenario length — and its first
-//! and last armed cycle.
+//! cycle `c` reads its row. On an exhaustive list a run's lanes are
+//! consecutive fault positions, so their row verdicts are a contiguous
+//! bit range of the row chunks' masks, and `head(c)`, `tail(c)` and
+//! whether `c` is the last cycle are constants of the run: the pass
+//! shifts the chunk bits into the wave's lane words, 64 lanes at a time
+//! (a run may start mid-word and straddle a chunk), and folds the
+//! fault-free verdicts before and after `c` around the row's verdict for
+//! `c` as masks. A lane that is detected, back on the fault-free registers
+//! after `c`, or on its last cycle is then decided and never simulated;
+//! its outcome is written from the masks. Only the others take a per-lane
+//! step: each rejoins the wave on cycle `c + 1`, with the row's post-step
+//! registers flipped in where they differ from the fault-free ones. Lanes
+//! not armed exactly once (net and pin faults on a `Permanent` scenario)
+//! are selected by mask for the schedule, with every lane of a run no row
+//! covers. A scheduled lane with nothing armed takes the fault-free
+//! verdict. Every other one gets its scenario's slot (through a
+//! scenario→slot index, with the slot's lane mask), its faults in
+//! per-cycle arming buckets — a register flip at its window's flip cycle,
+//! a net or pin fault on every cycle its window is open, nothing at or
+//! past the lane's scenario length — and its first and last armed
+//! cycle.
 //!
 //! The wave starts at its earliest first armed cycle, every lane
 //! preloaded with its scenario's fault-free registers there (each slot's
@@ -85,6 +97,8 @@
 //! written to slot `i` regardless of which thread, wave or lane computed
 //! it, so results are independent of the thread count, the lane-word
 //! width, the wave boundaries and the lane order.
+
+use std::ops::Range;
 
 use scfi_netlist::{extract_lane, lane_mask, PackedNetlist, PackedSimulator, LANES};
 use scfi_telemetry::Telemetry;
@@ -480,13 +494,6 @@ pub(crate) fn drive_bits<const W: usize>(words: &mut [[u64; W]], bits: &[u64], l
     }
 }
 
-/// Whether `fault` on a scenario with `timing` is armed on exactly one
-/// cycle: register flips always are, net and pin faults in a transient
-/// window.
-fn armed_once(fault: Fault, timing: FaultTiming) -> bool {
-    matches!(fault.site, FaultSite::Register(_)) || matches!(timing, FaultTiming::Transient(_))
-}
-
 /// Puts lane `lane`'s `faults` into the arming buckets of `sc`'s cycles:
 /// a register flip at its window's flip cycle, a net or pin fault on every
 /// cycle its window is open, nothing at or past the scenario length.
@@ -532,6 +539,44 @@ pub(crate) fn verdict(detected: bool, hijack: bool) -> Outcome {
     }
 }
 
+/// All ones when `cond`, else zero.
+fn all_if(cond: bool) -> u64 {
+    if cond {
+        !0
+    } else {
+        0
+    }
+}
+
+/// The wave lanes `lanes` as a lane mask.
+fn lanes_in<const W: usize>(lanes: Range<usize>) -> [u64; W] {
+    std::array::from_fn(|w| {
+        let from = lanes.start.clamp(w * LANES, w * LANES + LANES) - w * LANES;
+        let to = lanes.end.clamp(w * LANES, w * LANES + LANES) - w * LANES;
+        match to - from {
+            0 => 0,
+            LANES => !0,
+            n => ((1u64 << n) - 1) << from,
+        }
+    })
+}
+
+/// The positions of the set bits of `bits`, lowest first.
+fn set_bits(mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let j = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            j
+        })
+    })
+}
+
+/// The lanes set in the lane mask `lanes`, lowest first.
+fn set_lanes<const W: usize>(lanes: [u64; W]) -> impl Iterator<Item = usize> {
+    (0..W).flat_map(move |w| set_bits(lanes[w]).map(move |j| w * LANES + j))
+}
+
 /// One packed worker of the shared scheduler: builds the worker's
 /// simulator and scratch, and returns the body that runs one wave —
 /// `wave(first, out)` computes the items `first..first + out.len()` (at
@@ -539,12 +584,14 @@ pub(crate) fn verdict(detected: bool, hijack: bool) -> Outcome {
 ///
 /// Each lane gets exactly the verdict of
 /// [`run_item_scalar`](crate::campaign::run_item_scalar), as "The wave
-/// loop" in the module docs lays out. One pass over the wave's items
+/// loop" in the module docs lays out. The wave fills the row chunks it
+/// reads that no other worker has claimed, then one pass over its items
 /// resolves what the campaign's [`ScenarioTable`] already knows — lanes
-/// whose transition row decides them, lanes with nothing armed — and
-/// schedules the rest: scenario slots through a scenario→slot index, each
-/// lane's faults into per-cycle arming buckets, and each lane's first and
-/// last armed cycle. The wave then steps from its earliest armed cycle,
+/// whose transition row decides them, by the word, and lanes with
+/// nothing armed — and schedules the rest: scenario slots through a
+/// scenario→slot index, each lane's faults into per-cycle arming
+/// buckets, and each lane's first and last armed cycle. The wave then
+/// steps from its earliest armed cycle,
 /// preloaded from the table's fault-free registers, and stops once every
 /// simulated lane is detected, settled back on its fault-free run or past
 /// its scenario. Stepped and classified cycles and the lanes rows
@@ -573,6 +620,8 @@ pub(crate) fn wave_worker<'a, const W: usize>(
         "scfi_campaign_oracle_fallback_cycles_total"
     });
     let row_lanes = telemetry.counter("scfi_campaign_row_lanes_total");
+    // The wave's runs of same-scenario items, and the slot of each.
+    let mut runs: Vec<(Range<usize>, usize)> = Vec::new();
     move |first: usize, out: &mut [Option<Outcome>]| {
         for slot in slots.drain(..) {
             slot_of[slot.index] = u32::MAX;
@@ -586,9 +635,10 @@ pub(crate) fn wave_worker<'a, const W: usize>(
         let mut resolved = 0u64;
         // Simulated lanes without a fault-free run: classified from cycle 0.
         let mut from_zero = [0u64; W];
-        // One pass over the wave's items, a run of lanes of one scenario
-        // at a time (work lists are scenario-major, so runs are long).
+        // The wave's runs of lanes of one scenario (work lists are
+        // scenario-major, so runs are long), each with its slot.
         let end = first + out.len();
+        runs.clear();
         let mut i = first;
         while i < end {
             let scenario = work.scenario(i);
@@ -610,6 +660,26 @@ pub(crate) fn wave_worker<'a, const W: usize>(
                 }
                 k => k as usize,
             };
+            runs.push((run, slot));
+        }
+        // Rows exist only on exhaustive lists, whose run of items from
+        // `i` holds the consecutive faults from position `i mod F` on.
+        let list = work.period_faults();
+        let positions = |run: &Range<usize>| {
+            let p = run.start % list.len().max(1);
+            p..p + run.len()
+        };
+        // Fill every row chunk the wave reads that no worker has claimed,
+        // before waiting on any that another worker is filling.
+        for (run, slot) in &runs {
+            let slot = &slots[*slot];
+            if let Some(row) = slot.traj.and_then(|traj| traj.row()) {
+                let permanent = !matches!(slot.entry.sc.timing, FaultTiming::Transient(_));
+                table.fill(row, positions(run), permanent, &mut scratch);
+            }
+        }
+        // One resolution pass over the runs.
+        for (run, slot) in runs.iter().cloned() {
             let (entry, traj) = (slots[slot].entry, slots[slot].traj);
             let sc = &entry.sc;
             let cycles = sc.cycles();
@@ -617,110 +687,140 @@ pub(crate) fn wave_worker<'a, const W: usize>(
                 arms.resize_with(cycles, Vec::new);
                 marks.resize(cycles, ([0; W], [0; W]));
             }
-            // The run's fault groups: consecutive faults of an exhaustive
-            // list, counting up from the first one's position in it, or
-            // each item's own group.
-            let list = work.period_faults();
-            let first_position = if list.is_empty() {
-                0
-            } else {
-                run.start % list.len()
-            };
-            let group = |p: usize, i: usize| match list.get(p) {
+            let positions = positions(&run);
+            // Lane `lane`'s fault position in an exhaustive list, and its
+            // fault group: the fault at that position, or its item's own.
+            let position = |lane: usize| positions.start + first + lane - run.start;
+            let group = |lane: usize| match list.get(position(lane)) {
                 Some(fault) => (std::slice::from_ref(fault), &[][..]),
-                None => work.group(i),
+                None => work.group(first + lane),
             };
+            let run_lanes = run.start - first..run.end - first;
             let mut lanes = [0u64; W];
             let Some(traj) = traj else {
                 // No fault-free run (one-cycle scenarios, targets without
                 // an oracle): simulated from cycle 0, never settled early.
-                for (p, i) in (first_position..).zip(run) {
-                    let lane = i - first;
-                    let (faults, overrides) = group(p, i);
+                for lane in run_lanes.clone() {
+                    let (faults, overrides) = group(lane);
                     schedule(&mut arms, sc, faults, overrides, lane);
-                    lanes[lane / LANES] |= 1 << (lane % LANES);
                 }
+                let run_lanes: [u64; W] = lanes_in(run_lanes);
                 for k in 0..W {
-                    from_zero[k] |= lanes[k];
-                    slots[slot].lanes[k] |= lanes[k];
+                    from_zero[k] |= run_lanes[k];
+                    slots[slot].lanes[k] |= run_lanes[k];
                 }
                 start_cycle = 0;
                 end_cycle = end_cycle.max(cycles);
                 continue;
             };
-            // Rows exist only on exhaustive lists, indexed by position.
-            let row = traj.row();
-            let mut chunk = None;
-            for (p, i) in (first_position..).zip(run) {
-                let lane = i - first;
-                let (w, bit) = (lane / LANES, 1u64 << (lane % LANES));
-                let (faults, overrides) = group(p, i);
-                // (first classified cycle, verdict of the cycles before it,
-                // last armed cycle)
-                let (start, before, last) = match row {
-                    Some(row) if armed_once(faults[0], sc.timing) => {
-                        // Armed on cycle `c` only: the row decides that cycle.
-                        let c = sc.timing.flip_cycle();
-                        let k = p / (LANES * W);
-                        let chunk = match chunk {
-                            Some((at, chunk)) if at == k => chunk,
-                            _ => {
-                                let computed = table.chunk(row, k, &mut scratch);
-                                chunk = Some((k, computed));
-                                computed
-                            }
+            // The lanes a row leaves to the per-lane schedule below; all
+            // of them when no row applies.
+            let mut scheduled = None;
+            if let Some(row) = traj.row() {
+                // A lane armed on cycle `c` only reads its row's verdict
+                // for `c`; `head(c)`, `tail(c)` and whether `c` is the last
+                // cycle are the run's constants, so lanes resolve by the
+                // word: a word's lanes are consecutive fault positions, a
+                // contiguous bit range of the row chunks' masks.
+                let c = sc.timing.flip_cycle();
+                let (head, tail) = (traj.head(c), traj.tail(c));
+                let permanent = !matches!(sc.timing, FaultTiming::Transient(_));
+                let chunks = table.run_chunks(row, positions.clone(), permanent, &mut scratch);
+                let after = traj.regs(c + 1);
+                let words: [u64; W] = lanes_in(run_lanes.clone());
+                let mut left = [0u64; W];
+                for (w, &word) in words.iter().enumerate() {
+                    if word == 0 {
+                        continue;
+                    }
+                    let (shift, n) = (word.trailing_zeros(), word.count_ones() as usize);
+                    let p = position(w * LANES + shift as usize);
+                    // Lanes armed once: every lane of a transient
+                    // scenario, the register flips of a permanent one.
+                    let once = word
+                        & if permanent {
+                            table.register_faults(p, n) << shift
+                        } else {
+                            !0
                         };
+                    let row_bits = |mask| chunks.bits(p, n, mask) << shift & once;
+                    let step_detected = row_bits(|chunk| &chunk.detected);
+                    let step_hijack = row_bits(|chunk| &chunk.hijack);
+                    let settled = row_bits(|chunk| &chunk.settled);
+                    // `head(c).fold(step)`, as masks.
+                    let before_detected =
+                        once & (all_if(head == Outcome::Detected) | step_detected);
+                    let before_hijack =
+                        once & !before_detected & (all_if(head == Outcome::Hijack) | step_hijack);
+                    // Detected, or back on the fault-free registers, or on
+                    // the last cycle: `before.fold(tail(c))` is the verdict.
+                    let done = once & (before_detected | settled | all_if(c + 1 == cycles));
+                    let done_detected =
+                        done & (before_detected | all_if(tail == Outcome::Detected));
+                    let done_hijack =
+                        done & !done_detected & (before_hijack | all_if(tail == Outcome::Hijack));
+                    for j in set_bits(done) {
+                        let bit = 1u64 << j;
+                        out[w * LANES + j] =
+                            Some(verdict(done_detected & bit != 0, done_hijack & bit != 0));
+                    }
+                    resolved += u64::from(done.count_ones());
+                    // Off its fault-free run: the lane rejoins it on cycle
+                    // `c + 1` with the row's post-step registers, flipped
+                    // in where they differ from the fault-free ones.
+                    let rejoin = once & !done;
+                    for j in set_bits(rejoin) {
+                        let lane = w * LANES + j;
+                        let p = position(lane);
                         let (rw, rbit) = (p % (LANES * W) / LANES, 1u64 << (p % LANES));
-                        let step =
-                            verdict(chunk.detected[rw] & rbit != 0, chunk.hijack[rw] & rbit != 0);
-                        let before = traj.head(c).fold(step);
-                        if before == Outcome::Detected
-                            || chunk.settled[rw] & rbit != 0
-                            || c + 1 == cycles
-                        {
-                            out[lane] = Some(before.fold(traj.tail(c)));
-                            resolved += 1;
-                            continue;
-                        }
-                        // Off its fault-free run: the lane rejoins it on
-                        // cycle `c + 1` with the row's post-step registers,
-                        // flipped in where they differ from the fault-free
-                        // ones.
-                        let after = traj.regs(c + 1);
-                        for (j, reg) in chunk.post.iter().enumerate() {
-                            if (reg[rw] & rbit != 0) != bit_at(after, j) {
+                        for (r, reg) in chunks.at(p).post.iter().enumerate() {
+                            if (reg[rw] & rbit != 0) != bit_at(after, r) {
                                 let flip = Fault {
-                                    site: FaultSite::Register(registers[j]),
+                                    site: FaultSite::Register(registers[r]),
                                     effect: FaultEffect::Flip,
                                 };
                                 arms[c + 1].push((flip, lane as u32));
                             }
                         }
-                        (c + 1, before, Some(c + 1))
                     }
-                    _ => {
-                        let (armed_first, armed_last) =
-                            schedule(&mut arms, sc, faults, overrides, lane);
-                        if armed_first >= cycles {
-                            // Nothing armed: the fault-free verdict.
-                            out[lane] = Some(traj.head(cycles));
-                            continue;
-                        }
-                        (armed_first, traj.head(armed_first), armed_last)
+                    if rejoin != 0 {
+                        lanes[w] |= rejoin;
+                        hijack[w] |= before_hijack & rejoin;
+                        marks[c + 1].0[w] |= rejoin;
+                        marks[c + 1].1[w] |= rejoin;
+                        start_cycle = start_cycle.min(c + 1);
+                        end_cycle = end_cycle.max(cycles);
                     }
-                };
+                    left[w] = word & !once;
+                }
+                scheduled = Some(left);
+            }
+            let mut schedule_lane = |lane: usize| {
+                let (w, bit) = (lane / LANES, 1u64 << (lane % LANES));
+                let (faults, overrides) = group(lane);
+                let (armed_first, armed_last) = schedule(&mut arms, sc, faults, overrides, lane);
+                if armed_first >= cycles {
+                    // Nothing armed: the fault-free verdict.
+                    out[lane] = Some(traj.head(cycles));
+                    return;
+                }
+                let before = traj.head(armed_first);
                 if before == Outcome::Detected {
                     out[lane] = Some(before);
-                    continue;
+                    return;
                 }
                 lanes[w] |= bit;
                 hijack[w] |= if before == Outcome::Hijack { bit } else { 0 };
-                marks[start].0[w] |= bit;
-                if let Some(last) = last {
+                marks[armed_first].0[w] |= bit;
+                if let Some(last) = armed_last {
                     marks[last].1[w] |= bit;
                 }
-                start_cycle = start_cycle.min(start);
+                start_cycle = start_cycle.min(armed_first);
                 end_cycle = end_cycle.max(cycles);
+            };
+            match scheduled {
+                Some(left) => set_lanes(left).for_each(&mut schedule_lane),
+                None => run_lanes.for_each(&mut schedule_lane),
             }
             for (slot_lanes, lanes) in slots[slot].lanes.iter_mut().zip(lanes) {
                 *slot_lanes |= lanes;

@@ -382,20 +382,36 @@ impl FaultTarget for GatedTarget {
     }
 }
 
+/// The fewest waves a list must hold for the scheduler to start a second
+/// worker (`MIN_PARALLEL_WAVES` in `backend.rs`).
+const MIN_PARALLEL_WAVES: usize = 16;
+
 /// Two workers with a budget of two waves: the worker holding wave 0
 /// stalls in its first `classify` until the other worker classifies, so
 /// both hold an admitted wave at once. Waves are claimed and admitted in
 /// slot order, so the second worker's wave is wave 1 and the run
 /// completes waves {0, 1} — on every backend, exactly the prefix a
-/// single thread completes.
+/// single thread completes. The exhaustive list, repeated four times,
+/// holds enough waves in every pick for the scheduler to start the
+/// second worker, and the test fails unless the gate opened.
 #[test]
 fn a_budget_completes_the_first_waves_while_workers_overlap() {
     let clean = SyntheticTarget::new(None);
     let faults = fault_space(clean.module());
-    let work = work_list(&clean, &faults);
+    let once = work_list(&clean, &faults);
+    let mut work = WorkList::with_capacity(4 * once.len());
+    for _ in 0..4 {
+        for i in 0..once.len() {
+            let (scenario, faults) = once.item(i);
+            work.push(scenario, faults);
+        }
+    }
     for pick in 0..PICKS {
         let (config, wave_items, label) = pick_config(pick, 2);
-        assert!(work.len() > 2 * wave_items, "{label}: the budget must bite");
+        assert!(
+            work.len() > (MIN_PARALLEL_WAVES - 1) * wave_items,
+            "{label}: the list must hold {MIN_PARALLEL_WAVES} waves for two workers to run"
+        );
         let reference = try_run(pick, &clean, &work, &config, &RunControl::unlimited())
             .expect("a clean target runs to completion");
         let gated = GatedTarget {
@@ -411,6 +427,10 @@ fn a_budget_completes_the_first_waves_while_workers_overlap() {
             }
             other => panic!("{label}: expected Interrupted, got {other:?}"),
         };
+        assert!(
+            gated.gate.lock().expect("gate lock").open,
+            "{label}: a second worker never classified"
+        );
         let done: Vec<usize> = (0..work.len())
             .filter(|&i| partial.outcomes[i].is_some())
             .collect();

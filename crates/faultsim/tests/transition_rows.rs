@@ -7,7 +7,7 @@
 //! earliest armed cycle and retire lanes once they are back on their
 //! fault-free run. Each case here compares the packed outcome vector with
 //! the scalar reference slot for slot, at every wave width and at one
-//! thread and one thread per CPU:
+//! thread, one thread per CPU and four threads:
 //!
 //! * an FSM with an unreachable state and a shadowed transition, driven
 //!   as raw inputs would drive it: the fault-free walk through the
@@ -17,16 +17,21 @@
 //! * depth-16 walks, where rows decide lanes fifteen cycles before the
 //!   walk ends;
 //! * the vulnerability maps those campaigns print, through the one
-//!   exhaustive entry point.
+//!   exhaustive entry point;
+//! * fault lists of 1 to 710 faults, whose runs of same-scenario lanes
+//!   start mid-word and straddle row chunks: a wave resolves a run's row
+//!   lanes 64 at a time from a bit range of the chunks' masks, and fills
+//!   the chunks it reads before it waits on one another worker fills.
 
 use scfi_core::{harden, HardenedFsm, ScfiConfig};
 use scfi_faultsim::{
-    enumerate_faults, Backend, CampaignBackend, CampaignConfig, FaultEffect, FaultTarget,
-    FaultTiming, Outcome, PackedBackend, ProtocolScenario, RunControl, ScalarBackend, ScfiTarget,
-    UnprotectedTarget, VulnerabilityMap, WorkList,
+    enumerate_faults, protocol_scenarios, Backend, CampaignBackend, CampaignConfig, Fault,
+    FaultEffect, FaultSite, FaultTarget, FaultTiming, Outcome, PackedBackend, ProtocolScenario,
+    RunControl, ScalarBackend, ScfiTarget, UnprotectedTarget, VulnerabilityMap, WorkList,
 };
 use scfi_fsm::{lower_unprotected, parse_fsm, Fsm};
 use scfi_netlist::Simulator;
+use scfi_telemetry::Telemetry;
 
 /// Four states: `S3` is unreachable, and the second `if a -> S2` of `S0`
 /// is shadowed by `if a -> S1`.
@@ -41,9 +46,14 @@ fn dirty_fsm() -> Fsm {
     .expect("valid DSL")
 }
 
-/// One worker per CPU, and at least two so the shared table is raced.
-fn cpus() -> usize {
-    std::thread::available_parallelism().map_or(2, |n| n.get().max(2))
+/// One thread, one worker per CPU (at least two, so the shared table is
+/// raced) and four, so that workers outnumber CPUs on small hosts.
+fn thread_counts() -> Vec<usize> {
+    let cpus = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
+    let mut counts = vec![1, cpus, 4];
+    counts.sort_unstable();
+    counts.dedup();
+    counts
 }
 
 /// Gate-output flips and stuck-ats plus register flips: transient
@@ -60,10 +70,15 @@ fn config() -> CampaignConfig {
 
 /// The exhaustive scenario-major work list, pushed item by item.
 fn exhaustive_work<T: FaultTarget>(target: &T, config: &CampaignConfig) -> WorkList {
-    let faults = enumerate_faults(target.module(), config);
+    listed_work(target, &enumerate_faults(target.module(), config))
+}
+
+/// The exhaustive scenario-major work list of `faults`, pushed item by
+/// item.
+fn listed_work<T: FaultTarget>(target: &T, faults: &[Fault]) -> WorkList {
     let mut work = WorkList::with_capacity(target.scenario_count() * faults.len());
     for s in 0..target.scenario_count() {
-        for fault in &faults {
+        for fault in faults {
             work.push(s, std::slice::from_ref(fault));
         }
     }
@@ -71,7 +86,7 @@ fn exhaustive_work<T: FaultTarget>(target: &T, config: &CampaignConfig) -> WorkL
 }
 
 /// The packed outcome vector equals the single-threaded scalar one slot
-/// for slot at W ∈ {1, 2, 4} × threads ∈ {1, nproc}, and so does the
+/// for slot at W ∈ {1, 2, 4} × threads ∈ {1, nproc, 4}, and so does the
 /// vulnerability map. Returns the scalar outcomes.
 fn assert_engines_agree<T: FaultTarget>(target: &T, what: &str) -> Vec<Outcome> {
     let config = config();
@@ -83,7 +98,7 @@ fn assert_engines_agree<T: FaultTarget>(target: &T, what: &str) -> Vec<Outcome> 
     assert_eq!(scalar.len(), work.len(), "{what}");
     let reference = VulnerabilityMap::analyze(target, &config.clone().backend(Backend::Scalar));
     for lane_words in [1, 2, 4] {
-        for threads in [1, cpus()] {
+        for threads in thread_counts() {
             let config = config.clone().lane_words(lane_words).threads(threads);
             let packed = PackedBackend
                 .try_execute(target, &work, &config, &control)
@@ -209,4 +224,103 @@ fn deep_walks_match_scalar_at_every_width_and_thread_count() {
     let h = hardened(&fsm, 2);
     let target = ScfiTarget::with_protocol(&h, 16, 0xB007_5EED);
     assert_engines_agree(&target, "aes_control N=2 depth 16");
+}
+
+/// `faults` with its register flips spread evenly among the other faults,
+/// so that runs of a permanent scenario mix lanes that read a row (the
+/// flips) with lanes the wave schedules.
+fn interleave_register_flips(faults: Vec<Fault>) -> Vec<Fault> {
+    let (flips, others): (Vec<Fault>, Vec<Fault>) = faults
+        .into_iter()
+        .partition(|f| matches!(f.site, FaultSite::Register(_)));
+    let stride = others.len() / flips.len().max(1) + 1;
+    let mut flips = flips.into_iter();
+    let mut list = Vec::new();
+    for (i, fault) in others.into_iter().enumerate() {
+        if i % stride == 0 {
+            list.extend(flips.next());
+        }
+        list.push(fault);
+    }
+    list.extend(flips);
+    list
+}
+
+/// Exhaustive lists of F ∈ {1, 63, 65, 199, 257, 710} faults, prefixes of
+/// one list, over 32 of the i2c_fsm N = 3 depth-4 walks: F is rarely a multiple
+/// of 64 or of a chunk, so runs start mid-word and straddle chunks. Two
+/// lists: the gate-output flips of `scfi analyze` on transient walks
+/// (every lane reads its row), and the same with register flips spread
+/// among them on permanent walks (only the flips read a row). Packed
+/// equals scalar slot for slot at W ∈ {1, 2, 4} and every thread count,
+/// and the rows and stepped counts do not depend on the thread count.
+#[test]
+fn runs_that_straddle_words_and_chunks_match_scalar() {
+    let fsm = scfi_opentitan::by_name("i2c_fsm").expect("suite").fsm;
+    let h = hardened(&fsm, 3);
+    // The first 32 walks, one scenario per injection cycle: enough walks
+    // revisit edges for rows to decide most lanes.
+    let walks = &protocol_scenarios(h.cfg(), 4, 0xB007_5EED)[..128];
+    let transient = ScfiTarget::with_scenarios(&h, walks.to_vec());
+    let permanent = ScfiTarget::with_scenarios(
+        &h,
+        walks
+            .iter()
+            .step_by(4)
+            .map(|sc| ProtocolScenario::new(sc.edges.clone(), FaultTiming::Permanent))
+            .collect(),
+    );
+    let gates = enumerate_faults(transient.module(), &CampaignConfig::new());
+    assert_eq!(gates.len(), 710, "the i2c_fsm N=3 gate-output flips");
+    let mixed = interleave_register_flips(enumerate_faults(
+        permanent.module(),
+        &CampaignConfig::new().with_register_flips(),
+    ));
+    let control = RunControl::unlimited();
+    for (what, target, list) in [
+        ("transient walks", &transient, &gates),
+        ("permanent walks", &permanent, &mixed),
+    ] {
+        // An item's outcome does not depend on the rest of the list, so
+        // one scalar run over the whole list is the reference of every
+        // prefix: slot `s · F + p` of a prefix is slot `s · |list| + p`.
+        let full = listed_work(target, list);
+        let scalar = ScalarBackend
+            .try_execute(target, &full, &CampaignConfig::new(), &control)
+            .expect("scalar run");
+        for f in [1, 63, 65, 199, 257, 710] {
+            let work = listed_work(target, &list[..f]);
+            for lane_words in [1, 2, 4] {
+                let mut counts = Vec::new();
+                for threads in thread_counts() {
+                    let telemetry = Telemetry::recording();
+                    let config = CampaignConfig::new()
+                        .lane_words(lane_words)
+                        .threads(threads)
+                        .telemetry(telemetry.clone());
+                    let packed = PackedBackend
+                        .try_execute(target, &work, &config, &control)
+                        .expect("packed run");
+                    let diverged =
+                        (0..work.len()).find(|&i| packed[i] != scalar[i / f * list.len() + i % f]);
+                    assert!(
+                        diverged.is_none(),
+                        "{what}, F={f}, W={lane_words}, threads={threads}: slot {diverged:?} diverged"
+                    );
+                    let count = |name: &str| telemetry.counter(name).get();
+                    counts.push((
+                        threads,
+                        count("scfi_campaign_row_lanes_total"),
+                        count("scfi_campaign_cycles_stepped_total"),
+                    ));
+                }
+                assert!(
+                    counts
+                        .iter()
+                        .all(|&(_, rows, stepped)| (rows, stepped) == (counts[0].1, counts[0].2)),
+                    "{what}, F={f}, W={lane_words}: (threads, rows, stepped) {counts:?}"
+                );
+            }
+        }
+    }
 }
