@@ -8,8 +8,9 @@
 //! scfi harden <fsm.dsl|-> [--level N] [--adaptive] [--rails R]
 //!             [--protect-outputs] [--pad zero|replicate]
 //!             [--emit verilog|dot|report]
-//! scfi analyze <fsm.dsl|-> [--level N] [--region all|diffusion|selector]
-//!              [--pin-faults] [--stuck-at] [--rank] [--multi M --runs K]
+//! scfi analyze <fsm.dsl|-> [--level N] [--config scfi|redundancy|unprotected]
+//!              [--region all|diffusion|selector] [--pin-faults] [--stuck-at]
+//!              [--rank] [--multi M --runs K]
 //!              [--protocol K] [--fuzz-inputs] [--fault-windows]
 //!              [--backend scalar|packed]
 //!              [--lanes 64|128|256] [--format text|csv|json]
@@ -31,8 +32,8 @@ use std::str::FromStr;
 
 use scfi_core::{HardenedFsm, PadPolicy, ScfiConfig};
 use scfi_faultsim::{
-    try_run_multi_fault, Backend, CampaignError, CampaignReport, FaultTarget, ScfiTarget,
-    StopReason, VulnerabilityMap,
+    try_run_multi_fault, Backend, CampaignConfig, CampaignError, CampaignReport, FaultTarget,
+    RunControl, StopReason, VulnerabilityMap,
 };
 use scfi_fsm::{parse_fsm, Fsm};
 use scfi_netlist::Module;
@@ -41,7 +42,7 @@ use scfi_serve::jobs::{
     certify, joint_bound, protocol_depth, Certification, Format, JobKind, JobSpec,
 };
 use scfi_serve::wire::{bits, write_sites_csv, write_sites_json};
-use scfi_serve::{ConfigKind, Prepared, PreparedModel, WALK_SEED};
+use scfi_serve::{with_analyze_target, ConfigKind, Prepared, PreparedModel, TargetCampaign};
 use scfi_stdcell::Library;
 use scfi_symbolic::{
     describe_active, describe_fault, CertificationReport, JointReport, JointVerdict, Verdict,
@@ -79,8 +80,9 @@ pub const USAGE: &str = "usage:
   scfi harden <fsm.dsl|-> [--level N] [--adaptive] [--rails R]
               [--protect-outputs] [--pad zero|replicate]
               [--emit verilog|dot|report]
-  scfi analyze <fsm.dsl|-> [--level N] [--region all|diffusion|selector]
-               [--pin-faults] [--stuck-at] [--rank] [--multi M --runs K]
+  scfi analyze <fsm.dsl|-> [--level N] [--config scfi|redundancy|unprotected]
+               [--region all|diffusion|selector] [--pin-faults] [--stuck-at]
+               [--rank] [--multi M --runs K]
                [--protocol K] [--fuzz-inputs] [--fault-windows]
                [--backend scalar|packed]
                [--lanes 64|128|256] [--format text|csv|json]
@@ -107,6 +109,10 @@ JSON.
 
 `-` reads the FSM DSL from standard input. `scfi suite` lists the bundled
 OpenTitan-like benchmark FSMs; `scfi suite <name>` prints one as DSL.
+`--config` picks the §6.1 configuration that `analyze` and `certify`
+run on (default `scfi`): the SCFI hardening, the N-fold `redundancy`
+baseline or the `unprotected` lowering. `--region` and the analytic
+success-probability line of `analyze` apply to SCFI only.
 `--protocol K` runs a multi-cycle campaign over depth-K CFG walks
 (K ≤ 64), each step glitched transiently, instead of the
 single-transition experiment. `--multi M --runs K` (default K = 2000)
@@ -330,6 +336,16 @@ fn parse_config(flags: &mut Flags<'_>) -> Result<ScfiConfig, CliError> {
     Ok(config)
 }
 
+/// The `--config` flag of `command`: the §6.1 configuration to run on,
+/// SCFI by default.
+fn parse_config_kind(flags: &mut Flags<'_>, command: &str) -> Result<ConfigKind, CliError> {
+    match flags.value("--config")? {
+        None => Ok(ConfigKind::Scfi),
+        Some(name) => ConfigKind::parse(name)
+            .ok_or_else(|| usage_err(format!("unknown {command} config `{name}`"))),
+    }
+}
+
 /// Prepares `fsm` as the job server does; a failed pass is a processing
 /// error (exit 3) carrying the pass's message.
 fn prepare(fsm: &Fsm, kind: ConfigKind, config: &ScfiConfig) -> Result<Prepared, CliError> {
@@ -377,7 +393,8 @@ const MAX_DRAWN_FAULTS: usize = 1 << 26;
 
 fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
     let mut flags = Flags::new(args);
-    let region = flags.value("--region")?.unwrap_or("all").to_string();
+    let config_kind = parse_config_kind(&mut flags, "analyze")?;
+    let region = flags.value("--region")?.map(str::to_string);
     let pin_faults = flags.switch("--pin-faults");
     let stuck_at = flags.switch("--stuck-at");
     let rank = flags.switch("--rank");
@@ -396,7 +413,10 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
         Some("json") => Some(Format::Json),
         Some(other) => return Err(usage_err(format!("unknown format `{other}`"))),
     };
-    if !matches!(region.as_str(), "all" | "diffusion" | "selector") {
+    if let Some(region) = region
+        .as_deref()
+        .filter(|r| !matches!(*r, "all" | "diffusion" | "selector"))
+    {
         return Err(usage_err(format!("unknown region `{region}`")));
     }
     // Every flag combination is checked before any work is done or any
@@ -435,6 +455,10 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
         (
             rank && multi.is_some(),
             "--rank applies to exhaustive campaigns only",
+        ),
+        (
+            region.is_some() && config_kind != ConfigKind::Scfi,
+            "--region selects a region of the SCFI hardening; it requires --config scfi",
         ),
     ] {
         if conflict {
@@ -488,76 +512,112 @@ fn cmd_analyze(args: &[String], out: &mut String) -> Result<(), CliError> {
         ..JobSpec::new(
             JobKind::Analyze,
             load_fsm(flags.input()?)?,
-            ConfigKind::Scfi,
+            config_kind,
             level,
         )
     };
     let prepared = prepare(&spec.fsm, spec.config, &scfi_config)?;
-    let hardened = hardened(&prepared);
     let control = spec.run_control();
+    let hardened = match &prepared.model {
+        PreparedModel::Scfi(hardened) => Some(&**hardened),
+        _ => None,
+    };
 
     let mut config = spec.campaign_config(&prepared, &stats.telemetry);
-    let regions = hardened.regions();
-    config = match region.as_str() {
-        "diffusion" => config.region(regions.diffusion.clone()),
-        "selector" => config.region(regions.pattern_match.start..regions.modifier_select.end),
-        _ => config,
-    };
+    if let (Some(region), Some(hardened)) = (region.as_deref(), hardened) {
+        let regions = hardened.regions();
+        config = match region {
+            "diffusion" => config.region(regions.diffusion.clone()),
+            "selector" => config.region(regions.pattern_match.start..regions.modifier_select.end),
+            _ => config,
+        };
+    }
     if fault_windows {
         config = config.with_fault_windows();
     }
-
-    let target = match protocol {
-        // Walk seed fixed, and shared with `scfi serve`, so repeated
-        // invocations and served jobs analyze the same protocol scenario
-        // set.
-        Some(depth) if fuzz_inputs => ScfiTarget::with_fuzzed_protocol(hardened, depth, WALK_SEED),
-        Some(depth) => ScfiTarget::with_protocol(hardened, depth, WALK_SEED),
-        None => ScfiTarget::new(hardened),
+    let command = AnalyzeCommand {
+        out: &mut *out,
+        config: &config,
+        control: &control,
+        hardened,
+        module: prepared.module(),
+        protocol: protocol.map(|depth| (depth, fuzz_inputs)),
+        multi: multi.map(|m| (m, runs)),
+        format,
+        rank,
     };
-    if let Some(depth) = protocol {
-        let _ = writeln!(
-            out,
-            "multi-cycle campaign: depth-{depth} {}protocol walks, {} scenarios",
-            if fuzz_inputs {
-                "adversarially fuzzed "
-            } else {
-                ""
-            },
-            target.scenario_count()
-        );
-    }
-    if let Some(m) = multi {
-        let report = try_run_multi_fault(&target, m, runs, &config, &control)
-            .map_err(|e| campaign_error(e, out))?;
-        write_summary(out, &report, hardened);
-    } else {
-        let map = VulnerabilityMap::try_analyze(&target, &config, &control)
-            .map_err(|e| campaign_error(e, out))?;
-        match format {
-            Some(Format::Csv) => write_sites_csv(out, hardened.module(), &map),
-            Some(Format::Json) => write_sites_json(out, hardened.module(), &map),
-            None => {
-                write_summary(out, &map.summary(), hardened);
-                if rank {
-                    let _ = writeln!(out, "{map}");
-                }
-            }
-        }
-    }
+    with_analyze_target(&spec, &prepared, command)?;
     stats.emit(out)?;
     Ok(())
 }
 
-/// The text report of `scfi analyze`: the campaign's totals and the
-/// paper's analytic success probability.
-fn write_summary(out: &mut String, report: &CampaignReport, hardened: &HardenedFsm) {
+/// The campaign `scfi analyze` runs on the target its flags select, and
+/// its report.
+struct AnalyzeCommand<'a> {
+    out: &'a mut String,
+    config: &'a CampaignConfig,
+    control: &'a RunControl,
+    /// The SCFI model, for the analytic success probability.
+    hardened: Option<&'a HardenedFsm>,
+    module: &'a Module,
+    /// The walk depth, and whether walks are fuzzed.
+    protocol: Option<(usize, bool)>,
+    /// `--multi M` and its sample count.
+    multi: Option<(usize, usize)>,
+    format: Option<Format>,
+    rank: bool,
+}
+
+impl TargetCampaign for AnalyzeCommand<'_> {
+    type Output = Result<(), CliError>;
+
+    fn run<T: FaultTarget>(self, target: &T) -> Self::Output {
+        let out = self.out;
+        if let Some((depth, fuzz_inputs)) = self.protocol {
+            let _ = writeln!(
+                out,
+                "multi-cycle campaign: depth-{depth} {}protocol walks, {} scenarios",
+                if fuzz_inputs {
+                    "adversarially fuzzed "
+                } else {
+                    ""
+                },
+                target.scenario_count()
+            );
+        }
+        if let Some((m, runs)) = self.multi {
+            let report = try_run_multi_fault(target, m, runs, self.config, self.control)
+                .map_err(|e| campaign_error(e, out))?;
+            write_summary(out, &report, self.hardened);
+            return Ok(());
+        }
+        let map = VulnerabilityMap::try_analyze(target, self.config, self.control)
+            .map_err(|e| campaign_error(e, out))?;
+        match self.format {
+            Some(Format::Csv) => write_sites_csv(out, self.module, &map),
+            Some(Format::Json) => write_sites_json(out, self.module, &map),
+            None => {
+                write_summary(out, &map.summary(), self.hardened);
+                if self.rank {
+                    let _ = writeln!(out, "{map}");
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The text report of `scfi analyze`: the campaign's totals and, for an
+/// SCFI model, the paper's analytic success probability.
+fn write_summary(out: &mut String, report: &CampaignReport, hardened: Option<&HardenedFsm>) {
     let _ = writeln!(out, "{report}");
-    let _ = writeln!(
-        out,
-        "analytic success probability (paper formula): {:.3e}",
-        scfi_faultsim::paper_success_probability(hardened)
-    );
+    if let Some(hardened) = hardened {
+        let _ = writeln!(
+            out,
+            "analytic success probability (paper formula): {:.3e}",
+            scfi_faultsim::paper_success_probability(hardened)
+        );
+    }
 }
 
 /// Converts a campaign failure into its exit code, writing the completed
@@ -685,11 +745,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 /// BDD engine, run through the job server's [`certify`].
 fn cmd_certify(args: &[String], out: &mut String) -> Result<(), CliError> {
     let mut flags = Flags::new(args);
-    let config = match flags.value("--config")? {
-        None => ConfigKind::Scfi,
-        Some(name) => ConfigKind::parse(name)
-            .ok_or_else(|| usage_err(format!("unknown certify config `{name}`")))?,
-    };
+    let config = parse_config_kind(&mut flags, "certify")?;
     let all_gates = flags.switch("--all-gates");
     let stuck_at = flags.switch("--stuck-at");
     let pin_faults = flags.switch("--pin-faults");
@@ -1780,6 +1836,106 @@ mod tests {
             1
         );
         let _ = std::fs::remove_file(path);
+    }
+
+    /// `--config` runs the baseline campaigns through the binary: each
+    /// campaign shape runs on every configuration with the same bytes on
+    /// the scalar and packed engines, the analytic success-probability
+    /// line is SCFI's alone, and the default is `scfi`.
+    #[test]
+    fn analyze_runs_every_config() {
+        let path = write_demo();
+        let p = path.to_str().expect("utf8");
+        assert_eq!(
+            run_ok(&["analyze", p, "--level", "3"]),
+            run_ok(&["analyze", p, "--level", "3", "--config", "scfi"])
+        );
+        for config in ["scfi", "redundancy", "unprotected"] {
+            let base = [
+                "analyze",
+                p,
+                "--level",
+                "3",
+                "--config",
+                config,
+                "--stuck-at",
+                "--pin-faults",
+            ];
+            let text = run_ok(&base);
+            assert!(text.contains("injections"), "{config}: {text}");
+            assert_eq!(
+                text.contains("analytic success probability"),
+                config == "scfi",
+                "{config}: {text}"
+            );
+            for extra in [
+                &["--format", "json"][..],
+                &["--protocol", "3", "--format", "json"],
+                &["--protocol", "3", "--fuzz-inputs"],
+                &["--multi", "2", "--runs", "300"],
+                &["--multi", "2", "--runs", "300", "--protocol", "3"],
+            ] {
+                let args = [&base[..], extra].concat();
+                let packed = run_ok(&args);
+                for engine in [&["--backend", "scalar"], &["--lanes", "64"]] {
+                    assert_eq!(
+                        run_ok(&[&args[..], engine].concat()),
+                        packed,
+                        "{config} {extra:?} {engine:?}"
+                    );
+                }
+            }
+        }
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// An unknown `--config`, and `--region` on a baseline configuration,
+    /// are usage errors raised before the FSM file is read.
+    #[test]
+    fn analyze_config_error_paths() {
+        let missing = "/nonexistent/x.dsl";
+        for args in [
+            &["analyze", missing, "--config", "bogus"][..],
+            &[
+                "analyze",
+                missing,
+                "--config",
+                "redundancy",
+                "--region",
+                "diffusion",
+            ],
+            &[
+                "analyze",
+                missing,
+                "--config",
+                "unprotected",
+                "--region",
+                "all",
+            ],
+        ] {
+            let (e, out) = run_err_out(args);
+            assert_eq!(e.code, 1, "{args:?}: {}", e.message);
+            assert_eq!(out, "", "{args:?} wrote output before failing");
+        }
+        let e = run_err(&["analyze", missing, "--config", "bogus"]);
+        assert!(
+            e.message.contains("unknown analyze config `bogus`"),
+            "{}",
+            e.message
+        );
+        let e = run_err(&[
+            "analyze",
+            missing,
+            "--config",
+            "redundancy",
+            "--region",
+            "all",
+        ]);
+        assert!(
+            e.message.contains("requires --config scfi"),
+            "{}",
+            e.message
+        );
     }
 
     /// `--rank --multi`, like every flag combination that cannot run, is a

@@ -6,47 +6,61 @@
 //!
 //! * **Entries.** A scenario is materialized once per campaign (preload,
 //!   per-cycle inputs, the oracle's expected state per cycle), by the first
-//!   wave that touches it.
+//!   wave that touches it. On an oracle target's non-exhaustive list (a
+//!   multi-fault draw) it also gets a class: scenarios with equal preload,
+//!   inputs and expected states, such as the injection-cycle scenarios of
+//!   one walk, share one class, and a wave keeps one slot per class.
 //! * **Trajectories.** On a target with a [`WaveOracle`], a scenario
-//!   longer than one cycle also gets its fault-free run: the registers
-//!   before every cycle, packed into `u64` words, and the fault-free
-//!   verdicts folded into `head(c)` (cycles before `c`) and `tail(c)`
-//!   (cycles after `c`). The first wave that needs one runs a packed
-//!   fault-free pass over its whole block of `64 · W` scenarios (lanes =
-//!   scenarios), classified word-parallel through the oracle: the
-//!   expected-state-independent detection once per word and cycle, each
-//!   lane's expected state against it. If that
-//!   batch panics, the wave's own scenarios are run one at a time, so a
-//!   poisoned scenario still fails only the waves that touch it.
-//!   One-cycle scenarios and targets without an oracle get none: their
-//!   waves run from cycle 0.
+//!   longer than one cycle gets its fault-free run, and so does a one-cycle
+//!   scenario when its list gives one-cycle keys rows (below): the
+//!   registers before every cycle, packed into `u64` words, and the
+//!   fault-free verdicts folded into `head(c)` (cycles before `c`) and
+//!   `tail(c)` (cycles after `c`). The first wave that needs one runs a
+//!   packed fault-free pass over its whole block of `64 · W` scenarios
+//!   (lanes = scenarios), classified word-parallel through the oracle:
+//!   the expected-state-independent detection once per word and cycle,
+//!   each lane's expected state against it. If that batch panics, the
+//!   wave's own scenarios are run one at a time, so a poisoned scenario
+//!   still fails only the waves that touch it. Other scenarios, and every
+//!   scenario of a target without an oracle, get none: their waves run
+//!   from cycle 0.
 //! * **Transition rows.** On an exhaustive work list
-//!   ([`WorkList::period`]), every multi-cycle scenario's faults are
-//!   armed on one cycle `c` (a register flip at its flip cycle, a net or
-//!   pin fault in its `Transient(c)` window). That cycle depends only on
-//!   the key — the fault-free registers before `c`, the input word of `c`
-//!   and the expected state after `c` (a shadowed edge shares state and
-//!   word with the edge that wins the first match, and only the expected
-//!   state tells them apart) — and on the fault. A [`Row`] steps each
-//!   fault of the list once from its key and records whether it was
-//!   detected, is back on the fault-free registers (masked or hijacked on
-//!   `c`), or neither. Walks that revisit an edge share its row. A row
-//!   costs one full step per `64 · W` faults, so a block asks for one
-//!   only where the lane-cycles it decides cover that cost (see
-//!   `intern_rows`); a key no walk revisits is simulated in waves instead.
+//!   ([`WorkList::period`]), every scenario's faults are armed on one
+//!   cycle `c`: a register flip at its flip cycle, a net or pin fault in
+//!   its `Transient(c)` window, and every fault of a one-cycle scenario on
+//!   its only cycle. That cycle depends only on the key — the fault-free
+//!   registers before `c`, the input word of `c` and the expected state
+//!   after `c` (a shadowed edge shares state and word with the edge that
+//!   wins the first match, and only the expected state tells them apart)
+//!   — and on the fault. A [`Row`] steps each fault of the list once from
+//!   its key and records whether it was detected, is back on the
+//!   fault-free registers (masked or hijacked on `c`), or neither. Walks
+//!   that revisit an edge share its row. A row costs one full step per
+//!   `64 · W` faults, so a multi-cycle key gets one only where the
+//!   lane-cycles it decides cover that cost, and one-cycle keys get rows
+//!   only when the list has at least [`ONE_CYCLE_ROW_FAULTS`] faults per
+//!   chunk (see `intern_rows`); the others are simulated in waves.
+//! * **Columns.** Column `k` of a block is chunk `k` of every row the
+//!   block interned. The first wave that reads chunk `k` of one of them
+//!   claims the column ([`ScenarioTable::fill`]): it arms chunk `k` once —
+//!   net and pin faults as masks, which stay armed across steps, register
+//!   flips as one lane mask per register, XOR-ed into each key's preload —
+//!   and steps each row of the block from its key under that arming.
+//!   Only the chunks the block's lanes read are built.
 //!
 //! Every piece is computed exactly once, under a `OnceLock`. A block of
 //! fault-free runs is computed by the first wave that needs it, and the
-//! others wait: every wave of a block needs the block. A row chunk also
-//! has a claim flag: before its resolution pass, a wave fills every chunk
-//! its lanes read that no worker has claimed ([`ScenarioTable::fill`]),
-//! so it waits only on chunks another worker is still filling. The flag
-//! steers who fills a chunk, never whether: the `OnceLock` decides, and
-//! a fill that panics leaves the chunk empty for the next reader. What is
-//! built is a deterministic function of the admitted waves (which blocks
-//! they touch, which chunks of which rows their lanes read), so the work
-//! counters are the same at every thread count, and a run that admits no
-//! wave builds nothing.
+//! others wait: every wave of a block needs the block. A column skips the
+//! row chunks another worker has claimed, and a wave fills every column
+//! its lanes read before its resolution pass, so it waits only on chunks
+//! another worker is still filling; a chunk nobody has started is
+//! computed by its reader alone. Claim flags steer who fills a chunk,
+//! never whether: the `OnceLock` decides, and a fill that panics leaves
+//! the chunk empty for the next reader. What is built is a deterministic
+//! function of the admitted waves (which blocks they touch, which chunk
+//! indices of which blocks their lanes read), so the work counters are
+//! the same at every thread count, and a run that admits no wave builds
+//! nothing.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -59,8 +73,18 @@ use scfi_telemetry::{Counter, Telemetry};
 
 use crate::campaign::{FaultSite, Outcome};
 use crate::oracle::WaveOracle;
-use crate::target::{FaultTarget, Scenario};
+use crate::target::{FaultTarget, FaultTiming, Scenario};
 use crate::wave::{arm_lanes, drive, drive_bits, verdict, WorkList};
+
+/// The least faults per row chunk at which an exhaustive list's one-cycle
+/// scenarios get transition rows (see `intern_rows`). A one-cycle row
+/// costs one step per chunk and key, where waves pack the keys of sparse
+/// chunks into one step but schedule and arm every lane. Measured on
+/// one-cycle maps of 2 to 256 faults over six netlists (1 thread, medians
+/// of 31 alternated runs), rows overtook waves at 48–60 faults per chunk
+/// at 64 lanes, 45–80 at 128 and 50–128 at 256 (medians 56, 65 and 80),
+/// so 64-lane waves keep their one-cycle lists.
+const ONE_CYCLE_ROW_FAULTS: usize = 80;
 
 /// One worker's packed simulator and word buffers, used by the table
 /// passes it runs and by the waves it steps.
@@ -71,6 +95,9 @@ pub(crate) struct Scratch<'p, const W: usize> {
     pub(crate) outputs: Vec<[u64; W]>,
     pub(crate) reg_bits: Vec<bool>,
     pub(crate) out_bits: Vec<bool>,
+    /// The register flips of the armed row chunk, one lane mask per
+    /// register (see `ScenarioTable::arm`).
+    flips: Vec<[u64; W]>,
 }
 
 impl<'p, const W: usize> Scratch<'p, W> {
@@ -82,6 +109,7 @@ impl<'p, const W: usize> Scratch<'p, W> {
             outputs: Vec::with_capacity(compiled.output_count()),
             reg_bits: Vec::with_capacity(compiled.register_count()),
             out_bits: Vec::with_capacity(compiled.output_count()),
+            flips: Vec::with_capacity(compiled.register_count()),
         }
     }
 }
@@ -92,6 +120,11 @@ pub(crate) struct Entry {
     /// `expected[c]` = the oracle codebook index of the fault-free landing
     /// state after cycle `c`; empty when the target has no oracle.
     pub(crate) expected: Vec<usize>,
+    /// The scenario's class when the table interns classes (scenarios
+    /// with equal preload, per-cycle inputs and expected states share one
+    /// fault-free run), else its index. Ids follow the order in which
+    /// workers materialize scenarios, so they only key a wave's slots.
+    pub(crate) class: usize,
 }
 
 /// The fault-free runs of a block of scenarios, one lane each.
@@ -106,6 +139,12 @@ struct Block<const W: usize> {
     folds: Vec<(Outcome, Outcome)>,
     /// Lane `l`'s transition row; empty when rows do not apply.
     rows: Vec<Option<Arc<Row<W>>>>,
+    /// The distinct rows of `rows`, each with whether the block's lanes
+    /// read only its chunks that hold register flips (`registers_only`).
+    /// Column `k` is chunk `k` of each of them.
+    columns: Vec<(Arc<Row<W>>, bool)>,
+    /// Set by the first worker that takes column `k` on to fill it.
+    claimed: Box<[AtomicBool]>,
 }
 
 /// One scenario's fault-free run: a lane of a [`Block`].
@@ -237,6 +276,12 @@ pub(crate) struct ScenarioTable<'a, const W: usize> {
     oracle: Option<WaveOracle>,
     /// The exhaustive fault-list length when rows apply, else 0.
     period: usize,
+    /// Whether one-cycle scenarios get fault-free runs and rows: the list
+    /// has at least [`ONE_CYCLE_ROW_FAULTS`] faults per chunk.
+    one_cycle_rows: bool,
+    /// The shared-run class of each scenario key, interned only on an
+    /// oracle target's non-exhaustive list (see [`Entry::class`]).
+    classes: Option<Mutex<HashMap<Box<[u64]>, usize>>>,
     /// Bit `p` is set when fault `p` of the exhaustive list is a register
     /// flip; empty when rows do not apply.
     register_faults: Vec<u64>,
@@ -271,6 +316,9 @@ impl<'a, const W: usize> ScenarioTable<'a, W> {
             target,
             work,
             period,
+            one_cycle_rows: period > 0
+                && period >= period.div_ceil(LANES * W) * ONE_CYCLE_ROW_FAULTS,
+            classes: (oracle.is_some() && work.period() == 0).then(Mutex::default),
             register_faults,
             classified: telemetry.counter(if oracle.is_some() {
                 "scfi_campaign_oracle_fastpath_cycles_total"
@@ -326,14 +374,39 @@ impl<'a, const W: usize> ScenarioTable<'a, W> {
                     "scenario input width mismatch"
                 );
             }
-            let expected = match self.oracle {
+            let expected: Vec<usize> = match self.oracle {
                 Some(_) => (0..sc.cycles())
                     .map(|c| self.target.expected_state(s, c))
                     .collect(),
                 None => Vec::new(),
             };
-            Entry { sc, expected }
+            let class = match &self.classes {
+                Some(classes) => {
+                    let mut key = Vec::new();
+                    pack(&sc.regs, &mut key);
+                    for inputs in &sc.inputs {
+                        pack(inputs, &mut key);
+                    }
+                    key.extend(expected.iter().map(|&e| e as u64));
+                    let mut classes = classes.lock().expect("no scenario panics under the lock");
+                    let next = classes.len();
+                    *classes.entry(key.into()).or_insert(next)
+                }
+                None => s,
+            };
+            Entry {
+                sc,
+                expected,
+                class,
+            }
         })
+    }
+
+    /// Whether `entry`'s scenario has a fault-free run: on an oracle
+    /// target, when it is longer than one cycle or one-cycle scenarios get
+    /// rows.
+    pub(crate) fn has_traj(&self, entry: &Entry) -> bool {
+        self.oracle.is_some() && (entry.sc.cycles() > 1 || self.one_cycle_rows)
     }
 
     /// Scenario `s`'s fault-free run, computed with its block on first
@@ -369,10 +442,10 @@ impl<'a, const W: usize> ScenarioTable<'a, W> {
     }
 
     /// The chunks of a row that the lanes at fault `positions` (at most
-    /// `64 · W` of them) read: a lane reads its chunk exactly when its
-    /// fault is armed on one cycle, which is every lane of a transient
-    /// scenario and only the register flips of a `registers_only`
-    /// (permanent) one.
+    /// `64 · W` of them, or one whole chunk) read: a lane reads its chunk
+    /// exactly when its fault is armed on one cycle, which is every lane
+    /// of a transient or one-cycle scenario and only the register flips
+    /// of a [`registers_only`] one.
     fn chunks_read(
         &self,
         positions: Range<usize>,
@@ -389,25 +462,48 @@ impl<'a, const W: usize> ScenarioTable<'a, W> {
         })
     }
 
-    /// Fills every chunk of `row` that the lanes at fault `positions` read
-    /// (see `chunks_read`) and that no worker has claimed yet, so that a
-    /// wave computes what it alone needs before it waits on anything.
-    /// The claim flag only steers who fills a chunk: the chunk's
-    /// `OnceLock` decides, so each chunk is still computed once, and one
-    /// whose filling panicked stays empty for the next reader to compute.
+    /// Fills every column of `traj`'s block that the lanes at fault
+    /// `positions` read (the column of each chunk they read of `traj`'s
+    /// row, see `chunks_read`) and that no worker has claimed yet, so
+    /// that a wave computes what it alone needs before it waits on
+    /// anything.
     pub(crate) fn fill(
         &self,
-        row: &Row<W>,
+        traj: Traj<'_, W>,
         positions: Range<usize>,
         registers_only: bool,
         scratch: &mut Scratch<'_, W>,
     ) {
+        let block = traj.block;
         for k in self.chunks_read(positions, registers_only) {
-            // Relaxed: the flag publishes no data; the chunk reaches its
+            // Relaxed: the flag publishes no data; each chunk reaches its
             // readers through its `OnceLock`.
-            if !row.claimed[k].swap(true, Ordering::Relaxed) {
-                row.chunks[k].get_or_init(|| self.transition(row, k, scratch));
+            if !block.claimed[k].swap(true, Ordering::Relaxed) {
+                self.fill_column(block, k, scratch);
             }
+        }
+    }
+
+    /// Column `k` of `block`: arms chunk `k` of the fault list once and
+    /// steps each of the block's rows whose chunk `k` its lanes read and
+    /// no worker has claimed from the row's key under that arming. The
+    /// row's claim flag only steers who fills a chunk: the chunk's
+    /// `OnceLock` decides, so each chunk is still computed once, and one
+    /// whose filling panicked stays empty for the next reader to compute.
+    fn fill_column(&self, block: &Block<W>, k: usize, scratch: &mut Scratch<'_, W>) {
+        let lanes = LANES * W;
+        let holds_registers = self
+            .chunks_read(k * lanes..(k * lanes + lanes).min(self.period), true)
+            .next()
+            .is_some();
+        let mut armed = None;
+        for (row, registers_only) in &block.columns {
+            if (*registers_only && !holds_registers) || row.claimed[k].swap(true, Ordering::Relaxed)
+            {
+                continue;
+            }
+            let active = *armed.get_or_insert_with(|| self.arm(k, scratch));
+            row.chunks[k].get_or_init(|| self.step(row, active, scratch));
         }
     }
 
@@ -505,20 +601,36 @@ impl<'a, const W: usize> ScenarioTable<'a, W> {
             regs,
             folds,
             rows: Vec::new(),
+            columns: Vec::new(),
+            claimed: Box::default(),
         };
         if self.period > 0 {
             block.rows = self.intern_rows(&entries, &block);
+            // The block's distinct rows, each read only for its register
+            // flips when every lane that has it is `registers_only`.
+            let mut column_of = HashMap::new();
+            for (e, row) in entries.iter().zip(&block.rows) {
+                let Some(row) = row else { continue };
+                let k = *column_of.entry(Arc::as_ptr(row)).or_insert_with(|| {
+                    block.columns.push((Arc::clone(row), true));
+                    block.columns.len() - 1
+                });
+                block.columns[k].1 &= registers_only(&e.sc);
+            }
+            let chunks = self.period.div_ceil(LANES * W);
+            block.claimed = (0..chunks).map(|_| AtomicBool::new(false)).collect();
         }
         block
     }
 
-    /// The transition row of each lane of `block` longer than one cycle:
-    /// the key of the cycle its faults are armed on, shared with every
-    /// other scenario that reaches the same key. A row costs one full
-    /// step per chunk, so a key gets one only when the lane-cycles it
-    /// decides in this block (fault-list length times the cycles left from
-    /// the armed one, summed over the block's scenarios with that key)
-    /// cover the lanes of those steps; the others are simulated in waves.
+    /// The transition row of each lane of `block`: the key of the cycle
+    /// its faults are armed on, shared with every other scenario that
+    /// reaches the same key. A row costs one full step per chunk. A multi-cycle key gets one only when the
+    /// lane-cycles it decides in this block (fault-list length times the
+    /// cycles left from the armed one, summed over the block's multi-cycle
+    /// scenarios with that key) cover the lanes of those steps; a
+    /// one-cycle key gets one when the list's chunks are well filled
+    /// (`one_cycle_rows`). The others are simulated in waves.
     fn intern_rows(&self, entries: &[&Entry], block: &Block<W>) -> Vec<Option<Arc<Row<W>>>> {
         let chunks = self.period.div_ceil(LANES * W);
         // Each lane's key, flattened: the registers before its armed
@@ -529,7 +641,8 @@ impl<'a, const W: usize> ScenarioTable<'a, W> {
             .enumerate()
             .map(|(lane, e)| {
                 let c = e.sc.timing.flip_cycle();
-                (e.sc.cycles() > 1 && c < e.sc.cycles()).then(|| {
+                let keyed = e.sc.cycles() > 1 || self.one_cycle_rows;
+                (keyed && c < e.sc.cycles()).then(|| {
                     let start = keys.len();
                     keys.extend_from_slice(Traj { block, lane }.regs(c));
                     pack(&e.sc.inputs[c], &mut keys);
@@ -538,16 +651,23 @@ impl<'a, const W: usize> ScenarioTable<'a, W> {
                 })
             })
             .collect();
-        let mut weight: HashMap<&[u64], usize> = HashMap::new();
+        // Per key: the lane-cycles of its multi-cycle scenarios, and
+        // whether a one-cycle scenario has it.
+        let mut weight: HashMap<&[u64], (usize, bool)> = HashMap::new();
         for (e, span) in entries.iter().zip(&spans) {
             if let Some((span, c)) = span {
-                *weight.entry(&keys[span.clone()]).or_default() += e.sc.cycles() - c;
+                let w = weight.entry(&keys[span.clone()]).or_default();
+                match e.sc.cycles() {
+                    1 => w.1 = true,
+                    cycles => w.0 += cycles - c,
+                }
             }
         }
         let mut rows = self.rows.lock().expect("no row is built under the lock");
         let mut row_of = |lane: usize, e: &Entry, (span, c): &(Range<usize>, usize)| {
             let key = &keys[span.clone()];
-            if self.period * weight[key] < LANES * W * chunks {
+            let (lane_cycles, one_cycle) = weight[key];
+            if !one_cycle && self.period * lane_cycles < LANES * W * chunks {
                 return None;
             }
             if let Some(row) = rows.get(key) {
@@ -573,25 +693,48 @@ impl<'a, const W: usize> ScenarioTable<'a, W> {
             .collect()
     }
 
-    /// Computes chunk `k` of `row`: one step per fault of the chunk, each
-    /// in its own lane, from the row's key.
+    /// Computes chunk `k` of `row` alone: [`arm`](Self::arm) and
+    /// [`step`](Self::step).
     fn transition(&self, row: &Row<W>, k: usize, scratch: &mut Scratch<'_, W>) -> Chunk<W> {
-        let oracle = self.oracle().expect("rows are built only with an oracle");
+        let active = self.arm(k, scratch);
+        self.step(row, active, scratch)
+    }
+
+    /// Arms chunk `k` of the fault list, one fault per lane: net and pin
+    /// faults as masks, which stay armed across steps, and register flips
+    /// as one lane mask per register in `scratch.flips`, XOR-ed into each
+    /// key's preload. Returns the chunk's lanes.
+    fn arm(&self, k: usize, scratch: &mut Scratch<'_, W>) -> [u64; W] {
         let lanes = LANES * W;
         let faults = &self.work.period_faults()[k * lanes..(k * lanes + lanes).min(self.period)];
-        let active: [u64; W] =
-            std::array::from_fn(|w| match faults.len().saturating_sub(w * LANES) {
-                0 => 0,
-                n if n >= LANES => !0,
-                n => (1 << n) - 1,
-            });
+        // Flips applied to all-zero registers leave exactly their masks.
         scratch.regs.fill([0; W]);
-        drive_bits(&mut scratch.regs, &row.pre, active);
         scratch.sim.set_register_words(&scratch.regs);
         scratch.sim.clear_faults();
         for (lane, &fault) in faults.iter().enumerate() {
             arm_lanes(&mut scratch.sim, fault, lane_mask(lane));
         }
+        scratch.flips.clear();
+        scratch
+            .flips
+            .extend_from_slice(scratch.sim.register_words());
+        std::array::from_fn(|w| match faults.len().saturating_sub(w * LANES) {
+            0 => 0,
+            n if n >= LANES => !0,
+            n => (1 << n) - 1,
+        })
+    }
+
+    /// One step of `row`'s key under the armed chunk (see
+    /// [`arm`](Self::arm)), whose lanes are `active`, classified into a
+    /// [`Chunk`].
+    fn step(&self, row: &Row<W>, active: [u64; W], scratch: &mut Scratch<'_, W>) -> Chunk<W> {
+        let oracle = self.oracle().expect("rows are built only with an oracle");
+        for (j, (reg, flips)) in scratch.regs.iter_mut().zip(&scratch.flips).enumerate() {
+            let pre = if bit_at(&row.pre, j) { active } else { [0; W] };
+            *reg = std::array::from_fn(|w| pre[w] ^ flips[w]);
+        }
+        scratch.sim.set_register_words(&scratch.regs);
         scratch.inputs.fill([0; W]);
         drive_bits(&mut scratch.inputs, &row.input, active);
         scratch.sim.step_into(&scratch.inputs, &mut scratch.outputs);
@@ -619,6 +762,14 @@ impl<'a, const W: usize> ScenarioTable<'a, W> {
         }
         chunk
     }
+}
+
+/// Whether only the register flips of `sc`'s faults are armed on one
+/// cycle: a `Permanent` scenario longer than one cycle arms its net and
+/// pin faults on every cycle. Every fault of a one-cycle scenario is
+/// armed exactly once, whatever its timing.
+pub(crate) fn registers_only(sc: &Scenario) -> bool {
+    sc.cycles() > 1 && !matches!(sc.timing, FaultTiming::Transient(_))
 }
 
 /// The lanes of word `w` whose registers equal the packed `bits`.

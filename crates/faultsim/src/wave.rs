@@ -25,20 +25,23 @@
 //!
 //! # The wave loop
 //!
-//! A wave's work per cycle scales with its scenario slots and its armed
-//! faults, not with its `64 · W` lanes, and a wave steps only the cycles
-//! whose verdicts are not known yet. The workers of a packed campaign
-//! share one scenario table (`table.rs`): every scenario is materialized
-//! once, and on a target with a [`WaveOracle`] every multi-cycle scenario
-//! also has its fault-free run (the registers before each cycle, and the
+//! A wave's work per cycle scales with its slots and its armed faults,
+//! not with its `64 · W` lanes, and a wave steps only the cycles whose
+//! verdicts are not known yet. The workers of a packed campaign share one
+//! scenario table (`table.rs`): every scenario is materialized once, and
+//! on a target with a [`WaveOracle`] every multi-cycle scenario also has
+//! its fault-free run (the registers before each cycle, and the
 //! fault-free verdicts folded before and after it). On an exhaustive work
 //! list the table adds transition rows, shared by the walks that revisit
 //! an edge: each fault of the list stepped once from the edge's
-//! fault-free registers and input word.
+//! fault-free registers and input word. The faults stay armed while the
+//! keys stream through them: a column arms a chunk of the fault list once
+//! and steps every key of a block under it. One-cycle scenarios get a
+//! fault-free run and rows too when the list fills its chunks well.
 //!
-//! Once per wave, the wave first fills every row chunk its lanes will
-//! read that no worker has claimed yet, and then one pass over its items,
-//! a run of same-scenario lanes at a time, resolves what the table knows
+//! Once per wave, the wave first fills every column its lanes will read
+//! that no worker has claimed yet, and then one pass over its items, a
+//! run of same-scenario lanes at a time, resolves what the table knows
 //! and schedules the rest. A lane whose single fault is armed on one
 //! cycle `c` reads its row. On an exhaustive list a run's lanes are
 //! consecutive fault positions, so their row verdicts are a contiguous
@@ -49,21 +52,24 @@
 //! fault-free verdicts before and after `c` around the row's verdict for
 //! `c` as masks. A lane that is detected, back on the fault-free registers
 //! after `c`, or on its last cycle is then decided and never simulated;
-//! its outcome is written from the masks. Only the others take a per-lane
-//! step: each rejoins the wave on cycle `c + 1`, with the row's post-step
-//! registers flipped in where they differ from the fault-free ones. Lanes
-//! not armed exactly once (net and pin faults on a `Permanent` scenario)
-//! are selected by mask for the schedule, with every lane of a run no row
-//! covers. A scheduled lane with nothing armed takes the fault-free
-//! verdict. Every other one gets its scenario's slot (through a
-//! scenario→slot index, with the slot's lane mask), its faults in
-//! per-cycle arming buckets — a register flip at its window's flip cycle,
-//! a net or pin fault on every cycle its window is open, nothing at or
-//! past the lane's scenario length — and its first and last armed
-//! cycle.
+//! its outcome is written from the masks, so a one-cycle map whose keys
+//! have rows schedules and arms no lane at all. Only the others take a
+//! per-lane step: each rejoins the wave on cycle `c + 1`, with the row's
+//! post-step registers flipped in where they differ from the fault-free
+//! ones. Lanes not armed exactly once (net and pin faults on a multi-cycle
+//! `Permanent` scenario) are selected by mask for the schedule, with every
+//! lane of a run no row covers. A scheduled lane with nothing armed takes
+//! the fault-free verdict. Every other one gets its class's slot (through
+//! a class→slot index, with the slot's lane mask; the scenarios of a
+//! class share preload, inputs, expected states and fault-free run, so a
+//! multi-fault wave drives and classifies each walk once, while each run
+//! keeps its own scenario's timing), its faults in per-cycle arming
+//! buckets — a register flip at its window's flip cycle, a net or pin
+//! fault on every cycle its window is open, nothing at or past the lane's
+//! scenario length — and its first and last armed cycle.
 //!
 //! The wave starts at its earliest first armed cycle, every lane
-//! preloaded with its scenario's fault-free registers there (each slot's
+//! preloaded with its class's fault-free registers there (each slot's
 //! lane mask OR-ed into the words of its set register bits), and every
 //! cycle is stepped the same way. The fault masks are cleared and exactly
 //! that cycle's bucket is armed, which is the scalar reference's schedule
@@ -85,9 +91,10 @@
 //! is decided, or has not reached its first armed cycle, may still be
 //! driven and armed with the others: it is only left out of
 //! classification. A lane past its own scenario length is neither driven,
-//! armed nor classified. Lanes without a fault-free run (one-cycle
-//! scenarios, targets without an oracle) start on cycle 0 and are never
-//! settled early. Reports stay byte-identical to the scalar reference;
+//! armed nor classified. Lanes without a fault-free run (targets without
+//! an oracle, one-cycle lists whose chunks would be sparse, multi-fault
+//! draws on one-cycle scenarios) start on cycle 0 and are never settled
+//! early. Reports stay byte-identical to the scalar reference;
 //! the differential suites assert this at every width.
 //!
 //! This module computes one wave at a time and nothing else. Which worker
@@ -105,7 +112,7 @@ use scfi_telemetry::Telemetry;
 
 use crate::campaign::{Fault, FaultEffect, FaultSite, Outcome};
 use crate::control::CampaignError;
-use crate::table::{bit_at, same_regs, Entry, ScenarioTable, Scratch, Traj};
+use crate::table::{bit_at, registers_only, same_regs, Entry, ScenarioTable, Scratch, Traj};
 use crate::target::{FaultTiming, Scenario};
 
 /// A flat `(scenario, faults)` work list: item `i` injects the fault group
@@ -456,13 +463,17 @@ pub(crate) fn arm_lanes<const W: usize>(
     }
 }
 
-/// A scenario slot of the current wave: the table's entry and fault-free
-/// run for it, and the wave's simulated lanes that run it.
+/// A slot of the current wave: one shared-run class of scenarios (equal
+/// preload, per-cycle inputs and expected states; see [`Entry::class`]),
+/// the table's entry and fault-free run of the first of them the wave
+/// holds, and the wave's simulated lanes that run any of them.
 struct Slot<'t, const W: usize> {
+    class: usize,
+    /// The scenario `entry` and `traj` belong to.
     index: usize,
     entry: &'t Entry,
-    /// The fault-free run; `None` for one-cycle scenarios and for targets
-    /// without an oracle.
+    /// The fault-free run; `None` for scenarios without one (see
+    /// [`ScenarioTable::has_traj`]).
     traj: Option<Traj<'t, W>>,
     lanes: [u64; W],
 }
@@ -584,12 +595,12 @@ fn set_lanes<const W: usize>(lanes: [u64; W]) -> impl Iterator<Item = usize> {
 ///
 /// Each lane gets exactly the verdict of
 /// [`run_item_scalar`](crate::campaign::run_item_scalar), as "The wave
-/// loop" in the module docs lays out. The wave fills the row chunks it
+/// loop" in the module docs lays out. The wave fills the columns it
 /// reads that no other worker has claimed, then one pass over its items
 /// resolves what the campaign's [`ScenarioTable`] already knows — lanes
 /// whose transition row decides them, by the word, and lanes with
-/// nothing armed — and schedules the rest: scenario slots through a
-/// scenario→slot index, each lane's faults into per-cycle arming
+/// nothing armed — and schedules the rest: class slots through a
+/// class→slot index, each lane's faults into per-cycle arming
 /// buckets, and each lane's first and last armed cycle. The wave then
 /// steps from its earliest armed cycle,
 /// preloaded from the table's fault-free registers, and stops once every
@@ -620,11 +631,12 @@ pub(crate) fn wave_worker<'a, const W: usize>(
         "scfi_campaign_oracle_fallback_cycles_total"
     });
     let row_lanes = telemetry.counter("scfi_campaign_row_lanes_total");
-    // The wave's runs of same-scenario items, and the slot of each.
-    let mut runs: Vec<(Range<usize>, usize)> = Vec::new();
+    // The wave's runs of same-scenario items, the slot of each, and its
+    // own scenario's entry.
+    let mut runs: Vec<(Range<usize>, usize, &'a Entry)> = Vec::new();
     move |first: usize, out: &mut [Option<Outcome>]| {
         for slot in slots.drain(..) {
-            slot_of[slot.index] = u32::MAX;
+            slot_of[slot.class] = u32::MAX;
         }
         for bucket in &mut arms {
             bucket.clear();
@@ -636,7 +648,8 @@ pub(crate) fn wave_worker<'a, const W: usize>(
         // Simulated lanes without a fault-free run: classified from cycle 0.
         let mut from_zero = [0u64; W];
         // The wave's runs of lanes of one scenario (work lists are
-        // scenario-major, so runs are long), each with its slot.
+        // scenario-major, so runs are long), each with the slot of its
+        // class.
         let end = first + out.len();
         runs.clear();
         let mut i = first;
@@ -644,13 +657,15 @@ pub(crate) fn wave_worker<'a, const W: usize>(
             let scenario = work.scenario(i);
             let run = i..work.run_end(i, end);
             i = run.end;
-            let slot = match slot_of[scenario] {
+            let entry = table.entry(scenario);
+            let slot = match slot_of[entry.class] {
                 u32::MAX => {
-                    let entry = table.entry(scenario);
-                    let traj = (entry.sc.cycles() > 1 && oracle.is_some())
+                    let traj = table
+                        .has_traj(entry)
                         .then(|| table.traj(scenario, &mut scratch));
-                    slot_of[scenario] = slots.len() as u32;
+                    slot_of[entry.class] = slots.len() as u32;
                     slots.push(Slot {
+                        class: entry.class,
                         index: scenario,
                         entry,
                         traj,
@@ -660,7 +675,7 @@ pub(crate) fn wave_worker<'a, const W: usize>(
                 }
                 k => k as usize,
             };
-            runs.push((run, slot));
+            runs.push((run, slot, entry));
         }
         // Rows exist only on exhaustive lists, whose run of items from
         // `i` holds the consecutive faults from position `i mod F` on.
@@ -669,18 +684,20 @@ pub(crate) fn wave_worker<'a, const W: usize>(
             let p = run.start % list.len().max(1);
             p..p + run.len()
         };
-        // Fill every row chunk the wave reads that no worker has claimed,
-        // before waiting on any that another worker is filling.
-        for (run, slot) in &runs {
-            let slot = &slots[*slot];
-            if let Some(row) = slot.traj.and_then(|traj| traj.row()) {
-                let permanent = !matches!(slot.entry.sc.timing, FaultTiming::Transient(_));
-                table.fill(row, positions(run), permanent, &mut scratch);
+        // Fill every column the wave reads that no worker has claimed,
+        // before waiting on any chunk that another worker is filling. Rows
+        // exist only on exhaustive lists, where a class is one scenario,
+        // so a slot's row is its run's.
+        for (run, slot, entry) in &runs {
+            if let Some(traj) = slots[*slot].traj.filter(|traj| traj.row().is_some()) {
+                let positions = positions(run);
+                table.fill(traj, positions, registers_only(&entry.sc), &mut scratch);
             }
         }
-        // One resolution pass over the runs.
-        for (run, slot) in runs.iter().cloned() {
-            let (entry, traj) = (slots[slot].entry, slots[slot].traj);
+        // One resolution pass over the runs, each on its own scenario's
+        // timing.
+        for (run, slot, entry) in runs.iter().cloned() {
+            let traj = slots[slot].traj;
             let sc = &entry.sc;
             let cycles = sc.cycles();
             if arms.len() < cycles {
@@ -698,8 +715,9 @@ pub(crate) fn wave_worker<'a, const W: usize>(
             let run_lanes = run.start - first..run.end - first;
             let mut lanes = [0u64; W];
             let Some(traj) = traj else {
-                // No fault-free run (one-cycle scenarios, targets without
-                // an oracle): simulated from cycle 0, never settled early.
+                // No fault-free run (targets without an oracle, one-cycle
+                // lists whose chunks would be sparse): simulated from
+                // cycle 0, never settled early.
                 for lane in run_lanes.clone() {
                     let (faults, overrides) = group(lane);
                     schedule(&mut arms, sc, faults, overrides, lane);
@@ -724,7 +742,7 @@ pub(crate) fn wave_worker<'a, const W: usize>(
                 // contiguous bit range of the row chunks' masks.
                 let c = sc.timing.flip_cycle();
                 let (head, tail) = (traj.head(c), traj.tail(c));
-                let permanent = !matches!(sc.timing, FaultTiming::Transient(_));
+                let permanent = registers_only(sc);
                 let chunks = table.run_chunks(row, positions.clone(), permanent, &mut scratch);
                 let after = traj.regs(c + 1);
                 let words: [u64; W] = lanes_in(run_lanes.clone());

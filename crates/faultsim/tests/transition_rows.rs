@@ -23,11 +23,12 @@
 //!   lanes 64 at a time from a bit range of the chunks' masks, and fills
 //!   the chunks it reads before it waits on one another worker fills.
 
-use scfi_core::{harden, HardenedFsm, ScfiConfig};
+use scfi_core::{harden, redundancy, HardenedFsm, ScfiConfig};
 use scfi_faultsim::{
-    enumerate_faults, protocol_scenarios, Backend, CampaignBackend, CampaignConfig, Fault,
-    FaultEffect, FaultSite, FaultTarget, FaultTiming, Outcome, PackedBackend, ProtocolScenario,
-    RunControl, ScalarBackend, ScfiTarget, UnprotectedTarget, VulnerabilityMap, WorkList,
+    enumerate_faults, protocol_scenarios, Backend, CampaignBackend, CampaignConfig, CampaignError,
+    Fault, FaultEffect, FaultSite, FaultTarget, FaultTiming, Outcome, PackedBackend,
+    ProtocolScenario, RedundancyTarget, RunControl, ScalarBackend, ScfiTarget, UnprotectedTarget,
+    VulnerabilityMap, WorkList,
 };
 use scfi_fsm::{lower_unprotected, parse_fsm, Fsm};
 use scfi_netlist::Simulator;
@@ -322,5 +323,243 @@ fn runs_that_straddle_words_and_chunks_match_scalar() {
                 );
             }
         }
+    }
+}
+
+/// Gate-output flips and stuck-ats, pin faults and register flips.
+fn every_fault() -> CampaignConfig {
+    config().with_pin_faults()
+}
+
+/// An object-safe view of a target, so one test body runs on all three.
+trait DynTarget {
+    /// Packed outcomes of `work` under `config` and `control`, and the
+    /// rows and stepped counts the run recorded.
+    fn packed(
+        &self,
+        work: &WorkList,
+        config: CampaignConfig,
+        control: &RunControl,
+    ) -> (Vec<Option<Outcome>>, u64, u64);
+    /// Scalar outcomes of `work`, unlimited.
+    fn scalar(&self, work: &WorkList) -> Vec<Outcome>;
+    /// The exhaustive list of `config`'s faults, pushed item by item.
+    fn work(&self, config: &CampaignConfig) -> WorkList;
+}
+
+impl<T: FaultTarget> DynTarget for T {
+    fn packed(
+        &self,
+        work: &WorkList,
+        config: CampaignConfig,
+        control: &RunControl,
+    ) -> (Vec<Option<Outcome>>, u64, u64) {
+        let telemetry = Telemetry::recording();
+        let config = config.telemetry(telemetry.clone());
+        let outcomes = match PackedBackend.try_execute(self, work, &config, control) {
+            Ok(outcomes) => outcomes.into_iter().map(Some).collect(),
+            Err(CampaignError::Interrupted { partial, .. }) => partial.outcomes,
+            Err(other) => panic!("packed run failed: {other}"),
+        };
+        let count = |name: &str| telemetry.counter(name).get();
+        (
+            outcomes,
+            count("scfi_campaign_row_lanes_total"),
+            count("scfi_campaign_cycles_stepped_total"),
+        )
+    }
+
+    fn scalar(&self, work: &WorkList) -> Vec<Outcome> {
+        ScalarBackend
+            .try_execute(self, work, &CampaignConfig::new(), &RunControl::unlimited())
+            .expect("scalar run")
+    }
+
+    fn work(&self, config: &CampaignConfig) -> WorkList {
+        exhaustive_work(self, config)
+    }
+}
+
+/// Packed equals `scalar` on every slot `completed` admits (`None`
+/// beyond it) at W ∈ {1, 2, 4} × every thread count, with the same rows
+/// and stepped counts at every thread count. Returns the rows count of
+/// each width.
+fn assert_packed_agrees(
+    target: &dyn DynTarget,
+    work: &WorkList,
+    scalar: &[Outcome],
+    control: impl Fn() -> RunControl,
+    completed: usize,
+    what: &str,
+) -> [u64; 3] {
+    let mut rows = [0; 3];
+    for (k, lane_words) in [1, 2, 4].into_iter().enumerate() {
+        let mut counts = Vec::new();
+        for threads in thread_counts() {
+            let config = CampaignConfig::new()
+                .lane_words(lane_words)
+                .threads(threads);
+            let (packed, row_lanes, stepped) = target.packed(work, config, &control());
+            let diverged =
+                (0..work.len()).find(|&i| packed[i] != (i < completed).then_some(scalar[i]));
+            assert!(
+                diverged.is_none(),
+                "{what}, W={lane_words}, threads={threads}: slot {diverged:?} of a \
+                 {completed}-slot prefix diverged"
+            );
+            counts.push((row_lanes, stepped));
+        }
+        assert!(
+            counts.iter().all(|&c| c == counts[0]),
+            "{what}, W={lane_words}: (rows, stepped) per thread count {counts:?}"
+        );
+        rows[k] = counts[0].0;
+    }
+    rows
+}
+
+/// One-cycle maps over every fault kind on all three configurations: net
+/// and pin masks stay armed while a column steps each key of its block,
+/// and register flips are XOR-ed into each key's preload. The fault list
+/// is no multiple of a 64-lane word, so the last chunk is partly empty,
+/// and at 256 lanes rows decide every lane.
+#[test]
+fn one_cycle_maps_over_every_fault_kind_match_scalar() {
+    let fsm = scfi_opentitan::by_name("aes_control").expect("suite").fsm;
+    let h = hardened(&fsm, 3);
+    let r = redundancy(&fsm, 3).expect("replicates");
+    let lowered = lower_unprotected(&fsm).expect("lowers");
+    let targets: [(&str, &dyn DynTarget); 3] = [
+        ("scfi", &ScfiTarget::new(&h)),
+        ("redundancy", &RedundancyTarget::new(&r)),
+        ("unprotected", &UnprotectedTarget::new(&fsm, &lowered)),
+    ];
+    for (name, target) in targets {
+        let work = target.work(&every_fault());
+        let scalar = target.scalar(&work);
+        let what = format!("aes_control N=3 {name} map, {} items", work.len());
+        assert_ne!(work.len() % 64, 0, "{what}: a whole number of words");
+        let rows = assert_packed_agrees(
+            target,
+            &work,
+            &scalar,
+            RunControl::unlimited,
+            work.len(),
+            &what,
+        );
+        assert_eq!(rows[2], work.len() as u64, "{what}: rows at W=4");
+    }
+}
+
+/// A budget stops a map mid-column: the waves it admits complete exactly
+/// the scalar prefix `0..budget / 64 · 64` at every width and thread
+/// count, and what was built stays the same at every thread count.
+#[test]
+fn budgeted_maps_complete_the_scalar_prefix() {
+    let fsm = scfi_opentitan::by_name("i2c_fsm").expect("suite").fsm;
+    let h = hardened(&fsm, 3);
+    let target = ScfiTarget::new(&h);
+    let work = target.work(&CampaignConfig::new());
+    assert_eq!(work.len(), 52_540, "the i2c_fsm N=3 gate-flip map");
+    let scalar = target.scalar(&work);
+    for budget in [1_000, 7_777, 30_000] {
+        let control = || RunControl::unlimited().with_injection_budget(budget);
+        let prefix = budget as usize / 64 * 64;
+        let what = format!("i2c_fsm N=3 map, budget {budget}");
+        assert_packed_agrees(&target, &work, &scalar, control, prefix, &what);
+    }
+}
+
+/// A one-cycle list with few faults per chunk (the register flips alone)
+/// stays on waves: no row decides a lane and no fault-free run is built,
+/// so every wave takes exactly one step; the gate-flip map of the same
+/// model is decided by rows at 256 lanes.
+#[test]
+fn sparse_one_cycle_lists_stay_on_waves() {
+    let fsm = scfi_opentitan::by_name("i2c_fsm").expect("suite").fsm;
+    let h = hardened(&fsm, 2);
+    let target = ScfiTarget::new(&h);
+    let flips = target.work(&CampaignConfig::new().effects(vec![]).with_register_flips());
+    let scalar = target.scalar(&flips);
+    let rows = assert_packed_agrees(
+        &target,
+        &flips,
+        &scalar,
+        RunControl::unlimited,
+        flips.len(),
+        "i2c_fsm N=2 register flips",
+    );
+    assert_eq!(rows, [0; 3], "register flips: rows at W = 1, 2, 4");
+    for lane_words in [1, 2, 4] {
+        let config = CampaignConfig::new().lane_words(lane_words).threads(1);
+        let (_, _, stepped) = target.packed(&flips, config, &RunControl::unlimited());
+        let waves = flips.len().div_ceil(64 * lane_words) as u64;
+        assert_eq!(
+            stepped, waves,
+            "register flips, W={lane_words}: one step per wave"
+        );
+    }
+    let gates = target.work(&CampaignConfig::new());
+    let config = CampaignConfig::new().threads(1);
+    let (_, rows, _) = target.packed(&gates, config, &RunControl::unlimited());
+    assert_eq!(rows, gates.len() as u64, "gate flips: rows at W=4");
+}
+
+/// Plain multi-fault draws (no per-fault windows) over depth-4 walks: the
+/// four scenarios of a walk share one fault-free run, so a wave keeps one
+/// slot for them, but each arms its faults on its own `Transient(c)`.
+/// Items cycle through a walk's scenarios so that every wave holds all
+/// four; packed equals scalar slot for slot on all three configurations.
+#[test]
+fn plain_multi_fault_draws_keep_each_scenarios_timing() {
+    let fsm = scfi_opentitan::by_name("aes_control").expect("suite").fsm;
+    let h = hardened(&fsm, 3);
+    let r = redundancy(&fsm, 3).expect("replicates");
+    let lowered = lower_unprotected(&fsm).expect("lowers");
+    let draws = |target: &dyn DynTarget, scenarios: usize, faults: &[Fault]| {
+        let mut state = 0x5EED_u64;
+        let mut draw = move |pool: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) as usize % pool
+        };
+        let mut work = WorkList::with_capacity(scenarios * 8);
+        for walk in 0..scenarios / 4 {
+            for group in 0..8 {
+                for c in 0..4 {
+                    let m = 1 + (group + c) % 3;
+                    let faults: Vec<Fault> = (0..m).map(|_| faults[draw(faults.len())]).collect();
+                    work.push(walk * 4 + c, &faults);
+                }
+            }
+        }
+        let scalar = target.scalar(&work);
+        (work, scalar)
+    };
+    let scfi = ScfiTarget::with_protocol(&h, 4, 0xB007);
+    let red = RedundancyTarget::with_protocol(&r, 4, 0xB007);
+    let unp = UnprotectedTarget::with_protocol(&fsm, &lowered, 4, 0xB007);
+    let targets: [(&str, &dyn DynTarget, usize, &scfi_netlist::Module); 3] = [
+        ("scfi", &scfi, scfi.scenario_count(), scfi.module()),
+        ("redundancy", &red, red.scenario_count(), red.module()),
+        ("unprotected", &unp, unp.scenario_count(), unp.module()),
+    ];
+    for (name, target, scenarios, module) in targets {
+        let faults = enumerate_faults(module, &every_fault());
+        let (work, scalar) = draws(target, scenarios, &faults);
+        let what = format!("aes_control N=3 {name} plain draws");
+        assert!(
+            scalar.iter().any(|&o| o != scalar[0]),
+            "{what}: one verdict only"
+        );
+        assert_packed_agrees(
+            target,
+            &work,
+            &scalar,
+            RunControl::unlimited,
+            work.len(),
+            &what,
+        );
     }
 }

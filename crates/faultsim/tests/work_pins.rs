@@ -32,7 +32,14 @@
 //! rows decide lanes long before their last edge. Four more W = 4 rows
 //! pin the aes_control depth-4 walks, plain and fuzzed, of the redundancy
 //! baseline (which rows serve) and of the unprotected lowering (where a
-//! hijacked lane never comes back). Every count is host-independent:
+//! hijacked lane never comes back). Four W = 4 rows pin the i2c_fsm
+//! N = 3 redundancy and unprotected maps, the aes_control N = 3 map over
+//! every fault kind (many row chunks, stuck-at and pin masks kept across
+//! the keys of a column) and the aes_control redundancy M = 3 draws. On a
+//! map whose one-cycle keys get rows, `stepped` is one fault-free step
+//! per block plus one step per chunk and key, and `rows` is every
+//! injection; the W = 1 maps and the sparse `Dense` lists stay on waves.
+//! Every count is host-independent:
 //! waves hold fixed slots counted from slot 0, every admitted wave runs
 //! whichever worker claims it, and every table pass and row chunk is
 //! computed exactly once, by whichever worker claims it first, so each
@@ -49,7 +56,7 @@ use std::time::Duration;
 
 use scfi_core::{harden, redundancy, HardenedFsm, ScfiConfig};
 use scfi_faultsim::{
-    try_run_multi_fault, CampaignConfig, FaultTarget, FaultTiming, ProtocolScenario,
+    try_run_multi_fault, CampaignConfig, FaultEffect, FaultTarget, FaultTiming, ProtocolScenario,
     RedundancyTarget, RunControl, ScfiTarget, UnprotectedTarget, VulnerabilityMap,
 };
 use scfi_fsm::{lower_unprotected, Fsm};
@@ -72,6 +79,9 @@ use Model::{Redundancy as R, Scfi as S, Unprotected as U};
 enum Shape {
     /// Exhaustive single-transition map: gate-output and register flips.
     Map,
+    /// The map over gate-output flips and stuck-ats, pin faults and
+    /// register flips: many row chunks, with stuck-at and pin masks.
+    FullMap,
     /// Exhaustive campaign over depth-4 CFG walks (seed `0xB007_5EED`):
     /// walks revisit edges, so transition rows are shared.
     Walks,
@@ -90,7 +100,7 @@ enum Shape {
     Multi,
 }
 
-use Shape::{Deep, Dense, Fuzzed, Map, Multi, Walks};
+use Shape::{Deep, Dense, FullMap, Fuzzed, Map, Multi, Walks};
 
 /// The wave-engine work one campaign did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,32 +136,32 @@ const fn work(
 const PINS: &[(&str, Model, usize, Shape, usize, Work)] = &[
     //                                      waves  inject stepped   fast fb    rows
     ("aes_control",     S, 2, Map,   1, work(   28,    1750,     28,     28,  0,      0)),
-    ("aes_control",     S, 2, Map,   2, work(   14,    1750,     14,     14,  0,      0)),
-    ("aes_control",     S, 2, Map,   4, work(    7,    1750,      7,      7,  0,      0)),
+    ("aes_control",     S, 2, Map,   2, work(   14,    1750,     15,     15,  0,   1750)),
+    ("aes_control",     S, 2, Map,   4, work(    7,    1750,     15,     15,  0,   1750)),
     ("aes_control",     S, 3, Map,   1, work(   44,    2786,     44,     44,  0,      0)),
-    ("aes_control",     S, 3, Map,   2, work(   22,    2786,     22,     22,  0,      0)),
-    ("aes_control",     S, 3, Map,   4, work(   11,    2786,     11,     11,  0,      0)),
+    ("aes_control",     S, 3, Map,   2, work(   22,    2786,     29,     29,  0,   2786)),
+    ("aes_control",     S, 3, Map,   4, work(   11,    2786,     15,     15,  0,   2786)),
     ("aes_control",     S, 4, Map,   1, work(   51,    3234,     51,     51,  0,      0)),
-    ("aes_control",     S, 4, Map,   2, work(   26,    3234,     26,     26,  0,      0)),
-    ("aes_control",     S, 4, Map,   4, work(   13,    3234,     13,     13,  0,      0)),
+    ("aes_control",     S, 4, Map,   2, work(   26,    3234,     29,     29,  0,   3234)),
+    ("aes_control",     S, 4, Map,   4, work(   13,    3234,     15,     15,  0,   3234)),
     ("adc_ctrl_fsm",    S, 2, Map,   1, work(  115,    7350,    115,    115,  0,      0)),
-    ("adc_ctrl_fsm",    S, 2, Map,   2, work(   58,    7350,     58,     58,  0,      0)),
-    ("adc_ctrl_fsm",    S, 2, Map,   4, work(   29,    7350,     29,     29,  0,      0)),
+    ("adc_ctrl_fsm",    S, 2, Map,   2, work(   58,    7350,     61,     61,  0,   7350)),
+    ("adc_ctrl_fsm",    S, 2, Map,   4, work(   29,    7350,     31,     31,  0,   7350)),
     ("adc_ctrl_fsm",    S, 3, Map,   1, work(  155,    9900,    155,    155,  0,      0)),
-    ("adc_ctrl_fsm",    S, 3, Map,   2, work(   78,    9900,     78,     78,  0,      0)),
-    ("adc_ctrl_fsm",    S, 3, Map,   4, work(   39,    9900,     39,     39,  0,      0)),
+    ("adc_ctrl_fsm",    S, 3, Map,   2, work(   78,    9900,     91,     91,  0,   9900)),
+    ("adc_ctrl_fsm",    S, 3, Map,   4, work(   39,    9900,     61,     61,  0,   9900)),
     ("adc_ctrl_fsm",    S, 4, Map,   1, work(  180,   11460,    180,    180,  0,      0)),
-    ("adc_ctrl_fsm",    S, 4, Map,   2, work(   90,   11460,     90,     90,  0,      0)),
-    ("adc_ctrl_fsm",    S, 4, Map,   4, work(   45,   11460,     45,     45,  0,      0)),
+    ("adc_ctrl_fsm",    S, 4, Map,   2, work(   90,   11460,     91,     91,  0,  11460)),
+    ("adc_ctrl_fsm",    S, 4, Map,   4, work(   45,   11460,     61,     61,  0,  11460)),
     ("i2c_fsm",         S, 2, Map,   1, work(  612,   39146,    612,    612,  0,      0)),
-    ("i2c_fsm",         S, 2, Map,   2, work(  306,   39146,    306,    306,  0,      0)),
-    ("i2c_fsm",         S, 2, Map,   4, work(  153,   39146,    153,    153,  0,      0)),
+    ("i2c_fsm",         S, 2, Map,   2, work(  306,   39146,    371,    371,  0,  39146)),
+    ("i2c_fsm",         S, 2, Map,   4, work(  153,   39146,    223,    223,  0,  39146)),
     ("i2c_fsm",         S, 3, Map,   1, work(  832,   53206,    832,    832,  0,      0)),
-    ("i2c_fsm",         S, 3, Map,   2, work(  416,   53206,    416,    416,  0,      0)),
-    ("i2c_fsm",         S, 3, Map,   4, work(  208,   53206,    208,    208,  0,      0)),
+    ("i2c_fsm",         S, 3, Map,   2, work(  416,   53206,    445,    445,  0,  53206)),
+    ("i2c_fsm",         S, 3, Map,   4, work(  208,   53206,    223,    223,  0,  53206)),
     ("i2c_fsm",         S, 4, Map,   1, work(  887,   56758,    887,    887,  0,      0)),
-    ("i2c_fsm",         S, 4, Map,   2, work(  444,   56758,    444,    444,  0,      0)),
-    ("i2c_fsm",         S, 4, Map,   4, work(  222,   56758,    222,    222,  0,      0)),
+    ("i2c_fsm",         S, 4, Map,   2, work(  444,   56758,    445,    445,  0,  56758)),
+    ("i2c_fsm",         S, 4, Map,   4, work(  222,   56758,    223,    223,  0,  56758)),
     ("secure_boot_fsm", S, 2, Walks, 1, work(  199,   12692,    130,    130,  0,  12553)),
     ("secure_boot_fsm", S, 2, Walks, 2, work(  100,   12692,     96,     96,  0,  12553)),
     ("secure_boot_fsm", S, 2, Walks, 4, work(   50,   12692,     69,     69,  0,  12553)),
@@ -176,7 +186,14 @@ const PINS: &[(&str, Model, usize, Shape, usize, Work)] = &[
     ("aes_control",     R, 3, Fuzzed,4, work(   49,   12376,     18,     18,  0,  12376)),
     ("aes_control",     U, 3, Walks, 4, work(   13,    3136,     55,     55,  0,   1815)),
     ("aes_control",     U, 3, Fuzzed,4, work(   13,    3136,     57,     57,  0,    310)),
+    ("i2c_fsm",         R, 3, Map,   4, work(  293,   74888,    297,    297,  0,  74888)),
+    ("i2c_fsm",         U, 3, Map,   4, work(   88,   22496,    149,    149,  0,  22496)),
+    ("aes_control",     S, 3, FullMap,4, work(   93,   23604,     99,     99,  0,  23604)),
+    ("aes_control",     R, 3, Multi, 4, work(   24,    6000,    100,    100,  0,      0)),
 ];
+
+/// The walk seed of the `Multi` shape.
+const MULTI_SEED: u64 = 0x5CF1_F022;
 
 fn suite_fsm(name: &str) -> Fsm {
     match name {
@@ -191,7 +208,7 @@ fn hardened(fsm: &str, level: usize) -> HardenedFsm {
 
 fn target(h: &HardenedFsm, shape: Shape) -> ScfiTarget<'_> {
     match shape {
-        Map => ScfiTarget::new(h),
+        Map | FullMap => ScfiTarget::new(h),
         Walks => ScfiTarget::with_protocol(h, 4, 0xB007_5EED),
         Fuzzed => ScfiTarget::with_fuzzed_protocol(h, 4, 0xB007_5EED),
         Deep => ScfiTarget::with_protocol(h, 16, 0xB007_5EED),
@@ -201,13 +218,21 @@ fn target(h: &HardenedFsm, shape: Shape) -> ScfiTarget<'_> {
                 .map(|e| ProtocolScenario::new(vec![e], FaultTiming::Transient(0)))
                 .collect(),
         ),
-        Multi => ScfiTarget::with_fuzzed_protocol(h, 4, 0x5CF1_F022),
+        Multi => ScfiTarget::with_fuzzed_protocol(h, 4, MULTI_SEED),
     }
 }
 
 fn config(shape: Shape, lane_words: usize, threads: usize) -> CampaignConfig {
     let config = match shape {
         Map | Walks | Fuzzed => CampaignConfig::new().with_register_flips(),
+        FullMap => CampaignConfig::new()
+            .effects(vec![
+                FaultEffect::Flip,
+                FaultEffect::Stuck0,
+                FaultEffect::Stuck1,
+            ])
+            .with_pin_faults()
+            .with_register_flips(),
         Dense | Deep => CampaignConfig::new().effects(vec![]).with_register_flips(),
         Multi => CampaignConfig::new()
             .with_register_flips()
@@ -251,8 +276,10 @@ fn run(
         Model::Redundancy => {
             let r = redundancy(&suite_fsm(fsm), level).expect("suite FSM replicates");
             let target = match shape {
+                Map => RedundancyTarget::new(&r),
                 Walks => RedundancyTarget::with_protocol(&r, depth, seed),
                 Fuzzed => RedundancyTarget::with_fuzzed_protocol(&r, depth, seed),
+                Multi => RedundancyTarget::with_fuzzed_protocol(&r, depth, MULTI_SEED),
                 other => panic!("no redundancy {other:?} row"),
             };
             campaign(&target, shape, config)
@@ -261,6 +288,7 @@ fn run(
             let fsm = suite_fsm(fsm);
             let lowered = lower_unprotected(&fsm).expect("suite FSM lowers");
             let target = match shape {
+                Map => UnprotectedTarget::new(&fsm, &lowered),
                 Walks => UnprotectedTarget::with_protocol(&fsm, &lowered, depth, seed),
                 Fuzzed => UnprotectedTarget::with_fuzzed_protocol(&fsm, &lowered, depth, seed),
                 other => panic!("no unprotected {other:?} row"),
@@ -277,7 +305,7 @@ fn campaign<T: FaultTarget>(target: &T, shape: Shape, config: CampaignConfig) ->
             try_run_multi_fault(target, 3, 6000, c, &RunControl::unlimited())
                 .expect("an unlimited campaign completes");
         }
-        Map | Walks | Fuzzed | Dense | Deep => {
+        Map | FullMap | Walks | Fuzzed | Dense | Deep => {
             VulnerabilityMap::analyze(target, c);
         }
     })

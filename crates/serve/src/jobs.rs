@@ -578,17 +578,47 @@ fn run_analyze(
     telemetry: &Telemetry,
 ) -> JobOutcome {
     let config = spec.campaign_config(prepared, telemetry);
-    let result = match &prepared.model {
-        PreparedModel::Scfi(hardened) => {
-            let target = match (spec.protocol, spec.fuzz_inputs) {
-                (Some(depth), true) => ScfiTarget::with_fuzzed_protocol(hardened, depth, WALK_SEED),
-                (Some(depth), false) => ScfiTarget::with_protocol(hardened, depth, WALK_SEED),
-                (None, _) => ScfiTarget::new(hardened),
-            };
-            analyze_target(&target, spec, prepared.module(), &config, control)
-        }
+    let job = AnalyzeJob {
+        spec,
+        module: prepared.module(),
+        config: &config,
+        control,
+    };
+    match with_analyze_target(spec, prepared, job) {
+        Ok(outcome) => outcome,
+        Err(e) => JobOutcome::Failed {
+            message: format!("campaign failed: {e}"),
+        },
+    }
+}
+
+/// A campaign over whichever target type a job's configuration selects,
+/// run by [`with_analyze_target`].
+pub trait TargetCampaign {
+    /// What the campaign returns.
+    type Output;
+    /// Runs the campaign on `target`.
+    fn run<T: FaultTarget>(self, target: &T) -> Self::Output;
+}
+
+/// Runs `campaign` on the analyze target `spec` selects on `prepared`:
+/// the single-transition scenarios of its configuration, or with
+/// [`protocol`](JobSpec::protocol) its depth-K walks from [`WALK_SEED`],
+/// adversarially fuzzed under [`fuzz_inputs`](JobSpec::fuzz_inputs).
+/// Served analyze jobs and `scfi analyze` both select their target here.
+pub fn with_analyze_target<C: TargetCampaign>(
+    spec: &JobSpec,
+    prepared: &Prepared,
+    campaign: C,
+) -> C::Output {
+    match &prepared.model {
+        PreparedModel::Scfi(hardened) => campaign.run(&match (spec.protocol, spec.fuzz_inputs) {
+            (Some(depth), true) => ScfiTarget::with_fuzzed_protocol(hardened, depth, WALK_SEED),
+            (Some(depth), false) => ScfiTarget::with_protocol(hardened, depth, WALK_SEED),
+            (None, _) => ScfiTarget::new(hardened),
+        }),
         PreparedModel::Redundancy(redundant) => {
-            let target = match (spec.protocol, spec.fuzz_inputs) {
+            campaign.run(&match (spec.protocol, spec.fuzz_inputs) {
                 (Some(depth), true) => {
                     RedundancyTarget::with_fuzzed_protocol(redundant, depth, WALK_SEED)
                 }
@@ -596,27 +626,33 @@ fn run_analyze(
                     RedundancyTarget::with_protocol(redundant, depth, WALK_SEED)
                 }
                 (None, _) => RedundancyTarget::new(redundant),
-            };
-            analyze_target(&target, spec, prepared.module(), &config, control)
+            })
         }
-        PreparedModel::Unprotected(u) => {
-            let target = match (spec.protocol, spec.fuzz_inputs) {
-                (Some(depth), true) => {
-                    UnprotectedTarget::with_fuzzed_protocol(&u.fsm, &u.lowered, depth, WALK_SEED)
-                }
-                (Some(depth), false) => {
-                    UnprotectedTarget::with_protocol(&u.fsm, &u.lowered, depth, WALK_SEED)
-                }
-                (None, _) => UnprotectedTarget::new(&u.fsm, &u.lowered),
-            };
-            analyze_target(&target, spec, prepared.module(), &config, control)
-        }
-    };
-    match result {
-        Ok(outcome) => outcome,
-        Err(e) => JobOutcome::Failed {
-            message: format!("campaign failed: {e}"),
-        },
+        PreparedModel::Unprotected(u) => campaign.run(&match (spec.protocol, spec.fuzz_inputs) {
+            (Some(depth), true) => {
+                UnprotectedTarget::with_fuzzed_protocol(&u.fsm, &u.lowered, depth, WALK_SEED)
+            }
+            (Some(depth), false) => {
+                UnprotectedTarget::with_protocol(&u.fsm, &u.lowered, depth, WALK_SEED)
+            }
+            (None, _) => UnprotectedTarget::new(&u.fsm, &u.lowered),
+        }),
+    }
+}
+
+/// A served analyze job's campaign: the exhaustive map, rendered.
+struct AnalyzeJob<'a> {
+    spec: &'a JobSpec,
+    module: &'a Module,
+    config: &'a CampaignConfig,
+    control: &'a RunControl,
+}
+
+impl TargetCampaign for AnalyzeJob<'_> {
+    type Output = Result<JobOutcome, CampaignError>;
+
+    fn run<T: FaultTarget>(self, target: &T) -> Self::Output {
+        analyze_target(target, self.spec, self.module, self.config, self.control)
     }
 }
 

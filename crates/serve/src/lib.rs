@@ -39,5 +39,7 @@ pub mod server;
 pub mod wire;
 
 pub use cache::{CompileCache, ConfigKind, Prepared, PreparedModel};
-pub use jobs::{ApiError, JobKind, JobOutcome, JobSpec, WALK_SEED};
+pub use jobs::{
+    with_analyze_target, ApiError, JobKind, JobOutcome, JobSpec, TargetCampaign, WALK_SEED,
+};
 pub use server::{Server, ServerOptions};
